@@ -11,8 +11,8 @@ from repro.core.excitation import ExcitationTracker
 from repro.core.predictors.ensemble import default_ensemble
 from repro.core.speculation import run_speculation
 from repro.core.stats import PredictionStats
+from repro.core.superstep import run_superstep
 from repro.machine.diff import delta_size_bits
-from repro.machine.executor import STOP_BREAKPOINT
 
 
 class TrainingResult:
@@ -76,19 +76,12 @@ def train_on_boundaries(context, max_boundaries=None, max_query_samples=32,
     query_bits = []
     prev_snapshot = None
     boundaries = 0
-    crossings = 0
     guard = 500_000_000
 
     while True:
-        stop = False
-        for __ in range(stride):
-            result = machine.run(max_instructions=guard, break_ips=break_ips)
-            if result.reason != STOP_BREAKPOINT:
-                stop = True
-                break
-        if stop:
+        __, arrived = run_superstep(machine, break_ips, stride, guard, guard)
+        if not arrived:
             break
-        crossings += stride
         boundaries += 1
         snapshot = bytes(machine.state.buf)
         if prev_snapshot is not None and len(query_bits) < max_query_samples:

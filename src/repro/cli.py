@@ -228,39 +228,19 @@ def _run_real_backend(program, args):
 
 
 def _run_sim_backend(program, args):
-    """Plain single-machine execution, with optional checkpoint/resume."""
-    from repro.errors import EngineError
+    """Plain single-machine execution — the superstep loop with no
+    phases and no speculation — with optional checkpoint/resume."""
+    from repro.core.config import EngineConfig
+    from repro.core.superstep import SpeculationBackend, SuperstepLoop
 
-    machine = program.make_machine()
     checkpointer, resume_from = _checkpoint_setup(args, program)
-    base = 0
-    if resume_from is not None:
-        if len(resume_from.state) != len(machine.state.buf):
-            raise EngineError(
-                "checkpoint state is %d bytes but this program's state "
-                "vector is %d — wrong program?"
-                % (len(resume_from.state), len(machine.state.buf)))
-        machine.state.buf[:] = resume_from.state
-        machine.instruction_count = resume_from.instruction_count
-        base = resume_from.instruction_count
-        checkpointer.note_resumed(base)
-    chunk = args.max_instructions
-    if checkpointer is not None \
-            and checkpointer.every_instructions is not None:
-        chunk = max(1, checkpointer.every_instructions)
-    executed = 0
-    reason = "halt" if machine.halted else "limit"
-    eip = machine.state.eip if hasattr(machine.state, "eip") else 0
-    while not machine.halted and executed < args.max_instructions:
-        result = machine.run(
-            max_instructions=min(chunk, args.max_instructions - executed))
-        executed += result.instructions
-        reason, eip = result.reason, result.eip
-        if checkpointer is not None and not machine.halted:
-            checkpointer.maybe_save(base + executed,
-                                    bytes(machine.state.buf))
-        if result.instructions == 0:
-            break
+    loop = SuperstepLoop(program, EngineConfig(), SpeculationBackend(), (),
+                         args.max_instructions, checkpointer=checkpointer,
+                         resume_from=resume_from)
+    loop.run()
+    machine = loop.main
+    executed = loop.stats.instructions_executed
+    base = loop.base_instructions
     payload = {
         "program": program.name,
         "backend": "sim",
@@ -270,7 +250,8 @@ def _run_sim_backend(program, args):
     }
     if not args.json:
         print("%s after %d instructions (eip=0x%x)"
-              % (reason, executed, eip))
+              % ("halted" if machine.halted else "limit", executed,
+                 machine.state.eip))
         if base:
             print("resumed from checkpoint at %d instructions" % base)
         if checkpointer is not None:

@@ -1,59 +1,45 @@
 """The ASC engines: sequential reference, parallel-speculative, and
 single-core memoizing execution.
 
-:class:`ParallelEngine` implements the paper's Figure 1 loop on top of a
-simulated-time cluster. One main thread executes the program on the
-TBFS; at every superstep boundary (each ``stride``-th crossing of the
-recognized IP) it sends its state to the learners, the allocator rolls
-predictions out and dispatches idle workers to uncovered future states,
-and the main thread queries the distributed trajectory cache —
-fast-forwarding over any superstep a speculative worker has already
-executed correctly.
+:class:`ParallelEngine` and :class:`MemoizingEngine` are thin facades
+over the one :class:`~repro.core.superstep.SuperstepLoop` (the paper's
+Figure 1): each picks a backend, runs the loop and packages the result.
 
-Simulated time vs. real work: every speculative execution really runs on
-the Python VM (producing real dependency vectors and cache entries), but
-*when* its entry becomes visible is charged by the platform's cost model
-(rollout time linear in rank, instruction time at the measured MIPS,
-query/reduce/response latencies). Byte-identical speculations are
-executed once and reused — an accounting identity, since the transition
-function is deterministic — which keeps an N-core simulation's Python
-cost near the sequential cost instead of N times it.
+Simulated time vs. real work (:class:`_SimBackend`): every speculative
+execution really runs on the Python VM (producing real dependency
+vectors and cache entries), but *when* its entry becomes visible is
+charged by the platform's cost model (rollout time linear in rank,
+instruction time at the measured MIPS, query/reduce/response
+latencies). Byte-identical speculations are executed once and reused —
+an accounting identity, since the transition function is deterministic
+— which keeps an N-core simulation's Python cost near the sequential
+cost instead of N times it.
 """
 
+import collections
 import heapq
-
-from repro.cluster.topology import Platform, laptop1
-from repro.core.allocator import Allocator, RelevanceMask
-from repro.core.config import EngineConfig
-from repro.core.excitation import ExcitationTracker
-from repro.core.oracle import OracleAllocator, TrajectoryRecord
-from repro.core.predictors.ensemble import default_ensemble
-from repro.core.recognizer import Recognizer
-from repro.core.speculation import run_speculation
-from repro.core.stats import PredictionStats, RunStats
-from repro.core.trajectory_cache import CacheEntry, TrajectoryCache
-from repro.errors import EngineError
-from repro.machine.depvec import DepVector
-from repro.machine.executor import STOP_BREAKPOINT
-from repro.verify.auditor import SpliceAuditor
-from repro.verify.config import resolve_verify
 
 import numpy as np
 
+from repro.cluster.topology import Platform, laptop1
+from repro.core.config import EngineConfig
+from repro.core.oracle import OracleAllocator, TrajectoryRecord
+from repro.core.recognizer import Recognizer
+from repro.core.speculation import run_speculation
+from repro.core.superstep import (
+    LoopResult,
+    SpeculationBackend,
+    SuperstepLoop,
+)
+from repro.core.trajectory_cache import CacheEntry
+from repro.errors import EngineError
+from repro.machine.depvec import DepVector
+from repro.verify.config import resolve_verify
 
-class SequentialResult:
-    """A plain uninstrumented run (the scaling baseline)."""
 
-    __slots__ = ("instructions", "seconds", "halted")
-
-    def __init__(self, instructions, seconds, halted):
-        self.instructions = instructions
-        self.seconds = seconds
-        self.halted = halted
-
-    def __repr__(self):
-        return "SequentialResult(instructions=%d, seconds=%.4f)" % (
-            self.instructions, self.seconds)
+#: A plain uninstrumented run (the scaling baseline).
+SequentialResult = collections.namedtuple(
+    "SequentialResult", "instructions seconds halted")
 
 
 def run_sequential(program, cost_model=None, max_instructions=500_000_000):
@@ -69,25 +55,19 @@ def run_sequential(program, cost_model=None, max_instructions=500_000_000):
     return SequentialResult(result.instructions, seconds, True)
 
 
-class ParallelResult:
+class ParallelResult(LoopResult):
     """Everything measured by one parallel engine run."""
 
-    def __init__(self, program_name, n_cores, oracle, recognized,
-                 sequential_seconds, makespan_seconds, total_instructions,
-                 stats, prediction_stats, cache, allocator_shifts,
-                 allocator_rebuilds):
-        self.program_name = program_name
+    def __init__(self, loop, recognized, n_cores, oracle,
+                 sequential_seconds, makespan_seconds):
+        super().__init__(loop, recognized)
         self.n_cores = n_cores
         self.oracle = oracle
-        self.recognized = recognized
         self.sequential_seconds = sequential_seconds
         self.makespan_seconds = makespan_seconds
-        self.total_instructions = total_instructions
-        self.stats = stats
-        self.prediction_stats = prediction_stats
-        self.cache = cache
-        self.allocator_shifts = allocator_shifts
-        self.allocator_rebuilds = allocator_rebuilds
+        self.prediction_stats = loop.prediction_stats
+        self.allocator_shifts = getattr(loop.allocator, "shifts", 0)
+        self.allocator_rebuilds = getattr(loop.allocator, "rebuilds", 0)
 
     @property
     def scaling(self):
@@ -101,6 +81,129 @@ class ParallelResult:
                 "misses=%d)" % (self.program_name, self.n_cores,
                                 self.scaling, self.stats.hits,
                                 self.stats.misses))
+
+
+class _SimBackend(SpeculationBackend):
+    """A simulated N-core cluster: speculations execute inline (once per
+    distinct predicted state — ``spec_memo``) and the cost model decides
+    *when* each entry becomes visible; the clock is the sum of charges."""
+
+    predicts = True
+
+    def __init__(self, platform, config, record, spec_memo, oracle):
+        self.cm = platform.cost_model
+        self.n_cores = platform.n_cores
+        self.spec_memo = spec_memo
+        self.oracle = oracle
+        self.converge_charge = config.converge_supersteps_charge
+        n_workers = max(0, platform.n_cores - 1)
+        self.max_rollout = min(config.max_rollout or max(1, n_workers),
+                               record.n_boundaries + 2)
+        self.oracle_allocator = (OracleAllocator(record, self.max_rollout)
+                                 if oracle else None)
+        self.worker_heap = [0.0] * n_workers
+        self.last_query_arr = None
+        self.T = 0.0
+        self.converge_t = 0.0
+
+    def clock(self):
+        return self.T
+
+    def enter_phase(self, tracker, mask):
+        phase = self.loop.phase
+        if self.converge_charge is not None:
+            converge = self.converge_charge * phase.superstep_instructions
+        else:
+            converge = phase.converge_instructions
+        self.converge_t = self.T + self.cm.exec_seconds(converge,
+                                                        dep_tracking=True)
+        if self.oracle:
+            return None, self.oracle_allocator
+        return super().enter_phase(tracker, mask)
+
+    def executed(self, instructions, started):
+        self.T += self.cm.exec_seconds(instructions, dep_tracking=False)
+
+    def speculating(self):
+        return self.T >= self.converge_t and bool(self.worker_heap)
+
+    def querying(self):
+        # Recognizer not converged yet: learn, but no cache use.
+        return self.T >= self.converge_t
+
+    def seed_mask(self, snapshot):
+        if not self.oracle:
+            # Probe one real superstep to learn which words the
+            # computation actually reads (the recognizer measured this
+            # during validation; the probe is its engine-side
+            # counterpart).
+            loop = self.loop
+            probe = run_speculation(loop.main.context, snapshot, loop.rip,
+                                    loop.stride, loop.spec_budget)
+            if probe.entry is not None:
+                loop.mask.update_from_entry(probe.entry)
+
+    def submit(self, step, key, rank, snapshot):
+        loop, stats, cm = self.loop, self.loop.stats, self.cm
+        # Workers accept one queued assignment while still busy (the
+        # allocator hands out the next target as soon as a worker will
+        # free up within roughly a superstep), so production never
+        # stalls on the boundary schedule.
+        if self.worker_heap[0] > self.T + cm.exec_seconds(
+                loop.phase.superstep_instructions, dep_tracking=True):
+            return False  # every worker busy beyond the queueing horizon
+        start = max(self.T, heapq.heappop(self.worker_heap))
+        # The memo is keyed on the exact materialized projection, which
+        # fully determines the deterministic speculative execution.
+        result = self.spec_memo.get(step.digest)
+        if result is None:
+            start_buf = loop.tracker.materialize(snapshot, step.word_values)
+            result = run_speculation(loop.main.context, start_buf,
+                                     loop.rip, loop.stride, loop.spec_budget)
+            self.spec_memo[step.digest] = result
+            stats.speculations_executed += 1
+            stats.speculation_instructions += result.instructions
+            if result.fault is not None:
+                stats.speculation_faults += 1
+        else:
+            stats.speculations_reused += 1
+        stats.speculations_dispatched += 1
+        ready = (start
+                 + cm.rollout_seconds(rank, loop.tracker.n_target_bits)
+                 + cm.exec_seconds(result.instructions, dep_tracking=True))
+        if result.entry is not None:
+            loop.cache.insert(result.entry.with_ready_time(ready))
+            loop.mask.update_from_entry(result.entry)
+        loop.covered.add(key)
+        heapq.heappush(self.worker_heap, ready)
+        return True
+
+    def lookup(self, buf, snapshot, view):
+        stats, cm = self.loop.stats, self.cm
+        # Size of the delta-compressed query message (§4.2): a fixed
+        # header plus ~32 bits (offset varint + value) per byte changed
+        # since the previous query — the cost structure of the
+        # Myers-delta messages the paper measures in Table 1; the exact
+        # codec's sizes are computed offline by the Table 1 analysis.
+        snapshot_arr = np.frombuffer(snapshot, dtype=np.uint8)
+        if self.last_query_arr is None:
+            qbits = 8 * len(snapshot_arr)  # first query ships full state
+        else:
+            qbits = 64 + 32 * int(np.count_nonzero(
+                snapshot_arr != self.last_query_arr))
+        self.last_query_arr = snapshot_arr
+        stats.query_bits_total += qbits
+        self.T += cm.query_seconds(self.n_cores, qbits)
+        entry, late = self.loop.cache.lookup_classified(self.loop.rip, buf,
+                                                        now=self.T)
+        if entry is None:
+            if late:
+                stats.misses_late += 1  # a worker had it, not done yet
+            else:
+                stats.misses_nomatch += 1
+        else:
+            self.T += cm.response_seconds(entry.end_bits) + cm.apply_seconds()
+        return entry
 
 
 class ParallelEngine:
@@ -133,316 +236,52 @@ class ParallelEngine:
             collect_prediction_stats = not oracle
         self.collect_prediction_stats = collect_prediction_stats
 
-    # -- helpers -------------------------------------------------------------
-
-    def _prepare(self):
-        config = self.config
+    def run(self):
+        config, platform = self.config, self.platform
         if self.recognized is None:
             self.recognized = Recognizer(config).find(self.program)
         if self.record is None:
             self.record = TrajectoryRecord(self.program, self.recognized,
                                            config)
-        if not self.record.halted:
-            raise EngineError("reference run did not halt; cannot evaluate")
-
-    def _query_bits(self, snapshot_arr, last_query_arr):
-        """Size of the delta-compressed query message (§4.2).
-
-        Modeled as a fixed header plus ~32 bits (offset varint + value)
-        per changed byte since the previous query — the cost structure of
-        the Myers-delta messages the paper measures in Table 1; the exact
-        codec's sizes are computed offline by the Table 1 analysis.
-        """
-        if last_query_arr is None:
-            return 8 * len(snapshot_arr)  # first query ships the full state
-        changed = int(np.count_nonzero(snapshot_arr != last_query_arr))
-        return 64 + 32 * changed
-
-    # -- the run ------------------------------------------------------------------
-
-    def run(self):
-        self._prepare()
-        program = self.program
-        config = self.config
-        platform = self.platform
-        cm = platform.cost_model
         record = self.record
-
-        n_workers = max(0, platform.n_cores - 1)
-        max_rollout = config.max_rollout or max(1, n_workers)
-        max_rollout = min(max_rollout, record.n_boundaries + 2)
-
-        cache = TrajectoryCache(capacity_bytes=config.cache_capacity_bytes
-                                or platform.cache_capacity_bytes)
-        if self.initial_cache is not None:
-            for entry in self.initial_cache.entries():
-                cache.insert(entry.with_ready_time(0.0))
-        stats = RunStats()
-        pstats = None
-
-        main = program.make_machine(fast_path=config.fast_path)
-        context = main.context  # shared decode cache with speculation
-        auditor = None
-        if self.verify is not None and self.verify.enabled:
-            auditor = SpliceAuditor(self.verify, cache, context=context)
+        if not record.halted:
+            raise EngineError("reference run did not halt; cannot evaluate")
         total = record.total_instructions
-        sequential_seconds = cm.exec_seconds(total, dep_tracking=False)
-        guard = total * 2 + 100_000
-
-        worker_heap = [0.0] * n_workers
-        heapq.heapify(worker_heap)
-        last_query_arr = None
-        T = 0.0
-
-        # -- per-phase state (reset when a RIP dies, §4.4.1's reset) -----
-        phases = record.phases
-        phase_index = -1
-        tracker = mask = ensemble = allocator = None
-        rip = stride = spec_budget = None
-        break_ips = frozenset()
-        converge_t = 0.0
-        covered = set()
-        recognized_phase = None
-        oracle_allocator = (OracleAllocator(record, max_rollout)
-                            if self.oracle else None)
-
-        def enter_phase(index, now):
-            nonlocal tracker, mask, ensemble, allocator, rip, stride
-            nonlocal spec_budget, break_ips, converge_t, covered, pstats
-            nonlocal recognized_phase
-            recognized_phase = phases[index]
-            rip = recognized_phase.ip
-            stride = recognized_phase.stride
-            break_ips = frozenset((rip,))
-            spec_budget = recognized_phase.speculation_budget(
-                config.speculation_budget_factor)
-            tracker = ExcitationTracker(program.layout, config)
-            mask = RelevanceMask(tracker)
-            covered = set()
-            if self.oracle:
-                ensemble = None
-                allocator = oracle_allocator
-            else:
-                ensemble = default_ensemble(config)
-                allocator = Allocator(ensemble, tracker, max_rollout,
-                                      mask=mask)
-                if recognized_phase.training_states:
-                    # Warm start: the recognizer's search already observed
-                    # these states and trained on them (its time is what
-                    # the converge charge accounts for); the engine
-                    # continues from that model instead of relearning.
-                    for trained in recognized_phase.training_states:
-                        view = tracker.observe(trained)
-                        if view is not None:
-                            ensemble.observe(view)
-                    ensemble.flush_pending()
-                    tracker.reset_continuity()
-                if pstats is None and self.collect_prediction_stats:
-                    pstats = PredictionStats(ensemble.expert_names)
-            if config.converge_supersteps_charge is not None:
-                converge = (config.converge_supersteps_charge
-                            * recognized_phase.superstep_instructions)
-            else:
-                converge = recognized_phase.converge_instructions
-            converge_t = now + cm.exec_seconds(converge,
-                                               dep_tracking=True)
-
-        enter_phase(0, 0.0)
-        phase_index = 0
-
-        while not main.halted:
-            # Execute up to one superstep (stride RIP crossings); a
-            # drought (no crossing within the limit) means this phase's
-            # RIP died and the next recognized phase takes over.
-            executed = 0
-            drought = False
-            for __ in range(stride):
-                result = main.run(
-                    max_instructions=recognized_phase.drought_limit(),
-                    break_ips=break_ips)
-                executed += result.instructions
-                if result.reason != STOP_BREAKPOINT:
-                    drought = not main.halted
-                    break
-            T += cm.exec_seconds(executed, dep_tracking=False)
-            stats.instructions_executed += executed
-            if main.halted:
-                break
-            if drought:
-                phase_index += 1
-                if phase_index < len(phases):
-                    stats.phase_transitions += 1
-                    enter_phase(phase_index, T)
-                    continue
-                # No further recognized structure: run plainly to halt.
-                tail = main.run(max_instructions=guard)
-                T += cm.exec_seconds(tail.instructions, dep_tracking=False)
-                stats.instructions_executed += tail.instructions
-                break
-            progress = (stats.instructions_executed
-                        + stats.instructions_fast_forwarded)
-            if progress > guard:
-                raise EngineError("engine exceeded instruction guard; "
-                                  "likely divergence from reference run")
-
-            # Boundary processing; fast-forwards chain within this loop.
-            while True:
-                stats.supersteps += 1
-                buf = main.state.buf
-                snapshot = bytes(buf)
-                view = tracker.observe(snapshot)
-                if view is not None:
-                    if ensemble is not None:
-                        outcome = ensemble.observe(view)
-                        if pstats is not None:
-                            pstats.record(outcome)
-                    if not mask.seeded and not self.oracle:
-                        # Probe one real superstep to learn which words
-                        # the computation actually reads (the recognizer
-                        # already measured this during validation; the
-                        # probe is its engine-side counterpart).
-                        probe = run_speculation(context, snapshot, rip,
-                                                stride, spec_budget)
-                        if probe.entry is not None:
-                            mask.update_from_entry(probe.entry)
-                    allocator.advance(view)
-                    if T >= converge_t and n_workers > 0:
-                        self._dispatch(
-                            T, allocator, tracker, cache, stats, cm,
-                            worker_heap, covered, mask, snapshot, context,
-                            rip, stride, spec_budget, recognized_phase,
-                            config)
-                if T < converge_t:
-                    break  # recognizer not converged: no cache use yet
-                snapshot_arr = np.frombuffer(snapshot, dtype=np.uint8)
-                qbits = self._query_bits(snapshot_arr, last_query_arr)
-                last_query_arr = snapshot_arr
-                stats.queries += 1
-                stats.query_bits_total += qbits
-                T += cm.query_seconds(platform.n_cores, qbits)
-                entry, late = cache.lookup_classified(rip, buf, now=T)
-                if entry is None:
-                    stats.misses += 1
-                    if late:
-                        stats.misses_late += 1
-                    else:
-                        stats.misses_nomatch += 1
-                    break
-                stats.hits += 1
-                T += cm.response_seconds(entry.end_bits) + cm.apply_seconds()
-                entry.apply(buf)
-                stats.instructions_fast_forwarded += entry.length
-                if auditor is not None and auditor.verify_splice(
-                        entry, buf, snapshot, stats):
-                    # Refuted and rolled back: the group is quarantined,
-                    # so the superstep now replays sequentially.
-                    break
-                progress = (stats.instructions_executed
-                            + stats.instructions_fast_forwarded)
-                if progress > guard:
-                    raise EngineError("fast-forward exceeded instruction "
-                                      "guard; cyclic cache entry?")
-                if main.halted:
-                    break
-
-        makespan = T if T > 0 else 1e-12
-        progress = (stats.instructions_executed
-                    + stats.instructions_fast_forwarded)
-        if main.halted and progress != total:
+        backend = _SimBackend(platform, config, record, self.spec_memo,
+                              self.oracle)
+        loop = SuperstepLoop(
+            self.program, config, backend, record.phases,
+            max_instructions=total * 2 + 100_000,
+            cache_capacity_bytes=(config.cache_capacity_bytes
+                                  or platform.cache_capacity_bytes),
+            initial_cache=self.initial_cache, verify=self.verify,
+            collect_prediction_stats=self.collect_prediction_stats)
+        loop.run()
+        if loop.progress() != total:
             raise EngineError(
                 "executed+fast-forwarded=%d does not equal reference "
-                "total=%d; cache entries are inconsistent"
-                % (progress, total))
-        result = ParallelResult(
-            program.name, platform.n_cores, self.oracle, self.recognized,
-            sequential_seconds, makespan, total, stats, pstats, cache,
-            getattr(allocator, "shifts", 0),
-            getattr(allocator, "rebuilds", 0))
-        result.audit = auditor.report() if auditor is not None else None
-        result.final_state = bytes(main.state.buf)
-        return result
-
-    def _dispatch(self, T, allocator, tracker, cache, stats, cm,
-                  worker_heap, covered, mask, snapshot, context, rip,
-                  stride, spec_budget, recognized, config):
-        """Assign idle workers to uncovered rollout targets.
-
-        ``covered`` is keyed up to dependency relevance (don't speculate
-        twice on targets that differ only in dead bytes); the execution
-        memo is keyed on the exact materialized projection, which fully
-        determines the deterministic speculative execution.
-        """
-        mean_jump = recognized.mean_gap * stride
-        order = allocator.dispatch_order(mean_jump,
-                                         config.min_dispatch_probability)
-        chain = allocator.chain
-        # Workers accept one queued assignment while still busy (the
-        # allocator hands out the next target as soon as a worker will
-        # free up within roughly a superstep), so production never stalls
-        # on the boundary schedule.
-        queue_horizon = T + cm.exec_seconds(recognized.superstep_instructions,
-                                            dep_tracking=True)
-        for idx in order:
-            if not worker_heap or worker_heap[0] > queue_horizon:
-                break  # every worker busy beyond the queueing horizon
-            step = chain[idx]
-            cover_key = mask.key_for(step)
-            if cover_key in covered:
-                continue
-            start = max(T, heapq.heappop(worker_heap))
-            rank = idx + 1
-            result = self.spec_memo.get(step.digest)
-            if result is None:
-                start_buf = tracker.materialize(snapshot, step.word_values)
-                result = run_speculation(context, start_buf, rip, stride,
-                                         spec_budget)
-                self.spec_memo[step.digest] = result
-                stats.speculations_executed += 1
-                stats.speculation_instructions += result.instructions
-                if result.fault is not None:
-                    stats.speculation_faults += 1
-            else:
-                stats.speculations_reused += 1
-            stats.speculations_dispatched += 1
-            ready = (start + cm.rollout_seconds(rank, tracker.n_target_bits)
-                     + cm.exec_seconds(result.instructions,
-                                       dep_tracking=True))
-            if result.entry is not None:
-                cache.insert(result.entry.with_ready_time(ready))
-                mask.update_from_entry(result.entry)
-            covered.add(cover_key)
-            heapq.heappush(worker_heap, ready)
-        return T
+                "total=%d; the run diverged or cache entries are "
+                "inconsistent" % (loop.progress(), total))
+        return ParallelResult(
+            loop, self.recognized, platform.n_cores, self.oracle,
+            platform.cost_model.exec_seconds(total, dep_tracking=False),
+            backend.T if backend.T > 0 else 1e-12)
 
 
-class MemoTimelinePoint:
-    """One sample of the memoization run's progress (Figure 6, right)."""
-
-    __slots__ = ("instructions", "scaling")
-
-    def __init__(self, instructions, scaling):
-        self.instructions = instructions
-        self.scaling = scaling
-
-    def __repr__(self):
-        return "MemoTimelinePoint(instructions=%d, scaling=%.3f)" % (
-            self.instructions, self.scaling)
+#: One sample of the memoization run's progress (Figure 6, right).
+MemoTimelinePoint = collections.namedtuple("MemoTimelinePoint",
+                                           "instructions scaling")
 
 
-class MemoResult:
+class MemoResult(LoopResult):
     """Outcome of a single-core generalized-memoization run."""
 
-    def __init__(self, program_name, recognized, sequential_seconds,
-                 makespan_seconds, total_instructions, stats, timeline,
-                 cache):
-        self.program_name = program_name
-        self.recognized = recognized
+    def __init__(self, loop, recognized, sequential_seconds,
+                 makespan_seconds, timeline):
+        super().__init__(loop, recognized)
         self.sequential_seconds = sequential_seconds
         self.makespan_seconds = makespan_seconds
-        self.total_instructions = total_instructions
-        self.stats = stats
         self.timeline = timeline
-        self.cache = cache
 
     @property
     def scaling(self):
@@ -451,6 +290,80 @@ class MemoResult:
     def __repr__(self):
         return "MemoResult(%s, scaling=%.3f, hits=%d)" % (
             self.program_name, self.scaling, self.stats.hits)
+
+
+class _MemoBackend(SpeculationBackend):
+    """Generalized memoization: the only "speculation" is the main
+    thread's own past. It tracks dependencies as it runs and closes a
+    cache entry every ``memo_block`` supersteps; the clock is simulated."""
+
+    chains = False  # a hit is followed by execution, not another probe
+
+    PROBE_BITS = 256
+
+    def __init__(self, cost_model, memo_block):
+        self.cm = cost_model
+        self.memo_block = memo_block
+        self.T = 0.0
+        self.timeline = []
+
+    def bind(self, loop):
+        self.loop = loop
+        self.dep = DepVector(loop.program.layout.size)
+        self._reopen()
+
+    def _reopen(self, start=None):
+        self.open_start = start or bytes(self.loop.main.state.buf)
+        self.open_span = 0
+        self.open_occurrences = 0
+        self.dep.reset()
+
+    def clock(self):
+        return self.T
+
+    def drought_limit(self, phase):
+        return self.loop.budget  # the memoized RIP never dies
+
+    def executed(self, instructions, started):
+        self.T += self.cm.exec_seconds(instructions, dep_tracking=True)
+        self.open_span += instructions
+
+    def poll(self, timeout=0.0):
+        self.open_occurrences += 1
+        if self.open_occurrences >= self.memo_block:
+            end = bytes(self.loop.main.state.buf)
+            self.loop.cache.insert(CacheEntry.from_execution(
+                self.loop.rip, self.dep, self.open_start, end,
+                self.open_span, occurrences=self.open_occurrences))
+            self._reopen(end)
+
+    def lookup(self, buf, snapshot, view):
+        loop = self.loop
+        loop.stats.query_bits_total += self.PROBE_BITS
+        self.T += self.cm.memo_query_seconds(self.PROBE_BITS)
+        entry = loop.cache.lookup(loop.rip, buf)
+        if entry is None:
+            self._sample()
+        else:
+            self.T += self.cm.apply_seconds()
+        return entry
+
+    def spliced(self, entry, refuted):
+        # A refuted splice is rolled back and the open segment's
+        # tracking is still coherent; otherwise the open entry would
+        # span a jump, so restart it.
+        if not refuted:
+            self._reopen()
+        self._sample()
+
+    def _sample(self):
+        """One Figure 6 (right) point every 8th boundary."""
+        loop = self.loop
+        if loop.stats.supersteps % 8 == 0:
+            progress = loop.progress()
+            baseline = self.cm.exec_seconds(progress, dep_tracking=False)
+            self.timeline.append(MemoTimelinePoint(progress,
+                                                   baseline / self.T))
 
 
 class MemoizingEngine:
@@ -474,112 +387,26 @@ class MemoizingEngine:
         self.verify = resolve_verify(verify)
 
     def run(self, timeline_samples=64, max_instructions=500_000_000):
-        program = self.program
         config = self.config
         cm = self.platform.cost_model
         if self.recognized is None:
-            self.recognized = Recognizer(config).find_for_memoization(program)
-        recognized = self.recognized
-        rip = recognized.ip
-        stride = recognized.stride
-        break_ips = frozenset((rip,))
-
-        cache = TrajectoryCache(capacity_bytes=config.cache_capacity_bytes)
-        if self.initial_cache is not None:
-            for entry in self.initial_cache.entries():
-                cache.insert(entry.with_ready_time(0.0))
-        stats = RunStats()
-        main = program.make_machine(fast_path=config.fast_path)
-        auditor = None
-        if self.verify is not None and self.verify.enabled:
-            auditor = SpliceAuditor(self.verify, cache,
-                                    context=main.context)
-        dep = DepVector(program.layout.size)
-        open_start = bytes(main.state.buf)
-        open_span = 0
-        open_occurrences = 0
-        timeline = []
-        T = 0.0
-        executed_total = 0
-        sample_every = None
-
-        while not main.halted and executed_total < max_instructions:
-            chunk = 0
-            for __ in range(stride):
-                result = main.run(max_instructions=max_instructions,
-                                  break_ips=break_ips, dep=dep)
-                chunk += result.instructions
-                if result.reason != STOP_BREAKPOINT:
-                    break
-            executed_total += chunk
-            open_span += chunk
-            T += cm.exec_seconds(chunk, dep_tracking=True)
-            stats.instructions_executed += chunk
-            if main.halted:
-                break
-            stats.supersteps += 1
-            open_occurrences += 1
-
-            if open_occurrences >= config.memo_block:
-                entry_buf = bytes(main.state.buf)
-                entry = CacheEntry.from_execution(
-                    rip, dep, open_start, entry_buf, open_span,
-                    occurrences=open_occurrences)
-                cache.insert(entry)
-                open_start = entry_buf
-                open_span = 0
-                open_occurrences = 0
-                dep.reset()
-
-            # Probe the cache with the current state.
-            stats.queries += 1
-            probe_bits = 256
-            stats.query_bits_total += probe_bits
-            T += cm.memo_query_seconds(probe_bits)
-            pre_splice = (bytes(main.state.buf) if auditor is not None
-                          else None)
-            entry = cache.lookup(rip, main.state.buf)
-            if entry is not None:
-                stats.hits += 1
-                T += cm.apply_seconds()
-                entry.apply(main.state.buf)
-                stats.instructions_fast_forwarded += entry.length
-                if auditor is not None and auditor.verify_splice(
-                        entry, main.state.buf, pre_splice, stats):
-                    # Refuted and rolled back (the auditor already did
-                    # the miss accounting); the open segment's tracking
-                    # is still coherent — keep accumulating it.
-                    pass
-                else:
-                    # The open entry now spans a jump; restart it.
-                    open_start = bytes(main.state.buf)
-                    open_span = 0
-                    open_occurrences = 0
-                    dep.reset()
-            else:
-                stats.misses += 1
-
-            progress = (stats.instructions_executed
-                        + stats.instructions_fast_forwarded)
-            if sample_every is None and stats.supersteps >= 8:
-                sample_every = max(1, stats.supersteps)
-            if sample_every is not None \
-                    and stats.supersteps % sample_every == 0:
-                baseline = cm.exec_seconds(progress, dep_tracking=False)
-                timeline.append(MemoTimelinePoint(progress, baseline / T))
-
-        progress = (stats.instructions_executed
-                    + stats.instructions_fast_forwarded)
+            self.recognized = Recognizer(config).find_for_memoization(
+                self.program)
+        backend = _MemoBackend(cm, config.memo_block)
+        loop = SuperstepLoop(self.program, config, backend,
+                             [self.recognized], max_instructions,
+                             initial_cache=self.initial_cache,
+                             verify=self.verify)
+        loop.run()
+        progress = loop.progress()
         sequential_seconds = cm.exec_seconds(progress, dep_tracking=False)
-        makespan = T if T > 0 else 1e-12
-        baseline = sequential_seconds
-        timeline.append(MemoTimelinePoint(progress, baseline / makespan))
+        makespan = backend.T if backend.T > 0 else 1e-12
+        timeline = backend.timeline
+        timeline.append(MemoTimelinePoint(progress,
+                                          sequential_seconds / makespan))
         if timeline_samples and len(timeline) > timeline_samples:
             step = len(timeline) / timeline_samples
             timeline = [timeline[int(i * step)]
                         for i in range(timeline_samples)] + [timeline[-1]]
-        result = MemoResult(program.name, recognized, sequential_seconds,
-                            makespan, progress, stats, timeline, cache)
-        result.audit = auditor.report() if auditor is not None else None
-        result.final_state = bytes(main.state.buf)
-        return result
+        return MemoResult(loop, self.recognized, sequential_seconds,
+                          makespan, timeline)

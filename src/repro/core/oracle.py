@@ -15,7 +15,7 @@ statistics for scaling denominators and Table 1.
 
 from repro.core.allocator import RolloutStep
 from repro.core.excitation import ExcitationTracker
-from repro.machine.executor import STOP_BREAKPOINT
+from repro.core.superstep import run_superstep
 
 
 class TrajectoryRecord:
@@ -51,19 +51,21 @@ class TrajectoryRecord:
         self.views = []
         self._digest_to_pos = {}
         executed = 0
-        crossings = 0
+        stride = 1  # boundaries sit at crossings 1, s+1, 2s+1, ...
 
         from repro.core.recognizer import Recognizer
         from repro.errors import EngineError
 
         while executed < max_instructions:
-            budget = min(max_instructions - executed, phase.drought_limit())
-            result = machine.run(max_instructions=budget,
-                                 break_ips=frozenset((phase.ip,)))
-            executed += result.instructions
+            ran, arrived = run_superstep(
+                machine, frozenset((phase.ip,)), stride,
+                phase.drought_limit(), max_instructions - executed)
+            executed += ran
             if machine.halted:
                 break
-            if result.reason != STOP_BREAKPOINT:
+            if not arrived:
+                if executed >= max_instructions:
+                    break
                 # Drought: the current RIP died. Recognize the new phase
                 # from this very state; give up only if nothing is found
                 # (program tail) and run plainly to the end.
@@ -77,11 +79,9 @@ class TrajectoryRecord:
                     break
                 self.phases.append(phase)
                 tracker = ExcitationTracker(program.layout, config)
-                crossings = 0
+                stride = 1
                 continue
-            crossings += 1
-            if (crossings - 1) % phase.stride:
-                continue
+            stride = phase.stride
             boundary_index = len(self.boundary_positions)
             self.boundary_positions.append(executed)
             view = tracker.observe(machine.state.buf)

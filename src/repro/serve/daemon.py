@@ -991,33 +991,36 @@ class SpeculationDaemon:
 
     def _run_job(self, job, lease):
         pool_poisoned = False
-        runtime_delta = None
-        stats_dict = None
         self._journal("record_state", job.job_id, JOB_RUNNING)
         self.watchdog.watch(
             job, lease,
             deadline_seconds=job.options.get("deadline_seconds"))
         try:
-            if self.degraded:
-                payload = self._run_job_degraded(job)
-                with self._lock:
-                    job.finish(JOB_DONE, result=payload)
-                    self.jobs_done += 1
-                self._journal("record_state", job.job_id, JOB_DONE,
-                              extra={"state_sha256":
-                                     payload["state_sha256"],
-                                     "degraded": True})
-                self._journal("store_result", job.job_id, payload)
-                return
-            if lease.pool is None:
-                lease.pool = WorkerPool(job.program,
-                                        self._pool_runtime_config(lease))
-                self.pools_created += 1
-            pool = lease.pool
+            # Degraded mode: no pool, no shm rings, no speculation, no
+            # cache write-through — zero workers put the same engine on
+            # its null backend, a fraction of the resource footprint
+            # with heartbeats and cancel checks between plain-run
+            # chunks so the watchdog still supervises it.
+            degraded = self.degraded
             engine_config = self._engine_config(job)
             config_key = repr(engine_config)
-            warm = self.store.snapshot(job.namespace)
-            runtime_snapshot = pool.stats.snapshot()
+            if degraded:
+                self.jobs_degraded += 1
+                pool = warm = transport = None
+                runtime_config = RuntimeConfig(
+                    n_workers=0,
+                    max_instructions=int(job.options.get("max_instructions")
+                                         or self.config.max_instructions))
+            else:
+                if lease.pool is None:
+                    lease.pool = WorkerPool(job.program,
+                                            self._pool_runtime_config(lease))
+                    self.pools_created += 1
+                pool = lease.pool
+                transport = pool.config.transport
+                warm = self.store.snapshot(job.namespace)
+                runtime_snapshot = pool.stats.snapshot()
+                runtime_config = self._job_runtime_config(job, lease)
 
             def boundary_hook(engine, superstep):
                 # Heartbeat first, then the watchdog's verdict, then a
@@ -1035,157 +1038,111 @@ class SpeculationDaemon:
 
             engine = RealParallelEngine(
                 job.program, config=engine_config,
-                runtime_config=self._job_runtime_config(job, lease),
-                recognized=lease.recognized.get(config_key),
+                runtime_config=runtime_config,
+                recognized=(None if degraded
+                            else lease.recognized.get(config_key)),
                 pool=pool, initial_cache=warm,
                 boundary_hook=boundary_hook,
                 verify=self._verify_config(job))
             result = engine.run()
-            if engine.recognized is not None:
-                lease.recognized[config_key] = engine.recognized
-            # Absorb stragglers so the next job on this pool starts
-            # clean; their OK entries are valid facts about this image.
-            leftovers = pool.quiesce(self.config.quiesce_seconds)
-            learned = itertools.chain(
-                result.cache.entries(),
-                (o.entry for o in leftovers if o.ok and not o.task.audit))
-            merged = self.store.merge(job.namespace, learned)
-            runtime_delta = pool.stats.delta_since(runtime_snapshot)
-            stats_dict = result.stats.as_dict()
+            merged, runtime_delta = 0, {}
+            if not degraded:
+                if engine.recognized is not None:
+                    lease.recognized[config_key] = engine.recognized
+                merged = self._bank_entries(job, pool,
+                                            result.cache.entries())
+                runtime_delta = pool.stats.delta_since(runtime_snapshot)
             state = result.final_state
             payload = {
                 "job_id": job.job_id,
                 "client": job.client,
                 "program": job.program.name,
                 "namespace": job.namespace,
-                "backend": "serve",
+                "backend": "serve-degraded" if degraded else "serve",
                 "halted": result.halted,
                 "wall_seconds": result.wall_seconds,
                 "total_instructions": result.total_instructions,
                 "first_splice_seconds": result.stats.first_splice_seconds,
                 "hits": result.stats.hits,
-                "n_workers": pool.n_workers,
-                "transport": pool.config.transport,
-                "warm_entries": len(warm),
+                "n_workers": result.n_workers,
+                "transport": transport,
+                "warm_entries": len(warm or ()),
                 "merged_entries": merged,
-                "stats": stats_dict,
+                "stats": result.stats.as_dict(),
                 "runtime": runtime_delta,
                 "cache": result.cache.stats_dict(),
                 "audit": result.audit,
                 "final_state": base64.b64encode(state).decode("ascii"),
                 "state_sha256": hashlib.sha256(state).hexdigest(),
             }
-            with self._lock:
-                job.finish(JOB_DONE, result=payload)
-                self.jobs_done += 1
-            self._journal("record_state", job.job_id, JOB_DONE,
-                          extra={"state_sha256": payload["state_sha256"]})
-            self._journal("store_result", job.job_id, payload)
+            extra = {"state_sha256": payload["state_sha256"]}
+            if degraded:
+                payload["degraded"] = extra["degraded"] = True
+            self._finish_job(job, lease, JOB_DONE, result=payload,
+                             extra=extra)
         except WatchdogTimeout as exc:
             # The pool may already have had its workers killed (or been
             # shut down outright) by the escalation ladder: retire it,
             # don't quiesce it — a condemned job's stragglers are not
             # worth racing a dying pool for.
             pool_poisoned = True
-            with self._lock:
-                if not job.terminal:
-                    job.finish(JOB_FAILED, error=str(exc))
-                self.jobs_failed += 1
-            self._journal("record_state", job.job_id, JOB_FAILED,
-                          error=str(exc))
+            self._finish_job(job, lease, JOB_FAILED, error=str(exc))
         except JobCancelled as exc:
-            self._absorb_stragglers(job, lease)
-            with self._lock:
-                if not job.terminal:
-                    job.finish(JOB_CANCELLED, error=str(exc))
-                self.jobs_cancelled += 1
-            self._journal("record_state", job.job_id, JOB_CANCELLED,
-                          error=str(exc))
+            if lease.pool is not None:
+                try:  # bank whatever its workers still finished
+                    self._bank_entries(job, lease.pool)
+                except Exception:
+                    pass  # cleanup must not mask the cancellation
+            self._finish_job(job, lease, JOB_CANCELLED, error=str(exc))
         except Exception as exc:  # the job fails; the daemon must not
             pool_poisoned = True
-            with self._lock:
-                if not job.terminal:
-                    job.finish(JOB_FAILED,
-                               error="%s: %s" % (type(exc).__name__, exc))
-                self.jobs_failed += 1
-            self._journal("record_state", job.job_id, JOB_FAILED,
-                          error=job.error)
+            self._finish_job(job, lease, JOB_FAILED,
+                             error="%s: %s" % (type(exc).__name__, exc))
         finally:
             self.watchdog.unwatch(job.job_id)
-            self._release_lease(job, lease, pool_poisoned, runtime_delta,
-                                stats_dict)
+            self._release_lease(job, lease, pool_poisoned)
 
-    def _run_job_degraded(self, job):
-        """Degraded-mode execution: the reference interpreter in
-        bounded chunks — no pool, no shm rings, no speculation, no
-        cache write-through. Same byte-identical final state (it *is*
-        the sequential definition), a fraction of the resource
-        footprint, heartbeats and cancel checks between chunks so the
-        watchdog still supervises it."""
-        self.jobs_degraded += 1
-        budget = int(job.options.get("max_instructions")
-                     or self.config.max_instructions)
-        machine = job.program.make_machine()
-        start = time.perf_counter()
-        chunk = 1_000_000
-        superstep = 0
-        while not machine.halted and machine.instruction_count < budget:
-            self.watchdog.heartbeat(job.job_id, superstep)
-            reason = self.watchdog.timeout_reason(job.job_id)
-            if reason is not None:
-                raise WatchdogTimeout("job %s condemned by watchdog: %s"
-                                      % (job.job_id, reason))
-            if job.cancel_event.is_set():
-                raise JobCancelled("job %s cancelled" % job.job_id)
-            machine.run(max_instructions=min(
-                chunk, budget - machine.instruction_count))
-            superstep += 1
-        wall = time.perf_counter() - start
-        state = bytes(machine.state.buf)
-        return {
-            "job_id": job.job_id,
-            "client": job.client,
-            "program": job.program.name,
-            "namespace": job.namespace,
-            "backend": "serve-degraded",
-            "degraded": True,
-            "halted": machine.halted,
-            "wall_seconds": wall,
-            "total_instructions": machine.instruction_count,
-            "first_splice_seconds": None,
-            "hits": 0,
-            "n_workers": 0,
-            "transport": None,
-            "warm_entries": 0,
-            "merged_entries": 0,
-            "stats": {},
-            "runtime": {},
-            "cache": {},
-            "audit": None,
-            "final_state": base64.b64encode(state).decode("ascii"),
-            "state_sha256": hashlib.sha256(state).hexdigest(),
-        }
+    def _finish_job(self, job, lease, state, result=None, error=None,
+                    extra=None):
+        """Every exit of :meth:`_run_job`. Durable first (the journal's
+        fsyncs, outside the lock): a client that saw the terminal state
+        finds it again after a crash. Then publish it and account for
+        it — daemon counter, per-client aggregate, lease and flush
+        bookkeeping — in *one* lock acquisition, so a reader that sees
+        the finished job sees counters that include it."""
+        self._journal("record_state", job.job_id, state, error=error,
+                      extra=extra)
+        if result is not None:
+            self._journal("store_result", job.job_id, result)
+        counter = {JOB_DONE: "jobs_done", JOB_FAILED: "jobs_failed",
+                   JOB_CANCELLED: "jobs_cancelled"}[state]
+        with self._lock:
+            if not job.terminal:
+                job.finish(state, result=result, error=error)
+            setattr(self, counter, getattr(self, counter) + 1)
+            aggregate = self._client_aggregate(job.client)
+            aggregate[counter] += 1
+            if result is not None:
+                self._accumulate(aggregate["runtime"], result["runtime"])
+                self._accumulate(aggregate["stats"], result["stats"])
+            lease.jobs_served += 1
+            self._jobs_since_flush += 1
 
-    def _absorb_stragglers(self, job, lease):
-        """Bank whatever a cancelled job's workers still finished."""
-        if lease.pool is None:
-            return
-        try:
-            leftovers = lease.pool.quiesce(self.config.quiesce_seconds)
-            self.store.merge(job.namespace,
-                             (o.entry for o in leftovers
-                              if o.ok and not o.task.audit))
-        except Exception:
-            pass  # cleanup must not mask the cancellation
+    def _bank_entries(self, job, pool, learned=()):
+        """Merge what a job learned into the shared store, absorbing
+        the pool's stragglers so its next job starts clean; their OK
+        entries are valid facts about this image. Returns the count."""
+        leftovers = pool.quiesce(self.config.quiesce_seconds)
+        return self.store.merge(job.namespace, itertools.chain(
+            learned, (o.entry for o in leftovers
+                      if o.ok and not o.task.audit)))
 
-    def _release_lease(self, job, lease, pool_poisoned, runtime_delta,
-                       stats_dict):
+    def _release_lease(self, job, lease, pool_poisoned):
         retired = None
         with self._lock:
             self.queue.note_finished(job)
             self._job_threads.pop(job.job_id, None)
             lease.busy = False
-            lease.jobs_served += 1
             lease.last_used = time.monotonic()
             if pool_poisoned and self._pools.get(job.namespace) is lease:
                 # A failed job's pool is never handed to another job:
@@ -1193,16 +1150,6 @@ class SpeculationDaemon:
                 del self._pools[job.namespace]
                 retired = lease.pool
                 self.pools_retired += 1
-            aggregate = self._client_aggregate(job.client)
-            key = {JOB_DONE: "jobs_done", JOB_FAILED: "jobs_failed",
-                   JOB_CANCELLED: "jobs_cancelled"}.get(job.state)
-            if key:
-                aggregate[key] += 1
-            if runtime_delta is not None:
-                self._accumulate(aggregate["runtime"], runtime_delta)
-            if stats_dict is not None:
-                self._accumulate(aggregate["stats"], stats_dict)
-            self._jobs_since_flush += 1
             flush_due = self._jobs_since_flush >= self.config.flush_every_jobs
             if flush_due:
                 self._jobs_since_flush = 0

@@ -76,19 +76,17 @@ class SpliceAuditor:
 
     ``config`` is a :class:`~repro.verify.config.VerifyConfig`;
     ``cache`` the run's :class:`TrajectoryCache` (quarantine target);
-    ``context`` or ``context_factory`` supplies the
-    :class:`TransitionContext` used for inline replays (any context
-    works — audits always step the reference tier). ``stats_sink``, if
+    ``context`` is the :class:`TransitionContext` used for inline
+    replays (any context works — audits always step the reference
+    tier). ``stats_sink``, if
     given, is a :class:`~repro.runtime.stats.RuntimeStats` mirrored
     live so ``--json`` reports carry the audit counters and incidents.
     """
 
-    def __init__(self, config, cache, context=None, context_factory=None,
-                 stats_sink=None):
+    def __init__(self, config, cache, context, stats_sink=None):
         self.config = config
         self.cache = cache
         self._ctx = context
-        self._ctx_factory = context_factory
         self._sink = stats_sink
         self.sampled = 0
         self.clean = 0
@@ -134,7 +132,7 @@ class SpliceAuditor:
                 self._pending[pending.splice_id] = pending
                 return False
             # Pool saturated: don't skip the sample, audit inline.
-        result = run_audit(self._context(), pre_state, entry.rip,
+        result = run_audit(self._ctx, pre_state, entry.rip,
                            entry.length, occurrences=entry.occurrences)
         mismatches = compare_audit(entry, result, pre_state)
         if not mismatches:
@@ -236,17 +234,10 @@ class SpliceAuditor:
 
     # -- verdict plumbing ----------------------------------------------------
 
-    def _context(self):
-        if self._ctx is None:
-            if self._ctx_factory is None:
-                raise RuntimeError("auditor has no context for inline audits")
-            self._ctx = self._ctx_factory()
-        return self._ctx
-
     def _resolve_inline(self, pending):
         restored = checkpoint.restore_state(pending.blob)
         entry = pending.entry
-        result = run_audit(self._context(), restored.state, entry.rip,
+        result = run_audit(self._ctx, restored.state, entry.rip,
                            entry.length, occurrences=entry.occurrences)
         self._finish(pending, result, "sync", pre_state=restored.state)
 

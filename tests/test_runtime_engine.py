@@ -5,7 +5,6 @@ import signal
 
 import pytest
 
-from repro.asm import assemble
 from repro.bench import build_collatz, build_ising
 from repro.core.recognizer import Recognizer
 from repro.runtime import RealParallelEngine, RuntimeConfig
@@ -109,24 +108,6 @@ class TestCrashMidRun:
 
 
 class TestDegradedPaths:
-    def test_unrecognizable_program_runs_plainly(self):
-        program = assemble("""
-            .entry start
-            start:
-                mov eax, 7
-                store [out], eax
-                hlt
-            .data
-            out: .word 0
-        """, name="tiny")
-        engine = RealParallelEngine(program,
-                                    runtime_config=RuntimeConfig(n_workers=1))
-        result = engine.run()
-        assert result.halted
-        assert result.recognized is None
-        assert result.final_state == sequential_state(program)
-        assert result.stats.hits == 0
-
     def test_warm_cache_reuse_across_runs(self):
         workload = build_collatz(count=300)
         expected = sequential_state(workload.program)

@@ -191,6 +191,47 @@ class TestMultiTenant:
             assert aggregate["runtime"]["tasks_dispatched"] > 0
         assert {row["client"] for row in rows} == {"alice", "bob"}
 
+    def test_finished_job_is_never_visible_before_its_accounting(
+            self, daemon, collatz):
+        """Publish and account are one lock acquisition, after the
+        journal: with the DONE record held open (an arbitrarily slow
+        fsync), no reader sees a ``done`` job row whose client's
+        ``jobs_done`` lacks it — deterministically, no timing luck."""
+        entered, release = threading.Event(), threading.Event()
+        record_state = daemon.journal.record_state
+
+        def slow_record_state(job_id, state, **kwargs):
+            if state == "done":
+                entered.set()
+                release.wait(30)
+            return record_state(job_id, state, **kwargs)
+
+        def observe():
+            with ServeClient(daemon.config.socket_path,
+                             client="x") as observer:
+                rows, stats = observer.jobs(), observer.stats()
+            done = [row for row in rows if row["state"] == "done"]
+            for row in done:
+                aggregate = stats["clients"][row["client"]]
+                assert aggregate["jobs_done"] >= 1
+                assert aggregate["runtime"]["tasks_dispatched"] > 0
+            assert stats["jobs"]["done"] == len(done)
+            return len(done)
+
+        daemon.journal.record_state = slow_record_state
+        try:
+            with ServeClient(daemon.config.socket_path,
+                             client="alice") as alice:
+                job_id = alice.submit(collatz.program,
+                                      **submit_options(collatz))["job_id"]
+                assert entered.wait(60), "job never reached its DONE record"
+                observe()
+                release.set()
+                assert alice.wait(job_id)["state"] == "done"
+        finally:
+            release.set()
+        assert observe() == 1
+
 
 class TestFailureContainment:
     def test_failed_job_does_not_poison_daemon(self, daemon, collatz,
