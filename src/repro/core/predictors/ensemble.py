@@ -167,7 +167,12 @@ class PredictorEnsemble:
         Returns ``(bits, per_bit_probabilities)``.
         """
         self._ensure_bits(view.n_bits)
-        predictions = [p.predict(view) for p in self.predictors]
+        if view is self._last_view:
+            # The allocator's first rollout step: observe() has just
+            # asked every expert about this view under these models.
+            predictions = self._last_predictions
+        else:
+            predictions = [p.predict(view) for p in self.predictors]
         return self._combine(predictions, view.n_bits)
 
     def current_prediction(self):

@@ -50,7 +50,7 @@ class _WordModel:
     """
 
     __slots__ = ("n", "sx", "sy", "sxx", "sxy", "ref_x", "ref_y",
-                 "hits", "trials", "recent")
+                 "hits", "trials", "recent", "consensus")
 
     WINDOW = 8
 
@@ -65,6 +65,11 @@ class _WordModel:
         self.hits = 0
         self.trials = 0
         self.recent = []  # last WINDOW (x, y) pairs
+        #: The affine map ``(slope, intercept)`` the recent window agrees
+        #: on (a constant output is slope 0), or None. A function of
+        #: ``recent`` alone, so it is searched once per observation and
+        #: every prediction until the next one only evaluates it.
+        self.consensus = None
 
     def observe(self, x, y):
         if self.n == 0:
@@ -85,9 +90,10 @@ class _WordModel:
         self.recent.append((x, y))
         if len(self.recent) > self.WINDOW:
             self.recent.pop(0)
+        self.consensus = self._find_consensus()
 
-    def _consensus(self, x):
-        """Supermajority-verified integer affine prediction, or None.
+    def _find_consensus(self):
+        """Supermajority-verified integer affine map, or None.
 
         Hypotheses are affine maps modulo 2^32 — deltas are wrapped to
         signed before forming a slope, and agreement is checked mod 2^32,
@@ -114,22 +120,22 @@ class _WordModel:
             agree = sum(1 for px, py in pairs
                         if (slope * px + intercept - py) % _M32 == 0)
             if agree >= need:
-                return (slope * x + intercept) % _M32
+                return slope, intercept
             if len(tried) >= 3:
                 break
         # Constant-output consensus (x may vary or repeat).
         values = [py for __, py in pairs]
         top = max(set(values), key=values.count)
         if values.count(top) >= need:
-            return top % _M32
+            return 0, top
         return None
 
     def predict(self, x):
         if self.n < 2:
             return x % _M32  # fall back to persistence until fitted
-        consensus = self._consensus(x)
-        if consensus is not None:
-            return consensus
+        if self.consensus is not None:
+            slope, intercept = self.consensus
+            return (slope * x + intercept) % _M32
         dx = x - self.ref_x
         num = self.n * self.sxy - self.sx * self.sy
         den = self.n * self.sxx - self.sx * self.sx

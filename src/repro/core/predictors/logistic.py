@@ -32,6 +32,10 @@ class LogisticPredictor(Predictor):
         # Weights: (n_words, 32 target bits, 33 features) — features are
         # the word's own 32 current bits plus a bias column.
         self._weights = np.zeros((0, _BITS_PER_WORD, _BITS_PER_WORD + 1))
+        #: ``(view, probabilities, features)`` of the first prediction
+        #: made under the current weights — the observed state, whose
+        #: transition ``update`` trains on next.
+        self._predicted = None
 
     @property
     def instance_name(self):
@@ -59,7 +63,11 @@ class LogisticPredictor(Predictor):
 
     def update(self, prev_view, next_view):
         self.ensure_capacity(next_view.n_bits)
-        p, x = self._probabilities(prev_view)  # predict from previous state
+        if self._predicted is not None and self._predicted[0] is prev_view:
+            __, p, x = self._predicted  # same view, same weights
+        else:
+            p, x = self._probabilities(prev_view)
+        self._predicted = None  # the weights change below
         y = next_view.bits.reshape(-1, _BITS_PER_WORD).astype(np.float64)
         n_words = min(p.shape[0], y.shape[0])
         residual = y[:n_words] - p[:n_words]  # (W, 32)
@@ -68,7 +76,9 @@ class LogisticPredictor(Predictor):
 
     def predict(self, view):
         self.ensure_capacity(view.n_bits)
-        p, __ = self._probabilities(view)
+        p, x = self._probabilities(view)
+        if self._predicted is None:
+            self._predicted = (view, p, x)
         p = p.reshape(-1)
         bits = (p > 0.5).astype(np.uint8)
         confidence = np.maximum(p, 1.0 - p)
@@ -77,3 +87,4 @@ class LogisticPredictor(Predictor):
     def reset(self):
         super().reset()
         self._weights = np.zeros((0, _BITS_PER_WORD, _BITS_PER_WORD + 1))
+        self._predicted = None

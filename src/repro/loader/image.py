@@ -9,6 +9,7 @@ up front, after which execution is fully deterministic.
 
 from repro.errors import LoaderError
 from repro.isa.registers import Reg
+from repro.machine.blockcache import TranslationStore
 from repro.machine.executor import Machine
 from repro.machine.layout import RESERVED_LOW, StateLayout
 from repro.machine.state import StateVector
@@ -67,6 +68,7 @@ class Program:
         self.data_base = _align(self.code_base + len(self.code), 16)
         self.source = source
         self._image_hash = None  # computed lazily by image_hash()
+        self._translations = None  # built lazily by translations
         #: Optional compiler hints (:class:`ProgramHints`): structural
         #: knowledge — loop headers, function entries — that a compiler
         #: can hand the recognizer as priors (the paper's §2.1 "import
@@ -138,6 +140,17 @@ class Program:
             self._image_hash = digest.hexdigest()
         return self._image_hash
 
+    @property
+    def translations(self):
+        """The image's translated basic blocks, shared by every context
+        and machine made from this program (never serialized, no part of
+        the image's identity: it holds only what ``code`` implies)."""
+        if self._translations is None:
+            lo, hi = self.code_range
+            self._translations = TranslationStore(self.layout.mem_size,
+                                                  lo, hi, code=self.code)
+        return self._translations
+
     # -- materialization --------------------------------------------------------
 
     def initial_state(self):
@@ -153,7 +166,8 @@ class Program:
     def make_context(self, track_code_reads=False, fast_path=None):
         return TransitionContext(self.layout, code_range=self.code_range,
                                  track_code_reads=track_code_reads,
-                                 fast_path=fast_path)
+                                 fast_path=fast_path,
+                                 translations=self.translations)
 
     def make_machine(self, track_code_reads=False, fast_path=None):
         """Fresh machine at the program's initial state."""

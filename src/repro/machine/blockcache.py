@@ -8,21 +8,25 @@ byte changes), the instruction stream reachable from any EIP inside it is
 immutable, and all of that per-instruction work can be hoisted to
 per-block work done once:
 
-* On first execution of an EIP inside the code region the straight-line
-  run of instructions up to the next control-flow op is decoded once and
-  translated into a single specialized Python function (operands,
+* The straight-line run of instructions from an EIP inside the code
+  region up to the next control-flow op is decoded once per *program*
+  (:class:`TranslationStore`, owned by the
+  :class:`repro.loader.image.Program` and shared by every context made
+  from it) and translated into a specialized Python function (operands,
   offsets, masks, and immediates pre-resolved into literals), compiled
-  with :func:`compile` and cached keyed by entry EIP.
+  with :func:`compile` the first time it is executed.
 * Registers live in Python locals for the duration of a block — the
   register file occupies the state-vector header, which program-visible
   memory can never alias — and are flushed back to the state vector only
   at block exit (or at a fault, see below).
 * EIP is materialized only at block exits; halt and breakpoint checks run
   once per block instead of once per instruction.
-* Dependency tracking compiles to a second variant of each block whose
-  per-instruction byte loops collapse into precomputed per-register
-  (offset, width) touch lists applied once per block, with memory and
-  EFLAGS marks inlined range-wise at their reference positions.
+* Dependency tracking is a second variant of each block (a third when
+  instruction fetches count as reads), compiled only if it is ever
+  run, whose per-instruction byte loops collapse into precomputed
+  per-register (offset, width) touch lists applied once per block, with
+  memory and EFLAGS marks inlined range-wise at their reference
+  positions.
 
 Soundness invariants (see DESIGN.md "Two-tier interpreter"):
 
@@ -32,7 +36,9 @@ Soundness invariants (see DESIGN.md "Two-tier interpreter"):
 * **Break-IP splitting** — ``Machine.run(break_ips=...)`` must stop
   exactly when the machine *arrives* at a break IP, so the block builder
   never lets a break IP become an interior instruction: blocks are split
-  there and the breakpoint check at block exit observes the arrival.
+  there and the breakpoint check at block exit observes the arrival. A
+  pooled block is reused under another break set only if discovery
+  under that set would find the same shape (:meth:`Block.valid_under`).
 * **Fault exactness** — compiled blocks defer register/EIP writeback,
   so every translated instruction that can fault (memory access,
   division) carries recovery metadata; on a
@@ -52,6 +58,7 @@ fall back to the reference interpreter end to end.
 
 import os
 import struct
+import threading
 
 from repro.errors import (
     CodeWriteError,
@@ -165,6 +172,7 @@ _WRITES_FLAGS = frozenset((Op.ADD_RR, Op.ADD_RI, Op.SUB_RR, Op.SUB_RI,
                            Op.TEST_RI))
 _MAYBE_WRITES_FLAGS = frozenset((Op.SHL_RR, Op.SHR_RR, Op.SAR_RR,
                                  Op.SHL_RI, Op.SHR_RI, Op.SAR_RI))
+_TOUCHES_FLAGS = _READS_FLAGS | _WRITES_FLAGS | _MAYBE_WRITES_FLAGS
 
 # Source-level condition expressions over the flags byte `fl`
 # (CF=1, ZF=2, SF=4, OF=8); SF != OF is bit 2 of fl ^ (fl >> 1).
@@ -278,28 +286,53 @@ def _translatable(op, mode, ra, rb):
 
 # -- the translated block ------------------------------------------------------
 
-class Block:
-    """One translated superblock: entry EIP, length, and compiled variants."""
+#: The compiled forms of a block: plain, dependency-tracking, and
+#: dependency-tracking with instruction fetches marked as reads
+#: (``track_code_reads`` contexts). Each is an attribute of :class:`Block`.
+VARIANTS = ("base", "dep", "dep_code")
 
-    __slots__ = ("entry", "n", "end", "addrs", "ends_halt", "base", "dep",
+
+class Block:
+    """One translated superblock: its shape, and its compiled variants.
+
+    The shape (``addrs``, ``cut_by``) is what :meth:`BlockTranslator.
+    discover` found; the variants named in :data:`VARIANTS` start out as
+    stubs that emit and compile the variant on its first execution (see
+    :meth:`TranslationStore.lookup`), so a variant nobody runs is never
+    compiled.
+    """
+
+    __slots__ = ("entry", "n", "end", "addrs", "ends_halt", "cut_by",
+                 "instrs", "base", "dep", "dep_code",
                  "reg_marks", "prefault_marks", "_reg_offsets",
                  "_uses_flags")
 
-    def __init__(self, entry, addrs, ends_halt, reg_marks, prefault_marks,
+    def __init__(self, instrs, cut_by, reg_marks, prefault_marks,
                  reg_offsets, uses_flags):
-        self.entry = entry
-        self.addrs = addrs
-        self.n = len(addrs)
-        self.end = entry + 8 * self.n
-        self.ends_halt = ends_halt
+        self.instrs = instrs
+        self.addrs = tuple(instr[0] for instr in instrs)
+        self.entry = self.addrs[0]
+        self.n = len(instrs)
+        self.end = self.entry + INSTRUCTION_SIZE * self.n
+        self.ends_halt = instrs[-1][1] is Op.HLT
+        #: The break IP that ended discovery (it would have been the next
+        #: instruction), or None when the block ended for a reason that
+        #: holds under every break set.
+        self.cut_by = cut_by
         #: Per-instruction ordered register marks for fault recovery.
         self.reg_marks = reg_marks
         #: Register marks performed before each instruction's fault point.
         self.prefault_marks = prefault_marks
         self._reg_offsets = reg_offsets
         self._uses_flags = uses_flags
-        self.base = None
-        self.dep = None
+
+    def valid_under(self, break_set):
+        """Whether ``discover(entry, break_set)`` would find this shape:
+        no interior address is a break IP (arrival there must stay
+        observable), and the break IP that truncated it, if any, is
+        still one (else discovery would have run on past it)."""
+        return ((self.cut_by is None or self.cut_by in break_set)
+                and break_set.isdisjoint(self.addrs[1:]))
 
     def recover(self, exc, buf, g, pc, reg_values, fl):
         """Rebuild the exact reference fault state after a mid-block fault.
@@ -337,8 +370,9 @@ class Block:
 class _Emitter:
     """Accumulates the source of one block variant."""
 
-    def __init__(self, dep):
+    def __init__(self, dep, code_reads=False):
         self.dep = dep
+        self.code_reads = code_reads
         self.lines = []
 
     def emit(self, line):
@@ -350,13 +384,13 @@ class _Emitter:
 
 
 class BlockTranslator:
-    """Translates decoded instruction runs into compiled block functions."""
+    """Translates decoded instruction runs into compiled block functions.
 
-    def __init__(self, context):
-        self.context = context
-        layout = context.layout
-        mem_size = layout.mem_size
-        code_lo, code_hi = context.code_lo, context.code_hi
+    Knows the image's geometry (memory size, code range) and nothing of
+    any context or break set beyond the arguments it is handed.
+    """
+
+    def __init__(self, mem_size, code_lo, code_hi):
 
         def _segv(addr, width):
             raise SegmentationFault(
@@ -377,7 +411,7 @@ class BlockTranslator:
         def _divovf(eip):
             raise MachineError("IDIV quotient overflow at eip=0x%x" % eip)
 
-        #: Shared globals for every generated function of this context.
+        #: Shared globals for every generated function of this image.
         self.namespace = {
             "u32": _u32, "p32": _p32,
             "_mr": _mark_read, "_mw": _mark_write, "_mc": _mark_code_read,
@@ -391,29 +425,28 @@ class BlockTranslator:
 
     # -- block discovery -----------------------------------------------------
 
-    def discover(self, buf, entry, break_set):
+    def discover(self, code, entry, break_set):
         """Decode the straight-line run starting at ``entry``.
 
-        Returns a list of ``(addr, op, mode, ra, rb, imm)`` or ``None``
-        when the entry instruction itself cannot be translated.
+        ``code`` is the image's code bytes (address ``code_lo`` first).
+        Returns ``(instrs, cut_by)``: a tuple of ``(addr, op, mode, ra,
+        rb, imm)`` — empty when the entry instruction itself cannot be
+        translated, whatever the break set — and the break IP that ended
+        the run, if one did.
         """
-        context = self.context
-        cache = context._decode_cache
         instrs = []
+        cut_by = None
         addr = entry
         while True:
             if addr < self.code_lo or addr + INSTRUCTION_SIZE > self.code_hi:
                 break
             if addr != entry and addr in break_set:
-                break  # split: arrival at a break IP must be observable
-            decoded = cache.get(addr)
-            if decoded is None:
-                try:
-                    decoded = decode(buf, MEM_OFF + addr)
-                except Exception:
-                    break  # undecodable: reference step reports it
-                cache[addr] = decoded
-            op, mode, ra, rb, imm = decoded
+                cut_by = addr  # split: arrival here must be observable
+                break
+            try:
+                op, mode, ra, rb, imm = decode(code, addr - self.code_lo)
+            except Exception:
+                break  # undecodable: reference step reports it
             if not _translatable(op, mode, ra, rb):
                 break
             instrs.append((addr, op, mode, ra, rb, imm))
@@ -422,7 +455,7 @@ class BlockTranslator:
             addr += INSTRUCTION_SIZE
             if len(instrs) >= MAX_BLOCK_INSTRUCTIONS:
                 break
-        return instrs or None
+        return tuple(instrs), cut_by
 
     # -- source generation ---------------------------------------------------
 
@@ -477,7 +510,7 @@ class BlockTranslator:
         addr, op, mode, ra, rb, imm = instr
         A = "r%d" % ra
         B = "r%d" % rb
-        if self.context.track_code_reads:
+        if w.code_reads:
             w.mark("        _mc(g, %d, 8)" % (MEM_OFF + addr))
         if faultable:
             w.emit("        _pc = %d" % index)
@@ -700,31 +733,39 @@ class BlockTranslator:
 
     # -- whole-block assembly -------------------------------------------------
 
-    def translate(self, buf, entry, break_set):
-        instrs = self.discover(buf, entry, break_set)
-        if instrs is None:
+    def translate(self, code, entry, break_set):
+        """Analyse the block at ``entry``: shape and fault-recovery
+        metadata, no source yet (:meth:`emit` does that per variant).
+        ``None`` when the entry instruction cannot be translated."""
+        instrs, cut_by = self.discover(code, entry, break_set)
+        if not instrs:
             return None
-
         accesses = []
         cuts = []
-        flags_used = False
-        for addr, op, mode, ra, rb, imm in instrs:
+        for __, op, mode, ra, rb, __ in instrs:
             acc, cut = _reg_accesses(op, mode, ra, rb)
-            accesses.append(acc)
+            accesses.append(tuple(acc))
             cuts.append(cut)
-            if op in _READS_FLAGS or op in _WRITES_FLAGS \
-                    or op in _MAYBE_WRITES_FLAGS:
-                flags_used = True
-
         used_regs = sorted({r for acc in accesses for __, r in acc})
+        return Block(
+            instrs, cut_by,
+            reg_marks=tuple(accesses),
+            prefault_marks=tuple(acc[:cut]
+                                 for acc, cut in zip(accesses, cuts)),
+            reg_offsets=tuple(r * 4 for r in used_regs),
+            uses_flags=any(instr[1] in _TOUCHES_FLAGS for instr in instrs),
+        )
+
+    def emit(self, block, variant):
+        """Generate, compile and return one variant of ``block``."""
+        dep = variant != "base"
+        instrs = block.instrs
+        accesses = block.reg_marks
+        flags_used = block._uses_flags
+        used_regs = [off // 4 for off in block._reg_offsets]
         written_regs = sorted({r for acc in accesses
                                for kind, r in acc if kind == "w"})
         faultable = [instr[1] in _FAULTABLE for instr in instrs]
-        any_fault = any(faultable)
-        last_op = instrs[-1][1]
-        ends_halt = last_op is Op.HLT
-        is_terminated = last_op in _TERMINATORS
-        end_addr = instrs[-1][0] + 8
 
         # Collapsed per-register touch list: the FSM net effect of the
         # whole block on a register is determined by its first access
@@ -734,92 +775,155 @@ class BlockTranslator:
             for kind, reg in acc:
                 first_kind.setdefault(reg, kind)
 
-        block = Block(
-            entry=entry,
-            addrs=tuple(instr[0] for instr in instrs),
-            ends_halt=ends_halt,
-            reg_marks=tuple(tuple(acc) for acc in accesses),
-            prefault_marks=tuple(tuple(acc[:cut])
-                                 for acc, cut in zip(accesses, cuts)),
-            reg_offsets=tuple(r * 4 for r in used_regs),
-            uses_flags=flags_used,
-        )
+        w = _Emitter(dep)
+        w.emit("def _block(%s):" % ("buf, g" if dep else "buf"))
+        w.mark("    _mr(g, %d, 4)" % EIP_OFF)
+        for r in used_regs:
+            w.emit("    r%d, = u32(buf, %d)" % (r, r * 4))
+        if flags_used:
+            w.emit("    fl = buf[%d]" % EFLAGS_OFF)
+        body = _Emitter(dep, code_reads=variant == "dep_code")
+        for i, instr in enumerate(instrs):
+            self._emit_instr(body, i, instr, faultable[i])
+        if instrs[-1][1] not in _TERMINATORS:
+            body.emit("        _nx = %d" % block.end)
+        if any(faultable):
+            w.emit("    _pc = 0")
+            w.emit("    try:")
+            w.lines.extend(body.lines)
+            w.emit("    except MachineError as _e:")
+            regs_tuple = "(%s)" % "".join("r%d, " % r for r in used_regs)
+            w.emit("        _rec(_e, buf, %s, _pc, %s, %s)"
+                   % ("g" if dep else "None", regs_tuple,
+                      "fl" if flags_used else "0"))
+            w.emit("        raise")
+        else:
+            # No fault sites: inline the body without the try frame.
+            w.lines.extend(line[4:] for line in body.lines)
+        for r in written_regs:
+            w.emit("    p32(buf, %d, r%d)" % (r * 4, r))
+        if flags_used:
+            w.emit("    buf[%d] = fl" % EFLAGS_OFF)
+        w.emit("    p32(buf, %d, _nx)" % EIP_OFF)
+        if dep:
+            for reg in used_regs:
+                if first_kind[reg] == "r":
+                    w.emit("    _mr(g, %d, 4)" % (reg * 4))
+            for reg in used_regs:
+                if reg in written_regs:
+                    w.emit("    _mw(g, %d, 4)" % (reg * 4))
+            w.emit("    _mw(g, %d, 4)" % EIP_OFF)
+        w.emit("    return _nx")
 
-        for dep in (False, True):
-            w = _Emitter(dep)
-            args = "buf, g" if dep else "buf"
-            w.emit("def _block(%s):" % args)
-            w.mark("    _mr(g, %d, 4)" % EIP_OFF)
-            for r in used_regs:
-                w.emit("    r%d, = u32(buf, %d)" % (r, r * 4))
-            if flags_used:
-                w.emit("    fl = buf[%d]" % EFLAGS_OFF)
-            body = _Emitter(dep)
-            for i, instr in enumerate(instrs):
-                self._emit_instr(body, i, instr, faultable[i])
-            if not is_terminated:
-                body.emit("        _nx = %d" % end_addr)
-            if any_fault:
-                w.emit("    _pc = 0")
-                w.emit("    try:")
-                w.lines.extend(body.lines)
-                w.emit("    except MachineError as _e:")
-                regs_tuple = "(%s)" % "".join("r%d, " % r for r in used_regs)
-                w.emit("        _rec(_e, buf, %s, _pc, %s, %s)"
-                       % ("g" if dep else "None", regs_tuple,
-                          "fl" if flags_used else "0"))
-                w.emit("        raise")
-            else:
-                # No fault sites: inline the body without the try frame.
-                w.lines.extend(line[4:] for line in body.lines)
-            for r in written_regs:
-                w.emit("    p32(buf, %d, r%d)" % (r * 4, r))
-            if flags_used:
-                w.emit("    buf[%d] = fl" % EFLAGS_OFF)
-            w.emit("    p32(buf, %d, _nx)" % EIP_OFF)
-            if dep:
-                for reg in used_regs:
-                    if first_kind[reg] == "r":
-                        w.emit("    _mr(g, %d, 4)" % (reg * 4))
-                for reg in used_regs:
-                    if reg in written_regs:
-                        w.emit("    _mw(g, %d, 4)" % (reg * 4))
-                w.emit("    _mw(g, %d, 4)" % EIP_OFF)
-            w.emit("    return _nx")
+        namespace = dict(self.namespace)
+        namespace["_rec"] = block.recover
+        exec(compile("\n".join(w.lines) + "\n",
+                     "<block 0x%x+%d/%s>" % (block.entry, block.n, variant),
+                     "exec"), namespace)
+        return namespace["_block"]
 
-            source = "\n".join(w.lines) + "\n"
-            namespace = dict(self.namespace)
-            namespace["_rec"] = block.recover
-            code = compile(source, "<block 0x%x%s>"
-                           % (entry, "/dep" if dep else ""), "exec")
-            exec(code, namespace)
-            if dep:
-                block.dep = namespace["_block"]
-            else:
-                block.base = namespace["_block"]
+
+# -- the program-wide store ----------------------------------------------------
+
+class TranslationStore:
+    """Every translated block of one program image, whoever asked first.
+
+    A block is a fact about the image's immutable code, so the store
+    belongs to the :class:`repro.loader.image.Program` (every context it
+    makes shares it; a context built without a program keeps one of its
+    own) and blocks are pooled by entry EIP, not by break set: a pooled
+    block serves any break set it is :meth:`Block.valid_under`. Nothing
+    is ever invalidated or evicted — the code cannot change and the pool
+    is bounded by its size. One lock makes translation and variant
+    compilation happen once when threads share an image; lookups of
+    what is already there take no lock.
+    """
+
+    def __init__(self, mem_size, code_lo, code_hi, code=None):
+        self.geometry = (mem_size, code_lo, code_hi)
+        #: The image's code bytes. A store without a program takes them
+        #: from the first state it is asked to translate for.
+        self.code = code
+        self.translator = BlockTranslator(mem_size, code_lo, code_hi)
+        self._pool = {}  # entry EIP -> [Block, ...] | False (refused)
+        self._lock = threading.Lock()
+
+    def lookup(self, buf, entry, break_set):
+        """The block at ``entry`` under ``break_set`` (translated now if
+        no pooled shape fits), or ``False`` when the translator refuses
+        the entry instruction."""
+        block = self._pooled(entry, break_set)
+        if block is None:
+            with self._lock:
+                block = self._pooled(entry, break_set)
+                if block is None:
+                    block = self._translate(buf, entry, break_set)
         return block
+
+    def _pooled(self, entry, break_set):
+        shapes = self._pool.get(entry)
+        if not shapes:
+            return shapes  # None: never asked; False: refused
+        for block in shapes:
+            if block.valid_under(break_set):
+                return block
+        return None
+
+    def _translate(self, buf, entry, break_set):
+        if self.code is None:
+            __, lo, hi = self.geometry
+            self.code = bytes(buf[MEM_OFF + lo:MEM_OFF + hi])
+        block = self.translator.translate(self.code, entry, break_set)
+        if block is None:
+            self._pool[entry] = False
+            return False
+        for variant in VARIANTS:  # compiled when first executed
+            setattr(block, variant, self._stub(block, variant))
+        self._pool.setdefault(entry, []).append(block)
+        return block
+
+    def _stub(self, block, variant):
+        """What a variant attribute holds until its first execution."""
+        def first_call(*args):
+            with self._lock:
+                if getattr(block, variant) is first_call:
+                    setattr(block, variant,
+                            self.translator.emit(block, variant))
+            return getattr(block, variant)(*args)
+        return first_call
 
 
 # -- the cache and its run loops -----------------------------------------------
 
 class BlockCache:
-    """Per-context store of translated blocks plus the block run loops.
+    """One context's view of a :class:`TranslationStore`, plus the block
+    run loops.
 
-    Blocks are keyed by ``(break-IP set, entry EIP)``: the same code
-    translated under different breakpoint sets splits differently, and
-    engines reuse a small number of distinct break sets (one per
-    recognized phase), so each set gets its own dict. ``False`` entries
-    memoize in-code EIPs the translator refused.
+    The run loops want an O(1) ``entry EIP -> block`` dict for the break
+    set they run under, so each break set a context meets gets one
+    (engines reuse a small number: one per recognized phase); a miss
+    there asks the store, which translates only what no context of the
+    image has translated before. ``False`` entries memoize in-code EIPs
+    the translator refused.
     """
 
-    def __init__(self, context):
+    def __init__(self, context, store=None):
+        geometry = (context.layout.mem_size, context.code_lo,
+                    context.code_hi)
+        if store is None:
+            store = TranslationStore(*geometry)
+        elif store.geometry != geometry:
+            raise MachineError(
+                "translation store of image %r cannot serve context %r"
+                % (store.geometry, geometry))
         self.context = context
-        self.translator = BlockTranslator(context)
+        self.store = store
         self._by_break = {}
 
     # -- statistics ----------------------------------------------------------
 
     def compiled_block_count(self):
+        """Translated blocks this context has met (under any break set)."""
         return sum(sum(1 for b in blocks.values() if b)
                    for blocks in self._by_break.values())
 
@@ -844,8 +948,9 @@ class BlockCache:
         """
         context = self.context
         break_set, blocks = self.blocks_for(break_ips)
-        translate = self.translator.translate
+        lookup = self.store.lookup
         code_lo, code_hi = context.code_lo, context.code_hi
+        code_reads = context.track_code_reads
         step = context.step
         remaining = max_instructions
         executed = 0
@@ -854,13 +959,13 @@ class BlockCache:
         while True:
             block = blocks.get(eip)
             if block is None and code_lo <= eip < code_hi:
-                block = translate(buf, eip, break_set)
-                blocks[eip] = block if block is not None else False
+                block = blocks[eip] = lookup(buf, eip, break_set)
             if block:
                 n = block.n
                 if remaining is None or n <= remaining:
                     try:
                         eip = (block.base(buf) if g is None
+                               else block.dep_code(buf, g) if code_reads
                                else block.dep(buf, g))
                     except MachineError as exc:
                         exc._fp_executed = executed + getattr(
@@ -906,8 +1011,8 @@ class BlockCache:
         is lost to the caller, exactly like the reference path.
         """
         context = self.context
-        __, blocks = self.blocks_for(None)
-        translate = self.translator.translate
+        break_set, blocks = self.blocks_for(None)
+        lookup = self.store.lookup
         code_lo, code_hi = context.code_lo, context.code_hi
         step = context.step
         trace = []
@@ -919,8 +1024,7 @@ class BlockCache:
             eip, = _u32(buf, EIP_OFF)
             block = blocks.get(eip)
             if block is None and code_lo <= eip < code_hi:
-                block = translate(buf, eip, frozenset())
-                blocks[eip] = block if block is not None else False
+                block = blocks[eip] = lookup(buf, eip, break_set)
             if block and block.n <= remaining:
                 trace.extend(block.addrs)
                 try:

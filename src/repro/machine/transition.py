@@ -135,10 +135,16 @@ class TransitionContext:
         ``True`` requests the fast path. Either way the fast path only
         activates when a ``code_range`` is given — block translation is
         sound only over write-protected code.
+    translations:
+        The :class:`repro.machine.blockcache.TranslationStore` of the
+        program image this context executes, so that every context of
+        the image shares one set of translated blocks
+        (:meth:`repro.loader.image.Program.make_context` passes the
+        program's). Without one the context keeps a store of its own.
     """
 
     def __init__(self, layout, code_range=None, track_code_reads=False,
-                 fast_path=None):
+                 fast_path=None, translations=None):
         self.layout = layout
         if code_range is not None:
             lo, hi = code_range
@@ -153,7 +159,7 @@ class TransitionContext:
         if fast_path is None:
             fast_path = fast_path_env_enabled()
         if fast_path and self.code_lo is not None:
-            self.fast_path = BlockCache(self)
+            self.fast_path = BlockCache(self, translations)
         else:
             self.fast_path = None
 

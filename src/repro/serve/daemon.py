@@ -284,6 +284,8 @@ class SpeculationDaemon:
                 job.state = replayed.state
                 job.error = replayed.error
                 job.finished_at = replayed.finished_at
+            if job.terminal:
+                job.release_image()
             self._remember_job(job)
             if job.token:
                 self._tokens[job.token] = job.job_id
@@ -826,6 +828,7 @@ class SpeculationDaemon:
             job.cancel_event.set()
             if job.state == JOB_QUEUED and self.queue.cancel_queued(job):
                 job.finish(JOB_CANCELLED, error="cancelled while queued")
+                job.release_image()
                 self.jobs_cancelled += 1
                 self._client_aggregate(job.client)["jobs_cancelled"] += 1
                 return protocol.ok_response(job_id=job.job_id,
@@ -940,7 +943,7 @@ class SpeculationDaemon:
             if victim.pool is not None:
                 victim.pool.shutdown()
             self.pools_retired += 1
-        lease = _PoolLease(job.namespace, job.program.name, needed,
+        lease = _PoolLease(job.namespace, job.program_name, needed,
                            job.options.get("transport")
                            or self.config.transport)
         self._pools[job.namespace] = lease
@@ -1056,7 +1059,7 @@ class SpeculationDaemon:
             payload = {
                 "job_id": job.job_id,
                 "client": job.client,
-                "program": job.program.name,
+                "program": job.program_name,
                 "namespace": job.namespace,
                 "backend": "serve-degraded" if degraded else "serve",
                 "halted": result.halted,
@@ -1142,6 +1145,8 @@ class SpeculationDaemon:
         with self._lock:
             self.queue.note_finished(job)
             self._job_threads.pop(job.job_id, None)
+            if job.terminal:  # its thread is done with the image
+                job.release_image()
             lease.busy = False
             lease.last_used = time.monotonic()
             if pool_poisoned and self._pools.get(job.namespace) is lease:

@@ -49,7 +49,8 @@ class JobCancelled(ReproError):
 class Job:
     """One submitted execution and everything learned about it."""
 
-    __slots__ = ("job_id", "client", "program", "namespace", "options",
+    __slots__ = ("job_id", "client", "program", "program_name",
+                 "namespace", "options",
                  "state", "submitted_at", "started_at", "finished_at",
                  "result", "error", "cancel_event", "wall_seconds",
                  "token", "incidents", "restored")
@@ -58,7 +59,8 @@ class Job:
                  token=None):
         self.job_id = job_id
         self.client = client
-        self.program = program  # loader.image.Program
+        self.program = program  # loader.image.Program, until released
+        self.program_name = program.name
         self.namespace = namespace  # program.image_hash()
         self.options = dict(options or {})
         self.state = JOB_QUEUED
@@ -99,13 +101,22 @@ class Job:
     def terminal(self):
         return self.state in TERMINAL_STATES
 
+    def release_image(self):
+        """Drop the program once the job is terminal and nothing runs it
+        any more: history keeps rows, not images — an image pins its
+        code, data and every basic block translated for it."""
+        if not self.terminal:
+            raise QueueError("job %s still needs its image (%s)"
+                             % (self.job_id, self.state))
+        self.program = None
+
     def summary(self):
         """One row for the ``jobs`` verb — small by construction (no
         state bytes, no per-splice detail; ``result`` has those)."""
         out = {
             "job_id": self.job_id,
             "client": self.client,
-            "program": self.program.name,
+            "program": self.program_name,
             "namespace": self.namespace,
             "state": self.state,
             "submitted_at": self.submitted_at,
@@ -128,7 +139,7 @@ class Job:
 
     def __repr__(self):
         return "Job(%s, %s, %s, %s)" % (self.job_id, self.client,
-                                        self.program.name, self.state)
+                                        self.program_name, self.state)
 
 
 class CentralQueue:

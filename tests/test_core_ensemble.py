@@ -6,6 +6,7 @@ import pytest
 from repro.core.excitation import ObservationView
 from repro.core.predictors import (
     LinearRegressionPredictor,
+    LogisticPredictor,
     MeanPredictor,
     PredictorEnsemble,
     WeathermanPredictor,
@@ -170,3 +171,42 @@ def test_capacity_growth_mid_stream():
     assert ensemble.weights.shape[1] == 64
     outcome = ensemble.observe(view_of(6, 100))
     assert len(outcome.actual_bits) == 64
+
+
+def test_reusing_an_observation_changes_no_prediction():
+    """The ensemble computes each expert's answer for the observed state
+    once (logistic probabilities reused by its update, the allocator's
+    first rollout step reusing observe's predictions). An ensemble whose
+    every reuse is defeated — equal views, never the same object — must
+    predict the same bits and probabilities, randomized RWMA included."""
+    from repro.core.config import EngineConfig
+
+    def stream(n):
+        rng = np.random.default_rng(3)
+        x, acc = 0, 17
+        for i in range(n):
+            x += 4  # strided pointer
+            acc = (acc * 3 + int(rng.integers(0, 2))) & 0xFFFFFFFF
+            yield (x, acc, i % 5, 0xDEAD if i % 7 else 0xBEEF)
+
+    def copy_of(view):
+        return ObservationView(view.word_values.copy(), view.bits.copy(),
+                               view.version, view.index)
+
+    config = EngineConfig(rwma_randomized=True, seed=5)
+    reusing, recomputing = default_ensemble(config), default_ensemble(config)
+    for words in stream(40):
+        view = view_of(*words)
+        reusing.observe(view)
+        for predictor in recomputing.predictors:
+            if isinstance(predictor, LogisticPredictor):
+                predictor._predicted = None  # forget predict(prev)
+        recomputing.observe(copy_of(view))
+        for a, b in zip(reusing.current_prediction(),
+                        recomputing.current_prediction()):
+            assert np.array_equal(a, b)
+        rolled = reusing.predict_from(view)  # view is _last_view: reused
+        recomputed = recomputing.predict_from(copy_of(view))
+        for a, b in zip(rolled, recomputed):
+            assert np.array_equal(a, b)
+    assert np.array_equal(reusing.weights, recomputing.weights)

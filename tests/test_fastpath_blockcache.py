@@ -227,3 +227,77 @@ class TestFastPathSwitch:
         rerun = Machine(program.initial_state(), machine.context)
         rerun.run(max_instructions=10_000)
         assert cache.compiled_block_count() == compiled
+
+
+# -- each block is compiled once per program -----------------------------------
+
+class TestCompiledOncePerProgram:
+    """The mechanism behind the cold-run speed-up, as exact counts: the
+    contexts of one job (recognizer trace, replay, dependency probes,
+    main loop) share the Program's store, and a variant nobody executes
+    is never compiled."""
+
+    @pytest.fixture()
+    def compiled(self, monkeypatch):
+        """Names handed to ``compile()`` by the translator, in order:
+        ``<block ENTRY+LENGTH/VARIANT>``, one per block variant."""
+        from repro.machine import blockcache
+        names = []
+
+        def counting(source, filename, mode):
+            names.append(filename)
+            return compile(source, filename, mode)
+
+        monkeypatch.setattr(blockcache, "compile", counting, raising=False)
+        return names
+
+    def test_one_job_compiles_each_variant_once_and_a_second_nothing(
+            self, compiled):
+        from repro.bench import build_collatz
+        from repro.core.recognizer import Recognizer
+        from repro.core.superstep import SpeculationBackend, SuperstepLoop
+
+        workload = build_collatz(count=400)
+        program, config = workload.program, workload.config
+        config.fast_path = True  # whatever REPRO_FAST_PATH says
+
+        def job():
+            recognized = Recognizer(config).find(program)
+            searched = len(compiled)
+            loop = SuperstepLoop(program, config, SpeculationBackend(),
+                                 [recognized], 10_000_000)
+            assert loop.main.context.fast_path.store is program.translations
+            loop.run()
+            assert loop.main.halted
+            return compiled[:searched], compiled[searched:]
+
+        # The search probes dependencies; the main thread of a
+        # null-backend run tracks none: it may meet blocks the search
+        # never did, but compiles only their plain variant.
+        searched, ran = job()
+        assert any(name.endswith("/dep>") for name in searched)
+        assert all(name.endswith("/base>") for name in ran)
+
+        assert len(compiled) == len(set(compiled)), "a variant compiled twice"
+        pooled = sum(len(shapes) for shapes
+                     in program.translations._pool.values() if shapes)
+        assert 0 < len(compiled) < 2 * pooled  # not every block, both ways
+        assert not any(name.endswith("/dep_code>") for name in compiled)
+
+        # The same image again — what a daemon or a benchmark loop does.
+        del compiled[:]
+        assert job() == ([], [])
+
+    def test_private_store_of_a_bare_context_still_compiles_lazily(
+            self, compiled):
+        from repro.machine import StateVector, TransitionContext
+        program = _assemble("mov ecx, 5\nloop:\n dec ecx\n jnz loop")
+        context = TransitionContext(program.layout,
+                                    code_range=program.code_range,
+                                    fast_path=True)
+        assert context.fast_path.store is not program.translations
+        Machine(StateVector(program.layout,
+                            bytearray(program.initial_state().buf)),
+                context).run(max_instructions=1000)
+        assert compiled and all(n.endswith("/base>") for n in compiled)
+        assert not program.translations._pool

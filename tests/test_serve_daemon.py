@@ -317,6 +317,19 @@ class TestCancellation:
                 assert response["cancelled"]
                 assert c.wait(second)["state"] == "cancelled"
                 assert c.wait(first)["state"] == "done"
+                rows = {row["job_id"]: row for row in c.jobs()}
+            # History is rows, not images: a terminal job lets go of its
+            # program (and so of the blocks translated for it) as soon
+            # as nothing runs it — at once when it never ran, with its
+            # lease when it did — and still reports under its name.
+            deadline = time.monotonic() + 10
+            while daemon._jobs[first].program is not None \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+            for job_id in (first, second):
+                assert daemon._jobs[job_id].program is None
+                assert rows[job_id]["program"] == collatz.program.name
+                assert collatz.program.name in repr(daemon._jobs[job_id])
 
     def test_cancel_running_job_stops_at_boundary(self, tmp_path):
         big = build_collatz(count=20_000)

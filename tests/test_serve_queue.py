@@ -23,6 +23,21 @@ def make_job(job_id, client, namespace=NS):
     return Job(job_id, client, PROGRAM, namespace)
 
 
+class TestImageRelease:
+    def test_only_a_terminal_job_lets_go_of_its_image(self):
+        job = make_job("1", "a")
+        with pytest.raises(QueueError):
+            job.release_image()  # queued: it has yet to run
+        job.mark_running()
+        with pytest.raises(QueueError):
+            job.release_image()
+        job.finish(JOB_DONE)
+        job.release_image()
+        assert job.program is None
+        assert job.summary()["program"] == "prog"
+        assert "prog" in repr(job)
+
+
 class TestAdmission:
     def test_backlog_bound_raises(self):
         queue = CentralQueue(max_queued_per_client=2)
