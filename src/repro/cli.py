@@ -1034,9 +1034,9 @@ def cmd_jobs(args):
                 if row.get("wall_seconds") is not None else "-")
         extra = ""
         if row["state"] == "done":
-            extra = " hits=%s warm=%s merged=%s" % (
+            extra = " hits=%s warm=%s merged=%s recognition=%s" % (
                 row.get("hits"), row.get("warm_entries"),
-                row.get("merged_entries"))
+                row.get("merged_entries"), row.get("recognition"))
         elif row.get("error"):
             extra = " error=%s" % row["error"]
         print("%-8s %-16s %-10s %-9s %8s%s"
@@ -1048,6 +1048,11 @@ def cmd_jobs(args):
           % (queue["queued"], queue["running"],
              stats["workers_committed"], stats["worker_budget"],
              stats["cache"]["total_entries"], stats["cache"]["namespaces"]))
+    images = stats["images"]
+    print("images: %d held (%d evicted); recognitions %d run, %d reused; "
+          "%d translated blocks"
+          % (images["held"], images["evicted"], images["recognitions_run"],
+             images["recognitions_reused"], images["translated_blocks"]))
     for name, agg in stats["clients"].items():
         print("client %-16s %d submitted, %d done, %d failed, "
               "%d cancelled" % (name[:16], agg["jobs_submitted"],

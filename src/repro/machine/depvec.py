@@ -43,8 +43,8 @@ class DepVector:
 
     def reset(self):
         """Return every byte to ``DEP_NULL`` (start of a speculation)."""
-        for i in range(len(self.buf)):
-            self.buf[i] = 0
+        # In place: translated blocks hold this bytearray as ``g``.
+        self.buf[:] = bytes(len(self.buf))
 
     # The transition function inlines these updates on its hot path; the
     # methods exist for tests and non-critical callers.

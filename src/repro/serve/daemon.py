@@ -30,6 +30,13 @@ admitted when the budget has room, retiring idle pools
 least-recently-used to make it. Fairness across clients and per-client
 bounds live in :class:`~repro.serve.queue.CentralQueue`.
 
+What a retired pool takes with it is workers and shm rings, nothing
+learned: every submission is interned through the
+:class:`~repro.serve.images.ImageTable`, so all jobs of an image run
+one ``Program`` (one set of translated blocks) and share one
+recognition per engine configuration, whoever holds the budget in
+between — a pool miss costs a spawn.
+
 Failure containment: a job that raises is marked FAILED, its pool is
 retired (never handed to another job), its pool's in-flight stragglers
 are absorbed by :meth:`~repro.runtime.pool.WorkerPool.quiesce`, and
@@ -80,6 +87,7 @@ from repro.runtime import shm
 from repro.runtime.resources import ResourceGovernor
 from repro.serve import protocol
 from repro.serve.config import ServeConfig
+from repro.serve.images import ImageTable, recognition_key
 from repro.serve.journal import JobJournal
 from repro.serve.watchdog import SelfCheck, Watchdog, WatchdogTimeout
 from repro.serve.queue import (
@@ -105,6 +113,10 @@ _JOB_OPTIONS = frozenset((
 
 #: Terminal jobs retained for ``jobs``/``result`` queries.
 _JOB_HISTORY = 256
+
+#: Images whose ``Program`` (hence translated blocks) and recognitions
+#: the daemon keeps between pools, least recently submitted out first.
+_IMAGES_KEPT = 64
 
 #: Start-lock fds to close in forked children. ``flock`` lives on the
 #: open file *description*, which fork shares: a pool worker inheriting
@@ -142,7 +154,7 @@ class _PoolLease:
     holding ``busy``)."""
 
     __slots__ = ("namespace", "program_name", "n_workers", "transport",
-                 "pool", "busy", "jobs_served", "last_used", "recognized")
+                 "pool", "busy", "jobs_served", "last_used")
 
     def __init__(self, namespace, program_name, n_workers, transport):
         self.namespace = namespace
@@ -153,10 +165,6 @@ class _PoolLease:
         self.busy = True  # born acquired
         self.jobs_served = 0
         self.last_used = time.monotonic()
-        # engine-config repr -> RecognizedIP: recognition is
-        # deterministic per (program, config), so later jobs skip the
-        # recognizer's observation run entirely — part of the warm win.
-        self.recognized = {}
 
 
 class SpeculationDaemon:
@@ -174,6 +182,7 @@ class SpeculationDaemon:
         self._jobs = {}  # job_id -> Job (bounded history)
         self._job_order = []  # insertion order, for pruning
         self._pools = {}  # namespace -> _PoolLease
+        self.images = ImageTable(_IMAGES_KEPT)
         self._clients = {}  # client name -> aggregate dict
         self._job_ids = itertools.count(1)
         self._tokens = {}  # idempotency token -> job_id
@@ -262,7 +271,9 @@ class SpeculationDaemon:
                 continue  # image record damaged; nothing to re-run
             job = Job(replayed.job_id, replayed.client, program,
                       replayed.namespace or program.image_hash(),
-                      replayed.options, token=replayed.token)
+                      replayed.options, token=replayed.token,
+                      image=(self.images.intern(program)
+                             if replayed.interrupted else None))
             job.restored = True
             if replayed.submitted_at:
                 job.submitted_at = replayed.submitted_at
@@ -766,7 +777,8 @@ class SpeculationDaemon:
                             existing.namespace),
                         queued=self.queue.queued_count())
             job = Job("j%d" % next(self._job_ids), client, program,
-                      namespace, options, token=token)
+                      namespace, options, token=token,
+                      image=self.images.intern(program))
             try:
                 self.queue.submit(job)
             except BacklogFull as exc:
@@ -1006,7 +1018,8 @@ class SpeculationDaemon:
             # chunks so the watchdog still supervises it.
             degraded = self.degraded
             engine_config = self._engine_config(job)
-            config_key = repr(engine_config)
+            recognition_id = recognition_key(engine_config, job.hints)
+            recognized = None
             if degraded:
                 self.jobs_degraded += 1
                 pool = warm = transport = None
@@ -1024,6 +1037,9 @@ class SpeculationDaemon:
                 warm = self.store.snapshot(job.namespace)
                 runtime_snapshot = pool.stats.snapshot()
                 runtime_config = self._job_runtime_config(job, lease)
+                with self._lock:
+                    recognized = self.images.recognition(job.namespace,
+                                                         recognition_id)
 
             def boundary_hook(engine, superstep):
                 # Heartbeat first, then the watchdog's verdict, then a
@@ -1039,19 +1055,26 @@ class SpeculationDaemon:
                 if job.cancel_event.is_set():
                     raise JobCancelled("job %s cancelled" % job.job_id)
 
+            # A recognition that has to run reads the submission's own
+            # compiler hints, not those of the image's first submitter.
             engine = RealParallelEngine(
-                job.program, config=engine_config,
-                runtime_config=runtime_config,
-                recognized=(None if degraded
-                            else lease.recognized.get(config_key)),
-                pool=pool, initial_cache=warm,
+                (job.program if degraded or recognized is not None
+                 else job.as_submitted()),
+                config=engine_config, runtime_config=runtime_config,
+                recognized=recognized, pool=pool, initial_cache=warm,
                 boundary_hook=boundary_hook,
                 verify=self._verify_config(job))
             result = engine.run()
             merged, runtime_delta = 0, {}
+            recognition = "none"  # degraded, or nothing recognizable
+            if recognized is not None:
+                recognition = "reused"
+            elif engine.recognized is not None:
+                recognition = "run"
+                with self._lock:
+                    self.images.remember(job.namespace, recognition_id,
+                                         engine.recognized)
             if not degraded:
-                if engine.recognized is not None:
-                    lease.recognized[config_key] = engine.recognized
                 merged = self._bank_entries(job, pool,
                                             result.cache.entries())
                 runtime_delta = pool.stats.delta_since(runtime_snapshot)
@@ -1069,6 +1092,7 @@ class SpeculationDaemon:
                 "hits": result.stats.hits,
                 "n_workers": result.n_workers,
                 "transport": transport,
+                "recognition": recognition,
                 "warm_entries": len(warm or ()),
                 "merged_entries": merged,
                 "stats": result.stats.as_dict(),
@@ -1222,6 +1246,7 @@ class SpeculationDaemon:
                 "pools": pools,
                 "pools_created": self.pools_created,
                 "pools_retired": self.pools_retired,
+                "images": self.images.stats_dict(),
                 "queue": self.queue.stats_dict(),
                 "cache": self.store.stats_dict(),
                 "degraded": self.degraded,
@@ -1263,4 +1288,5 @@ class SpeculationDaemon:
                 "selfcheck": self.selfcheck.stats_dict(),
                 "governor": self.governor.stats_dict(),
                 "cache": self.store.stats_dict(),
+                "images": self.images.stats_dict(),
             }

@@ -341,7 +341,8 @@ class JobJournal:
         self._append({
             "type": REC_SUBMIT, "job_id": job.job_id, "client": job.client,
             "token": token, "namespace": job.namespace,
-            "program": job.program.to_dict(), "options": dict(job.options),
+            "program": job.as_submitted().to_dict(),
+            "options": dict(job.options),
         })
 
     def record_state(self, job_id, state, error=None, extra=None):

@@ -18,6 +18,7 @@ checks (speculative work is disposable, so abandoning it at a superstep
 boundary is always safe).
 """
 
+import copy
 import threading
 import time
 from collections import OrderedDict, deque
@@ -49,18 +50,23 @@ class JobCancelled(ReproError):
 class Job:
     """One submitted execution and everything learned about it."""
 
-    __slots__ = ("job_id", "client", "program", "program_name",
+    __slots__ = ("job_id", "client", "program", "program_name", "hints",
                  "namespace", "options",
                  "state", "submitted_at", "started_at", "finished_at",
                  "result", "error", "cancel_event", "wall_seconds",
                  "token", "incidents", "restored")
 
     def __init__(self, job_id, client, program, namespace, options=None,
-                 token=None):
+                 token=None, image=None):
         self.job_id = job_id
         self.client = client
-        self.program = program  # loader.image.Program, until released
+        # ``program`` is the submission as decoded; ``image`` the
+        # daemon's one Program for those bytes (serve.images), which is
+        # what runs. An image hash leaves out name and compiler hints,
+        # so those stay the submission's own.
+        self.program = program if image is None else image  # until released
         self.program_name = program.name
+        self.hints = program.hints
         self.namespace = namespace  # program.image_hash()
         self.options = dict(options or {})
         self.state = JOB_QUEUED
@@ -110,6 +116,19 @@ class Job:
                              % (self.job_id, self.state))
         self.program = None
 
+    def as_submitted(self):
+        """The image under this submission's name and hints — what the
+        journal records and what a recognition run must read. A shallow
+        copy where they differ from the interned program's: it shares
+        the code, the data and the translated blocks."""
+        program = self.program
+        if program.name == self.program_name and program.hints is self.hints:
+            return program  # the submission that was interned, or its twin
+        program.translations  # built now, so that the copy shares them
+        view = copy.copy(program)
+        view.name, view.hints = self.program_name, self.hints
+        return view
+
     def summary(self):
         """One row for the ``jobs`` verb — small by construction (no
         state bytes, no per-splice detail; ``result`` has those)."""
@@ -133,7 +152,7 @@ class Job:
         if self.result is not None:
             for key in ("halted", "total_instructions", "hits",
                         "first_splice_seconds", "warm_entries",
-                        "merged_entries"):
+                        "merged_entries", "recognition"):
                 out[key] = self.result.get(key)
         return out
 

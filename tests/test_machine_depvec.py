@@ -57,6 +57,20 @@ def test_reset():
     assert dep.counts()[DEP_NULL] == 4
 
 
+def test_reset_zeroes_in_place():
+    # Translated blocks hold the bytearray itself (as ``g``): reset
+    # must clear that object, not swap in a new one.
+    dep = DepVector(64)
+    buf = dep.buf
+    dep.mark_read(0, 8)
+    dep.mark_write(4, 8)
+    dep.mark_write(63)
+    dep.reset()
+    assert dep.buf is buf
+    assert buf == bytearray(64)
+    assert dep.touched_indices() == []
+
+
 _FSM_EXPECTED = {
     # (status, op) -> next status
     (DEP_NULL, "r"): DEP_READ,

@@ -183,9 +183,33 @@ def workload(request):
     return build_ising(nodes=48, spins=6)
 
 
+class _PacedPool(WorkerPool):
+    """A pool the main thread cannot outrun while its fault plan still
+    has quota: ``poll`` then blocks until a task in flight reports.
+
+    Faults are spent on dispatch and receive *events*, and how many of
+    those a run has is otherwise a race: on a loaded machine the main
+    thread can finish a short program before its (killed, respawned,
+    starved) workers have answered five times, leaving the receive
+    quota unspent. Paced, every boundary with work in flight yields an
+    outcome and frees a slot for the next dispatch, so the event counts
+    follow the boundaries, not the scheduler. The schedule cannot stall
+    the pool either: its 7 faults fail workers at most 6 times, fewer
+    than the 3 x ``breaker_threshold`` it takes to quarantine every
+    slot. Once the quota is spent the run is free-running again.
+    """
+
+    def poll(self, timeout=0.0):
+        if self.inflight_count() and not self.faults.exhausted:
+            timeout = max(timeout, 60.0)
+        return super().poll(timeout)
+
+
 class TestChaosDifferential:
     @pytest.mark.parametrize("seed", [11, 42, 1337])
-    def test_byte_identical_under_full_fault_schedule(self, workload, seed):
+    def test_byte_identical_under_full_fault_schedule(self, workload, seed,
+                                                      monkeypatch):
+        monkeypatch.setattr("repro.runtime.engine.WorkerPool", _PacedPool)
         machine = workload.program.make_machine()
         machine.run(max_instructions=50_000_000)
         assert machine.halted

@@ -8,14 +8,19 @@ byte-identical to a plain sequential run of their own program.
 """
 
 import base64
+import gc
 import os
 import threading
 import time
+import weakref
 
 import pytest
 
 from repro.bench import build_collatz, build_ising
 from repro.core.config import EngineConfig
+from repro.core.recognizer import Recognizer
+from repro.loader.image import Program
+from repro.machine import blockcache
 from repro.runtime import shm
 from repro.serve import (
     ServeClient,
@@ -24,6 +29,8 @@ from repro.serve import (
     ServeError,
     SpeculationDaemon,
 )
+from repro.serve import JobJournal
+from repro.serve import daemon as daemon_module
 from repro.serve.daemon import _PoolLease
 
 
@@ -495,3 +502,226 @@ class TestDegradedMode:
                               min_shm_headroom_bytes=1)
         with SpeculationDaemon(config2).start() as daemon2:
             assert not daemon2.degraded
+
+
+def resubmission(program, **changes):
+    """The same image as a client would send it again: a fresh decode,
+    cosmetically changed (an image hash covers neither name nor hints)."""
+    return Program.from_dict(dict(program.to_dict(), **changes))
+
+
+def one_pool_daemon(tmp_path, **overrides):
+    """Budget == one job's workers: every image switch retires the pool."""
+    return SpeculationDaemon(ServeConfig(
+        socket_path=str(tmp_path / "serve.sock"),
+        cache_dir=str(tmp_path / "cache"), worker_budget=1,
+        workers_per_job=1, max_concurrent_jobs=1, **overrides))
+
+
+class TestImageTable:
+    """What the daemon learned about an image outlives the pool that
+    learned it: one ``Program`` (hence one translation store) and one
+    recognition per (engine config, hints) per image, however often the
+    worker budget moves on."""
+
+    @pytest.fixture
+    def finds(self, monkeypatch):
+        """Arguments of every ``Recognizer.find`` in this process."""
+        calls = []
+        find = Recognizer.find
+
+        def counting(recognizer, program, start_state=None):
+            calls.append(program)
+            return find(recognizer, program, start_state)
+
+        monkeypatch.setattr(Recognizer, "find", counting)
+        return calls
+
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        """Names the block translator hands ``compile()`` in this
+        process (forked workers count into their own copy)."""
+        names = []
+
+        def counting(source, filename, mode):
+            names.append(filename)
+            return compile(source, filename, mode)
+
+        monkeypatch.setattr(blockcache, "compile", counting, raising=False)
+        return names
+
+    def test_pool_misses_neither_recognize_nor_translate_again(
+            self, tmp_path, collatz, ising, finds, compiled):
+        workloads = (collatz, ising)
+        expected = [sequential_state(w.program) for w in workloads]
+        del finds[:], compiled[:]
+        with one_pool_daemon(tmp_path).start() as daemon:
+            with ServeClient(daemon.config.socket_path, client="t") as client:
+                results = [client.run(resubmission(w.program),
+                                      **submit_options(w))
+                           for __ in range(5) for w in workloads]
+                assert len(finds) == 2
+                # A third engine configuration of a known image is a
+                # new recognition; asking again is not.
+                options = submit_options(collatz)
+                options["engine"]["recognizer_min_occurrences"] = 7
+                third = [client.run(resubmission(collatz.program), **options)
+                         for __ in range(2)]
+                assert len(finds) == 3
+                stats = client.stats()
+            held = [row.program for row in daemon.images._rows.values()]
+
+        for result, state in zip(results + third,
+                                 expected * 5 + expected[:1] * 2):
+            assert base64.b64decode(result["final_state"]) == state
+        assert [r["recognition"] for r in results] \
+            == ["run", "run"] + ["reused"] * 8
+        assert [r["recognition"] for r in third] == ["run", "reused"]
+        # The budget still changed hands at every switch ...
+        assert stats["pools_created"] == 11
+        # ... but every block variant compiled in this process went into
+        # one of the two interned programs' stores, where a variant is
+        # compiled at most once (tests/test_fastpath_blockcache.py).
+        assert len(held) == 2
+        assert {id(p.translations) for p in finds} \
+            == {id(p.translations) for p in held}
+        in_stores = sum(
+            getattr(block, variant).__name__ == "_block"
+            for program in held
+            for shapes in program.translations._pool.values() if shapes
+            for block in shapes for variant in blockcache.VARIANTS)
+        assert len(compiled) == in_stores > 0
+        images = stats["images"]
+        assert images["held"] == images["interned"] == 2
+        assert images["evicted"] == 0
+        assert images["recognitions_run"] == 3
+        assert images["recognitions_reused"] == 9
+        assert images["translated_blocks"] == sum(
+            len(shapes) for program in held
+            for shapes in program.translations._pool.values() if shapes)
+
+    def test_one_image_under_two_names_is_one_row_and_two_names(
+            self, tmp_path, collatz):
+        config = ServeConfig(socket_path=str(tmp_path / "serve.sock"),
+                             cache_dir=str(tmp_path / "cache"))
+        with SpeculationDaemon(config).start() as daemon:
+            with ServeClient(config.socket_path, client="t") as client:
+                first = client.run(resubmission(collatz.program,
+                                                name="alpha"),
+                                   **submit_options(collatz))
+                second = client.run(resubmission(collatz.program,
+                                                 name="beta"),
+                                    **submit_options(collatz))
+                rows, stats = client.jobs(), client.stats()
+            assert len(daemon.images) == 1
+        assert (first["program"], second["program"]) == ("alpha", "beta")
+        assert first["namespace"] == second["namespace"]
+        assert [row["program"] for row in rows] == ["alpha", "beta"]
+        assert [row["recognition"] for row in rows] == ["run", "reused"]
+        assert stats["images"]["interned"] == 1
+        with JobJournal(config.journal_dir) as journal:
+            assert [job.program_dict["name"]
+                    for job in journal.jobs.values()] == ["alpha", "beta"]
+
+    def test_hints_are_part_of_what_a_recognition_is_remembered_for(
+            self, tmp_path, collatz, finds):
+        program = collatz.program
+        assert program.hints  # Mini-C emits loop headers
+        expected = sequential_state(program)
+        options = submit_options(collatz)
+        options["engine"]["use_compiler_hints"] = True
+        submissions = [resubmission(program, name="hinted"),
+                       resubmission(program, name="bare", hints=None),
+                       resubmission(program, name="hinted-again"),
+                       resubmission(program, name="bare-again", hints=None)]
+        del finds[:]
+        with SpeculationDaemon(ServeConfig(
+                socket_path=str(tmp_path / "serve.sock"))).start() as daemon:
+            with ServeClient(daemon.config.socket_path, client="t") as client:
+                results = [client.run(submission, **options)
+                           for submission in submissions]
+            assert len(daemon.images) == 1
+        assert [r["recognition"] for r in results] \
+            == ["run", "run", "reused", "reused"]
+        # Each recognition read its own submission's hints, not those
+        # of whoever interned the image.
+        assert [bool(p.hints) for p in finds] == [True, False]
+        for result in results:
+            assert base64.b64decode(result["final_state"]) == expected
+        # With hints off they are no part of the key.
+        plain = submit_options(collatz)
+        with SpeculationDaemon(ServeConfig(
+                socket_path=str(tmp_path / "plain.sock"))).start() as daemon:
+            with ServeClient(daemon.config.socket_path, client="t") as client:
+                results = [client.run(submission, **plain)
+                           for submission in submissions[:2]]
+        assert [r["recognition"] for r in results] == ["run", "reused"]
+
+    def test_degraded_jobs_report_no_recognition(self, tmp_path, collatz):
+        daemon = one_pool_daemon(tmp_path).start()
+        with daemon:
+            daemon._set_degraded(True, "test")
+            with ServeClient(daemon.config.socket_path, client="t") as client:
+                result = client.run(collatz.program,
+                                    **submit_options(collatz))
+                row = client.poll(result["job_id"])
+            assert result["recognition"] == row["recognition"] == "none"
+            assert daemon.images.stats_dict()["recognitions_run"] == 0
+
+    def test_table_is_bounded_least_recently_submitted_out(
+            self, tmp_path, monkeypatch, collatz, ising):
+        monkeypatch.setattr(daemon_module, "_IMAGES_KEPT", 2)
+        third = build_collatz(count=60)
+        daemon = one_pool_daemon(tmp_path)  # never started: jobs stay queued
+        try:
+            def submit(workload):
+                response = daemon._handle_submit({
+                    "client": "t", "program": workload.program.to_dict(),
+                    "options": submit_options(workload)})
+                assert response["ok"], response
+                return daemon._jobs[response["job_id"]]
+
+            first, second = submit(collatz), submit(ising)
+            again = submit(collatz)  # collatz is now the fresher row
+            assert again.program is first.program
+            newcomer = submit(third)
+            namespaces = [w.program.image_hash()
+                          for w in (collatz, ising, third)]
+            assert [ns in daemon.images for ns in namespaces] \
+                == [True, False, True]
+            assert daemon.images.stats_dict()["evicted"] == 1
+            # Eviction took the table's reference, not the job's.
+            assert second.program is not None
+            assert second.state == "queued"
+            assert newcomer.program.image_hash() == namespaces[2]
+        finally:
+            daemon.close()
+
+    def test_evicted_image_still_runs_and_then_lets_go_of_its_program(
+            self, tmp_path, monkeypatch, collatz, ising):
+        monkeypatch.setattr(daemon_module, "_IMAGES_KEPT", 1)
+        expected = sequential_state(ising.program)
+        with one_pool_daemon(tmp_path).start() as daemon:
+            with ServeClient(daemon.config.socket_path, client="t") as client:
+                # max_running_per_client == 1: the second job is still
+                # queued when the third submission evicts its image.
+                blocker = client.submit(collatz.program,
+                                        **submit_options(collatz))
+                victim = client.submit(resubmission(ising.program),
+                                       **submit_options(ising))
+                held = weakref.ref(daemon._jobs[victim["job_id"]].program)
+                evictor = client.submit(collatz.program,
+                                        **submit_options(collatz))
+                assert ising.program.image_hash() not in daemon.images
+                for job in (blocker, victim, evictor):
+                    assert client.wait(job["job_id"])["state"] == "done"
+                result = client.result(victim["job_id"])
+            assert base64.b64decode(result["final_state"]) == expected
+            assert result["recognition"] == "run"
+            # Terminal and released, its pool retired for collatz's, its
+            # image not in the table: nothing holds the Program any more.
+            deadline = time.monotonic() + 10.0
+            while held() is not None and time.monotonic() < deadline:
+                gc.collect()
+                time.sleep(0.05)
+            assert held() is None

@@ -15,7 +15,7 @@ from repro.serve.queue import (
     QueueError,
 )
 
-PROGRAM = SimpleNamespace(name="prog")
+PROGRAM = SimpleNamespace(name="prog", hints=None)
 NS = "a" * 16
 
 

@@ -198,6 +198,79 @@ class TestCrashOnly:
                 gen1.kill()
                 gen1.wait(timeout=30)
 
+    def test_replayed_jobs_intern_and_recognize_once_per_image(
+            self, tmp_path, collatz):
+        """Recognition is not persisted: after a SIGKILL the first
+        replayed job of an image recognizes, the rest reuse it."""
+        socket_path = str(tmp_path / "proc.sock")
+        cache_dir = str(tmp_path / "cache")
+        expected = sequential_state(collatz.program)
+        tokens = ["tok-%d" % index for index in range(3)]
+
+        gen1 = start_serve(socket_path, cache_dir)
+        try:
+            with ServeClient(socket_path, client="A") as client:
+                for token in tokens:
+                    client.submit(collatz.program, token=token,
+                                  **submit_options(collatz))
+            gen1.kill()  # three WAL'd submissions, at most one started
+            gen1.wait(timeout=30)
+
+            gen2 = start_serve(socket_path, cache_dir)
+            try:
+                with ServeClient(socket_path, client="A",
+                                 retries=8) as client:
+                    for token in tokens:
+                        job = client.wait(token=token, timeout=120.0)
+                        assert job["state"] == "done"
+                    results = [client.result(token=token)
+                               for token in tokens]
+                    status = client.status()
+            finally:
+                gen2.terminate()
+                gen2.wait(timeout=30)
+        finally:
+            if gen1.poll() is None:
+                gen1.kill()
+                gen1.wait(timeout=30)
+        assert status["jobs"]["requeued"] == 3
+        assert [r["recognition"] for r in results] \
+            == ["run", "reused", "reused"]
+        images = status["images"]
+        assert (images["interned"], images["recognitions_run"],
+                images["recognitions_reused"]) == (1, 1, 2)
+        for result in results:
+            assert base64.b64decode(result["final_state"]) == expected
+
+    def test_replay_interns_only_what_will_run_again(self, tmp_path,
+                                                     collatz):
+        config = ServeConfig(socket_path=str(tmp_path / "g.sock"),
+                             cache_dir=str(tmp_path / "cache"))
+        crashed = SpeculationDaemon(config)  # never started: nothing runs
+        for name in ("alpha", "beta"):
+            renamed = dict(collatz.program.to_dict(), name=name)
+            assert crashed._handle_submit({
+                "client": "A", "program": renamed, "token": name,
+                "options": submit_options(collatz)})["ok"]
+        crashed.journal.close()  # all a SIGKILL leaves behind
+
+        with SpeculationDaemon(config) as replayed:
+            first, second = replayed._jobs.values()
+            assert first.program is second.program
+            assert (first.program_name, second.program_name) \
+                == ("alpha", "beta")
+            assert len(replayed.images) == 1
+            replayed.start()
+            with ServeClient(config.socket_path, client="A") as client:
+                for name in ("alpha", "beta"):
+                    assert client.wait(token=name)["state"] == "done"
+                    assert client.result(token=name)["program"] == name
+
+        # History rows need no image: a finished job interns nothing.
+        with SpeculationDaemon(config) as history:
+            assert history.jobs_replayed == 2
+            assert len(history.images) == 0
+
     def test_result_survives_restart_via_result_store(self, tmp_path,
                                                       collatz):
         socket_path = str(tmp_path / "proc.sock")
