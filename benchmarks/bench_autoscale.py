@@ -8,7 +8,8 @@ the three policies started at the *widest* static width (the worst
 misprovision a fixed ``--workers`` can make):
 
 * **cold collatz** — empty cache. Without spare cores every static
-  width loses wall-clock to sequential (``BENCH_parallel.json``); a
+  width loses wall-clock to sequential (the ``cold-*`` workloads of
+  ``BENCHMARK.json``); a
   policy with ``min_workers=0`` should collapse the pool and approach
   sequential — the paper's "speculation must cover its cores" argument
   closed online.

@@ -147,22 +147,19 @@ def _autoscale_line(policy, runtime):
     return line
 
 
-def _wire_line(transport, runtime):
-    """Logical vs physical transport bytes, one human-readable line."""
-    logical = runtime.logical_bytes_sent + runtime.logical_bytes_received
-    physical = runtime.bytes_sent + runtime.bytes_received
-    line = ("transport %s: %d/%d pipe bytes out/in (logical %d/%d)"
-            % (transport, runtime.bytes_sent, runtime.bytes_received,
-               runtime.logical_bytes_sent, runtime.logical_bytes_received))
-    if transport == "shm":
-        ratio = (runtime.state_bytes_raw / runtime.state_bytes_shipped
-                 if runtime.state_bytes_shipped else 0.0)
-        line += ("; %d shm bytes written, %d read; delta %.1fx "
-                 "(%d sparse / %d full); %.1fx off the pipes"
-                 % (runtime.shm_bytes_written, runtime.shm_bytes_read,
-                    ratio, runtime.states_delta, runtime.states_full,
-                    logical / physical if physical else 0.0))
-    return line
+def _wire_line(runtime):
+    """Raw vs shipped state bytes and physical pipe/shm bytes, one
+    human-readable line."""
+    ratio = (runtime.state_bytes_raw / runtime.state_bytes_shipped
+             if runtime.state_bytes_shipped else 0.0)
+    return ("transport: %d/%d pipe bytes out/in; %d shm bytes written, "
+            "%d read; states %d raw -> %d shipped bytes, delta %.1fx "
+            "(%d sparse / %d full); %d inline fallbacks"
+            % (runtime.bytes_sent, runtime.bytes_received,
+               runtime.shm_bytes_written, runtime.shm_bytes_read,
+               runtime.state_bytes_raw, runtime.state_bytes_shipped,
+               ratio, runtime.states_delta, runtime.states_full,
+               runtime.shm_fallbacks))
 
 
 def _run_real_backend(program, args):
@@ -173,7 +170,6 @@ def _run_real_backend(program, args):
         n_workers=args.workers,
         superstep_scale=args.superstep_scale,
         max_instructions=args.max_instructions,
-        transport=getattr(args, "transport", None),
         fault_plan=getattr(args, "fault_plan", None),
         worker_rlimit_as_bytes=getattr(args, "worker_rlimit_as", None),
         autoscale=getattr(args, "autoscale", "off"))
@@ -193,7 +189,6 @@ def _run_real_backend(program, args):
         "total_instructions": result.total_instructions,
         "resumed_instructions": engine.resumed_instructions,
         "n_workers": result.n_workers,
-        "transport": runtime_config.transport,
         "stats": stats.as_dict(),
         "runtime": runtime.as_dict(),
         "cache": result.cache.stats_dict(),
@@ -212,7 +207,7 @@ def _run_real_backend(program, args):
               % (result.n_workers, runtime.tasks_dispatched,
                  runtime.entries_shipped, runtime.entries_used,
                  runtime.tasks_crashed, runtime.tasks_timed_out))
-        print(_wire_line(runtime_config.transport, runtime))
+        print(_wire_line(runtime))
         print(_supervision_line(runtime))
         if runtime_config.autoscale != "off":
             print(_autoscale_line(runtime_config.autoscale, runtime))
@@ -324,7 +319,6 @@ def _scale_real_backend(program, args):
     for n_workers in (int(w) for w in args.workers.split(",")):
         runtime_config = RuntimeConfig(
             n_workers=n_workers, superstep_scale=args.superstep_scale,
-            transport=getattr(args, "transport", None),
             autoscale=getattr(args, "autoscale", "off"))
         checkpointer, resume_from = _checkpoint_setup(
             program=program, args=args, subdir="w%d" % n_workers)
@@ -336,7 +330,6 @@ def _scale_real_backend(program, args):
         all_identical = all_identical and identical
         points.append({
             "workers": n_workers,
-            "transport": runtime_config.transport,
             "wall_seconds": result.wall_seconds,
             "speedup": result.speedup_vs(seq_wall),
             "identical": identical,
@@ -353,8 +346,7 @@ def _scale_real_backend(program, args):
                   % (n_workers, result.wall_seconds,
                      result.speedup_vs(seq_wall), result.stats.hits,
                      result.runtime.entries_shipped, identical))
-            print("    " + _wire_line(runtime_config.transport,
-                                      result.runtime))
+            print("    " + _wire_line(result.runtime))
             if resume_from is not None:
                 # A resumed run replays only the tail; its final state
                 # must still match the uninterrupted sequential
@@ -713,7 +705,6 @@ def cmd_chaos(args):
         n_workers=args.workers,
         max_instructions=args.max_instructions,
         task_timeout_seconds=args.task_timeout,
-        transport=getattr(args, "transport", None),
         fault_plan=plan)
     engine = RealParallelEngine(program, config=config,
                                 runtime_config=runtime_config)
@@ -777,7 +768,6 @@ def cmd_audit(args):
         n_workers=args.workers,
         max_instructions=args.max_instructions,
         inflight_wait_bias=1e9,
-        transport=getattr(args, "transport", None),
         fault_plan=plan)
     engine = RealParallelEngine(
         program, config=config, runtime_config=runtime_config,
@@ -834,7 +824,6 @@ def _serve_config(args):
         drain_seconds=args.drain_seconds,
         max_instructions=args.max_instructions,
         task_timeout_seconds=args.task_timeout,
-        transport=getattr(args, "transport", None),
         journal_dir=getattr(args, "journal_dir", None),
         journal_fsync=getattr(args, "journal_fsync", True),
         job_deadline_seconds=getattr(args, "job_deadline", None),
@@ -932,8 +921,6 @@ def cmd_submit(args):
         options["workers"] = args.workers
     if args.superstep_scale != 1:
         options["superstep_scale"] = args.superstep_scale
-    if getattr(args, "transport", None):
-        options["transport"] = args.transport
     if args.wait_bias is not None:
         options["inflight_wait_bias"] = args.wait_bias
     if getattr(args, "strict_verify", False):
@@ -1090,14 +1077,6 @@ def build_parser():
                        help="audit every splice synchronously and "
                             "quarantine divergent groups for good")
 
-    def add_transport_flag(p):
-        p.add_argument("--transport", choices=["shm", "pipe"], default=None,
-                       help="state transport for the real backend: 'shm' "
-                            "ships states and entries through shared-"
-                            "memory rings with delta compression, 'pipe' "
-                            "sends full payloads inline (default follows "
-                            "REPRO_TRANSPORT, else shm where available)")
-
     def add_autoscale_flag(p):
         p.add_argument("--autoscale",
                        choices=["off", "react", "hist", "reg"],
@@ -1146,7 +1125,6 @@ def build_parser():
                         "contained task fault instead of taking the "
                         "host (default REPRO_WORKER_RLIMIT_AS; 0 = "
                         "uncapped)")
-    add_transport_flag(p)
     add_verify_flags(p)
     add_checkpoint_flags(p)
     add_autoscale_flag(p)
@@ -1173,7 +1151,6 @@ def build_parser():
     p.add_argument("--json", action="store_true",
                    help="emit a JSON report (per-point stats, cache, "
                         "and audit sections)")
-    add_transport_flag(p)
     add_verify_flags(p)
     add_checkpoint_flags(p)
     add_autoscale_flag(p)
@@ -1250,7 +1227,6 @@ def build_parser():
                         "restart this many times")
     p.add_argument("--timeout", type=float, default=180.0,
                    help="with --serve: overall scenario deadline")
-    add_transport_flag(p)
     p.set_defaults(func=cmd_chaos)
 
     p = sub.add_parser(
@@ -1277,7 +1253,6 @@ def build_parser():
     p.add_argument("--min-superstep", type=int, dest="min_superstep")
     p.add_argument("--hints", action="store_true")
     p.add_argument("--json", action="store_true")
-    add_transport_flag(p)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser(
@@ -1362,7 +1337,6 @@ def build_parser():
                    help="serve-tier chaos plan the daemon consumes at "
                         "its own seams, e.g. 'seed=7,disk_full=2,"
                         "fd_exhaust=1' (default REPRO_SERVE_FAULT_PLAN)")
-    add_transport_flag(p)
     add_autoscale_flag(p)
     p.set_defaults(func=cmd_serve)
 
@@ -1407,7 +1381,6 @@ def build_parser():
     p.add_argument("--window", type=int, help="recognizer window")
     p.add_argument("--min-superstep", type=int, dest="min_superstep")
     p.add_argument("--hints", action="store_true")
-    add_transport_flag(p)
     add_verify_flags(p)
     p.set_defaults(func=cmd_submit)
 

@@ -86,17 +86,53 @@ def decode_section(data, pos=0, max_payload=None):
     return tag, payload, pos
 
 
-def _encode_entry(entry):
-    out = bytearray()
-    out += _ENTRY.pack(entry.rip, entry.length, entry.occurrences,
-                       1 if entry.halted else 0,
-                       len(entry.start_indices),
-                       len(entry.end_indices))
-    out += np.asarray(entry.start_indices, dtype="<i8").tobytes()
-    out += np.asarray(entry.start_values, dtype=np.uint8).tobytes()
-    out += np.asarray(entry.end_indices, dtype="<i8").tobytes()
-    out += np.asarray(entry.end_values, dtype=np.uint8).tobytes()
-    return out
+def encode_entry(entry):
+    """One cache entry as bytes: the ``<IQIBII`` header plus its four
+    raw arrays. The one entry codec — cache shards and the runtime's
+    worker results (:mod:`repro.runtime.pool`) both carry this form."""
+    return b"".join((
+        _ENTRY.pack(entry.rip, entry.length, entry.occurrences,
+                    1 if entry.halted else 0,
+                    len(entry.start_indices), len(entry.end_indices)),
+        np.asarray(entry.start_indices, dtype="<i8").tobytes(),
+        np.asarray(entry.start_values, dtype=np.uint8).tobytes(),
+        np.asarray(entry.end_indices, dtype="<i8").tobytes(),
+        np.asarray(entry.end_values, dtype=np.uint8).tobytes()))
+
+
+def decode_entry(data, pos=0, limit=None):
+    """Inverse of :func:`encode_entry`; returns ``(entry, next_pos)``.
+
+    The entry must end at or before ``limit`` (default: the end of
+    ``data``): declared array lengths are checked against what actually
+    remains, so a corrupt header cannot walk the cursor past the end
+    (or into a giant allocation) and silently mis-parse what follows.
+    """
+    if limit is None:
+        limit = len(data)
+    if pos + _ENTRY.size > limit:
+        raise EngineError("truncated entry header")
+    rip, length, occurrences, halted, n_start, n_end = \
+        _ENTRY.unpack_from(data, pos)
+    pos += _ENTRY.size
+    if 9 * n_start + 9 * n_end > limit - pos:
+        raise EngineError("truncated entry arrays")
+    start_indices = np.frombuffer(data, dtype="<i8", count=n_start,
+                                  offset=pos).astype(np.int64)
+    pos += 8 * n_start
+    start_values = np.frombuffer(data, dtype=np.uint8, count=n_start,
+                                 offset=pos).copy()
+    pos += n_start
+    end_indices = np.frombuffer(data, dtype="<i8", count=n_end,
+                                offset=pos).astype(np.int64)
+    pos += 8 * n_end
+    end_values = np.frombuffer(data, dtype=np.uint8, count=n_end,
+                               offset=pos).copy()
+    pos += n_end
+    entry = CacheEntry(rip, start_indices, start_values, end_indices,
+                       end_values, length, occurrences=occurrences,
+                       ready_time=0.0, halted=bool(halted))
+    return entry, pos
 
 
 def serialize_cache(cache):
@@ -105,9 +141,9 @@ def serialize_cache(cache):
     out = bytearray()
     out += _HEADER.pack(_MAGIC, _VERSION, len(entries))
     for entry in entries:
-        blob = _encode_entry(entry)
+        blob = encode_entry(entry)
         out += blob
-        out += _CRC.pack(zlib.crc32(bytes(blob)) & 0xFFFFFFFF)
+        out += _CRC.pack(zlib.crc32(blob) & 0xFFFFFFFF)
     return bytes(out)
 
 
@@ -131,45 +167,21 @@ def deserialize_cache(data, capacity_bytes=None):
                           "%d bytes" % (count, len(data)))
     cache = TrajectoryCache(capacity_bytes=capacity_bytes)
     pos = _HEADER.size
+    # Every entry must leave room for its own CRC trailer.
+    limit = len(data) - (_CRC.size if has_crc else 0)
     for __ in range(count):
-        if pos + _ENTRY.size > len(data):
-            raise EngineError("truncated cache blob (entry header)")
-        rip, length, occurrences, halted, n_start, n_end = \
-            _ENTRY.unpack_from(data, pos)
-        body_len = _ENTRY.size + 9 * n_start + 9 * n_end
-        # Declared array lengths must fit in what actually remains —
-        # a corrupt header must not walk the cursor past the end (or
-        # into a giant allocation) and silently mis-parse what follows.
-        if body_len > len(data) - pos - (_CRC.size if has_crc else 0):
-            raise EngineError("truncated cache blob (entry arrays)")
-        body_end = pos + body_len
+        start = pos
+        entry, pos = decode_entry(data, start, limit)
         if has_crc:
-            (crc,) = _CRC.unpack_from(data, body_end)
-            if zlib.crc32(data[pos:body_end]) & 0xFFFFFFFF != crc:
+            (crc,) = _CRC.unpack_from(data, pos)
+            rotted = zlib.crc32(data[start:pos]) & 0xFFFFFFFF != crc
+            pos += _CRC.size
+            if rotted:
                 # Bit rot inside one entry: the framing survives, so
                 # quarantine just this entry and keep loading.
                 cache.n_quarantined += 1
-                pos = body_end + _CRC.size
                 continue
-        pos += _ENTRY.size
-        start_indices = np.frombuffer(data, dtype="<i8", count=n_start,
-                                      offset=pos).astype(np.int64)
-        pos += 8 * n_start
-        start_values = np.frombuffer(data, dtype=np.uint8, count=n_start,
-                                     offset=pos).copy()
-        pos += n_start
-        end_indices = np.frombuffer(data, dtype="<i8", count=n_end,
-                                    offset=pos).astype(np.int64)
-        pos += 8 * n_end
-        end_values = np.frombuffer(data, dtype=np.uint8, count=n_end,
-                                   offset=pos).copy()
-        pos += n_end
-        if has_crc:
-            pos += _CRC.size
-        cache.insert(CacheEntry(rip, start_indices, start_values,
-                                end_indices, end_values, length,
-                                occurrences=occurrences, ready_time=0.0,
-                                halted=bool(halted)))
+        cache.insert(entry)
     if pos != len(data):
         raise EngineError("trailing bytes in cache blob")
     return cache

@@ -10,12 +10,14 @@ the main thread over pipes — the shape of the paper's LASC prototype
 
 Layers:
 
-* :mod:`repro.runtime.wire` — compact versioned binary wire format for
-  tasks and results (numpy-backed, no pickling of live objects), plus
-  the delta codec and the shm control frames;
-* :mod:`repro.runtime.shm` — SPSC shared-memory ring buffers: the bulk
-  lane of the ``shm`` transport (states and entries move through
-  rings; pipes carry only blob references);
+* :mod:`repro.runtime.wire` — the one engine↔worker protocol: compact
+  versioned binary frames for tasks and results (numpy-backed, no
+  pickling of live objects) whose blobs sit in a ring or inline, plus
+  the delta codec;
+* :mod:`repro.runtime.shm` — SPSC shared-memory ring buffers: the
+  transport's bulk lane (states and entries move through rings; pipes
+  carry only blob references, or the blob itself as an inline blob
+  when a ring cannot take it);
 * :mod:`repro.runtime.worker` — the worker process main loop (loads the
   program image once, keeps its block cache warm across tasks);
 * :mod:`repro.runtime.pool` — :class:`WorkerPool`: dispatch,
@@ -40,7 +42,7 @@ from repro.runtime.autoscaler import (
     make_autoscaler,
     resolve_autoscaler,
 )
-from repro.runtime.config import TRANSPORTS, RuntimeConfig
+from repro.runtime.config import RuntimeConfig
 from repro.runtime.engine import RealParallelEngine, RealParallelResult
 from repro.runtime.faults import FaultPlan, FaultPlanError
 from repro.runtime.pool import (
@@ -77,7 +79,6 @@ __all__ = [
     "TASK_OK",
     "TASK_STALE",
     "TASK_TIMED_OUT",
-    "TRANSPORTS",
     "TaskOutcome",
     "WireError",
     "WorkerHealth",

@@ -6,8 +6,8 @@ the allocator chain — jump length x probability of use — covers the
 cost of running it. The CLI's ``--workers N`` freezes that trade for a
 whole run, which is exactly wrong at the two ends of the cache
 lifecycle: a cold run pays N cores of overhead for speculations that
-rarely land (``BENCH_parallel.json`` shows cold legs *losing*
-wall-clock at every static N), and a warm phase-changing run wants
+rarely land (the ``cold-*`` workloads of ``BENCHMARK.json`` *lose*
+wall-clock to sequential), and a warm phase-changing run wants
 capacity back the moment the recognized RIP regains utility.
 
 An :class:`Autoscaler` closes the loop online. The engine samples it at

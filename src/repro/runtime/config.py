@@ -5,27 +5,19 @@ import os
 
 
 def default_start_method():
-    """``fork`` where the platform offers it (cheap, inherits the warm
-    import state), else ``spawn``. Override with ``REPRO_MP_START``."""
-    env = os.environ.get("REPRO_MP_START")
-    if env:
-        return env
+    """How the pool starts its workers on this platform: ``fork``
+    where offered (cheap, inherits the warm import state), else
+    ``spawn``. An observation, not an option."""
     if "fork" in multiprocessing.get_all_start_methods():
         return "fork"
     return "spawn"
 
 
-#: Valid state-transport names (see DESIGN.md §11).
-TRANSPORTS = ("shm", "pipe")
-
-
 def default_transport():
-    """``shm`` (ring buffers + control messages) wherever
-    ``multiprocessing.shared_memory`` exists, else the ``pipe``
-    fallback. Override with ``REPRO_TRANSPORT``."""
-    env = os.environ.get("REPRO_TRANSPORT")
-    if env:
-        return env
+    """Where a worker's blobs travel on this platform: ``shm`` (rings)
+    wherever ``multiprocessing.shared_memory`` exists, else ``pipe``
+    (every worker ringless, every blob inline). An observation for
+    records and reports; nothing selects a transport."""
     from repro.runtime.shm import shm_available
     return "shm" if shm_available() else "pipe"
 
@@ -73,7 +65,6 @@ class RuntimeConfig:
                  # spent by respawns and quarantine re-admissions; once
                  # exhausted, failing slots are retired (the pool
                  # shrinks) instead of respawned.
-                 start_method=None,
                  respawn_limit=32,
                  max_instructions=500_000_000,
                  # Supervision (see runtime/supervisor.py). A worker slot
@@ -95,13 +86,6 @@ class RuntimeConfig:
                  # either endpoint allocate gigabytes. The offender is
                  # treated as a crashed worker.
                  max_frame_bytes=64 * 1024 * 1024,
-                 # State transport: "shm" ships start states and cache
-                 # entries through per-worker shared-memory rings with
-                 # delta compression, leaving only small control frames
-                 # on the pipes; "pipe" is the original inline-payload
-                 # fallback. None follows REPRO_TRANSPORT, defaulting
-                 # to shm where the platform supports it.
-                 transport=None,
                  # Per-direction ring capacity per worker. A blob the
                  # ring cannot take right now — oversized or merely
                  # full — falls back to an inline pipe frame; shm
@@ -139,7 +123,6 @@ class RuntimeConfig:
         self.inflight_wait_bias = inflight_wait_bias
         self.max_inflight_wait_seconds = max_inflight_wait_seconds
         self.superstep_scale = superstep_scale
-        self.start_method = start_method
         self.respawn_limit = respawn_limit
         self.max_instructions = max_instructions
         self.breaker_threshold = breaker_threshold
@@ -148,10 +131,6 @@ class RuntimeConfig:
         self.min_active_workers = min_active_workers
         self.degrade_cooldown_seconds = degrade_cooldown_seconds
         self.max_frame_bytes = max_frame_bytes
-        self.transport = transport or default_transport()
-        if self.transport not in TRANSPORTS:
-            raise ValueError("transport must be one of %s, not %r"
-                             % ("/".join(TRANSPORTS), self.transport))
         self.shm_ring_bytes = shm_ring_bytes
         self.fault_plan = fault_plan
         if worker_rlimit_as_bytes is None:
@@ -179,6 +158,10 @@ class RuntimeConfig:
     def replace(self, **kwargs):
         """A copy with the given fields overridden."""
         fields = dict(self.__dict__)
+        # This config already resolved the environment default, so its
+        # None means "uncapped" — which the constructor spells 0; None
+        # would re-read REPRO_WORKER_RLIMIT_AS.
+        fields["worker_rlimit_as_bytes"] = self.worker_rlimit_as_bytes or 0
         fields.update(kwargs)
         return RuntimeConfig(**fields)
 

@@ -32,21 +32,23 @@ the budget is spent. The engine decides whether to re-speculate; the
 pool only guarantees that every submitted task eventually produces
 exactly one outcome.
 
-Transport — under ``RuntimeConfig.transport == "shm"`` the pool opens
-two :class:`~repro.runtime.shm.ShmRing` segments per worker (task
-ring: engine produces, worker consumes; result ring: the reverse) and
-the pipes carry only small control frames naming ring blobs by
-``(seq, length, CRC32)``. Start states ship delta-compressed against
-the worker's last reconstructed state: the pool tracks, per worker,
-the *base state* it last successfully sent and a monotonically
-increasing *epoch* naming it, commits both only after a successful
-send, and clears them whenever the worker is respawned or answers
-:data:`TASK_STALE` (epoch mismatch) — so the next task automatically
-carries a full snapshot. The pool owns both segments' lifecycles:
-rings are unlinked on crash/respawn, quarantine, retirement, and
-shutdown, and an atexit sweep in :mod:`repro.runtime.shm` reaps
-whatever an unclean exit leaves. ``transport == "pipe"`` keeps the
-original inline-payload frames end to end.
+Transport — the pool opens two :class:`~repro.runtime.shm.ShmRing`
+segments per worker (task ring: engine produces, worker consumes;
+result ring: the reverse) and the pipes carry only small control
+frames naming ring blobs by ``(seq, length, CRC32)``. A blob its ring
+cannot take travels inline in the same frame; a worker whose rings
+could not be allocated at all (no ``multiprocessing.shared_memory``,
+tmpfs full) is *ringless* — all of its blobs inline, everything else
+identical — and a respawn tries for rings again. Start states ship
+delta-compressed against the worker's last reconstructed state: the
+pool tracks, per worker, the *base state* it last successfully sent
+and a monotonically increasing *epoch* naming it, commits both only
+after a successful send, and clears them whenever the worker is
+respawned or answers :data:`TASK_STALE` (epoch mismatch) — so the next
+task automatically carries a full snapshot. The pool owns both
+segments' lifecycles: rings are unlinked on crash/respawn, quarantine,
+retirement, and shutdown, and an atexit sweep in
+:mod:`repro.runtime.shm` reaps whatever an unclean exit leaves.
 
 A seeded :class:`~repro.runtime.faults.FaultPlan` (via
 ``RuntimeConfig.fault_plan`` or ``REPRO_FAULT_PLAN``) injects failures
@@ -62,7 +64,8 @@ import time
 from collections import deque
 from multiprocessing.connection import wait as _conn_wait
 
-from repro.errors import ReproError
+from repro.core.cache_io import decode_entry
+from repro.errors import EngineError, ReproError
 from repro.runtime import shm, wire
 from repro.runtime.config import RuntimeConfig, default_start_method
 from repro.runtime.stats import RuntimeStats
@@ -80,7 +83,7 @@ TASK_OK = "ok"
 TASK_FAILED = "failed"
 TASK_TIMED_OUT = "timed-out"
 TASK_CRASHED = "crashed"
-TASK_STALE = "stale"  # shm epoch mismatch: not executed, re-dispatch
+TASK_STALE = "stale"  # epoch mismatch: not executed, re-dispatch
 
 
 class PoolError(ReproError):
@@ -145,7 +148,7 @@ class _Worker:
         self.proc = proc
         self.conn = conn
         self.inflight = deque()  # SpeculationTasks, FIFO per worker
-        self.task_ring = task_ring  # engine produces (shm transport)
+        self.task_ring = task_ring  # engine produces; None: ringless
         self.result_ring = result_ring  # engine consumes
         # Delta bookkeeping (engine's view, committed only after a
         # successful send): the start state this worker last
@@ -178,12 +181,10 @@ class WorkerPool:
         self.faults = self.config.resolve_fault_plan()
         self._program_payload = program.to_dict()
         self._fast_path = None  # workers follow REPRO_FAST_PATH by default
-        self._ctx = multiprocessing.get_context(
-            self.config.start_method or default_start_method())
+        self._ctx = multiprocessing.get_context(default_start_method())
         self._task_ids = itertools.count(1)
         self._deferred = []  # outcomes produced outside poll (submit-time)
         self._closed = False
-        self._use_shm = self.config.transport == "shm"
         self._parked = set()  # slots shrunk away by the autoscaler
         self.autoscale_target = None  # live-worker target, None = static
         self._workers = [self._spawn(i) for i in range(self.config.n_workers)]
@@ -192,22 +193,21 @@ class WorkerPool:
 
     def _spawn(self, index):
         task_ring = result_ring = shm_names = None
-        if self._use_shm:
-            # Ring allocation failing (tmpfs exhausted, segment quota)
-            # must not fail the spawn: this worker degrades to pipe
-            # transport — correct, just slower — and the pressure is
-            # reported. A respawn retries rings, so the degradation
-            # heals itself once /dev/shm space returns.
-            try:
-                task_ring = shm.create_ring(self.config.shm_ring_bytes)
-                result_ring = shm.create_ring(self.config.shm_ring_bytes)
-                shm_names = (task_ring.name, result_ring.name)
-            except (shm.ShmError, OSError):
-                for ring in (task_ring, result_ring):
-                    if ring is not None:
-                        ring.unlink()
-                task_ring = result_ring = shm_names = None
-                self.stats.shm_alloc_failures += 1
+        # Ring allocation failing (no shared_memory, tmpfs exhausted,
+        # segment quota) must not fail the spawn: this worker runs
+        # ringless — same frames, every blob inline — and the pressure
+        # is reported. A respawn retries rings, so the degradation
+        # heals itself once /dev/shm space returns.
+        try:
+            task_ring = shm.create_ring(self.config.shm_ring_bytes)
+            result_ring = shm.create_ring(self.config.shm_ring_bytes)
+            shm_names = (task_ring.name, result_ring.name)
+        except (shm.ShmError, OSError):
+            for ring in (task_ring, result_ring):
+                if ring is not None:
+                    ring.unlink()
+            task_ring = result_ring = shm_names = None
+            self.stats.shm_alloc_failures += 1
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=worker_main,
@@ -415,7 +415,6 @@ class WorkerPool:
             except (OSError, ValueError, BrokenPipeError):
                 continue
             self.stats.bytes_sent += len(frame)
-            self.stats.logical_bytes_sent += len(frame)
         deadline = time.monotonic() + 2.0
         for worker in self._live():
             worker.proc.join(timeout=max(0.0, deadline - time.monotonic()))
@@ -522,37 +521,22 @@ class WorkerPool:
             if len(worker.inflight) >= self.config.queue_depth:
                 self.stats.dispatch_backpressure += 1
                 return None
-            # A worker whose rings failed to allocate (shm pressure at
-            # spawn time) runs on pipe transport even in an shm pool.
-            use_shm = self._use_shm and worker.task_ring is not None
-            force_inline = self._inject_resource_fault(worker, use_shm)
-            if use_shm:
-                payload = self._encode_task_shm(worker, task_id, rip,
-                                                occurrences,
-                                                max_instructions,
-                                                state_bytes, flags,
-                                                force_inline=force_inline)
-            else:
-                payload = wire.encode_task(task_id, rip, occurrences,
-                                           max_instructions, state_bytes,
-                                           flags=flags)
+            force_inline = self._inject_resource_fault(worker)
+            payload = self._encode_task_shm(worker, task_id, rip,
+                                            occurrences, max_instructions,
+                                            state_bytes, flags,
+                                            force_inline=force_inline)
             try:
                 worker.conn.send_bytes(payload)
             except (OSError, ValueError, BrokenPipeError):
                 self._deferred.extend(self._fail_worker(worker, TASK_CRASHED))
                 continue
-            if use_shm:
-                # Commit the delta base only now: a failed send means
-                # the worker never saw the blob, so the old base (or
-                # none, after the respawn above) stays authoritative.
-                worker.base_state = state_bytes
-                worker.epoch += 1
-            else:
-                self.stats.state_bytes_shipped += len(state_bytes)
-                self.stats.states_full += 1
+            # Commit the delta base only now: a failed send means the
+            # worker never saw the blob, so the old base (or none,
+            # after the respawn above) stays authoritative.
+            worker.base_state = state_bytes
+            worker.epoch += 1
             self.stats.state_bytes_raw += len(state_bytes)
-            self.stats.logical_bytes_sent += \
-                wire.logical_task_bytes(len(state_bytes))
             task = SpeculationTask(task_id, rip, occurrences,
                                    max_instructions, meta, time.monotonic(),
                                    len(payload), worker.index, audit=audit)
@@ -566,18 +550,21 @@ class WorkerPool:
     def _encode_task_shm(self, worker, task_id, rip, occurrences,
                          max_instructions, state_bytes, flags,
                          force_inline=False):
-        """Encode one shm-transport task: push the delta blob into the
-        worker's task ring and build the control frame. A blob the ring
-        cannot take right now — full ring, oversized blob, or a chaos
-        ``shm_full`` fault (``force_inline``) — travels inline on the
-        pipe instead: shm pressure degrades throughput, never refuses
-        the dispatch. The ledgers stay reconcilable either way:
+        """Encode one task: push the delta blob into the worker's task
+        ring and build the control frame. A blob the ring cannot take
+        — no ring at all (a ringless worker), full ring, oversized
+        blob, or a chaos ``shm_full`` fault (``force_inline``) —
+        travels inline on the pipe instead: shm pressure degrades
+        throughput, never refuses the dispatch. The ledgers reconcile
+        either way:
         ``state_bytes_shipped == shm_bytes_written + shm_fallback_bytes``.
         """
         blob = wire.encode_state_delta(state_bytes, base=worker.base_state)
+        ring = worker.task_ring
         seq = None
-        if not force_inline and len(blob) <= worker.task_ring.capacity:
-            seq = worker.task_ring.try_push(blob)
+        if ring is not None and not force_inline \
+                and len(blob) <= ring.capacity:
+            seq = ring.try_push(blob)
             if seq is None:
                 self.stats.ring_full_backpressure += 1
         if seq is None:
@@ -612,16 +599,17 @@ class WorkerPool:
             # deadline-overrun path (kill + timed-out outcomes).
             task.dispatch_time -= self.config.task_timeout_seconds + 1.0
 
-    def _inject_resource_fault(self, worker, use_shm):
+    def _inject_resource_fault(self, worker):
         """Pre-dispatch resource-tier fault decision. Returns ``True``
-        when this task's blob must skip the ring (``shm_full``); a
+        when this task's blob must skip the ring (``shm_full``, kept
+        queued while the target has no ring to skip); a
         ``worker_oom`` tightens the target worker's memory cap before
         the task lands so it fails as a contained MemoryError (or, with
         no ``prlimit`` on this platform, as a plain worker crash)."""
         if self.faults is None:
             return False
         allowed = ["worker_oom"]
-        if use_shm:
+        if worker.task_ring is not None:
             allowed.append("shm_full")
         kind = self.faults.next_resource_fault(allowed)
         if kind is None:
@@ -742,13 +730,13 @@ class WorkerPool:
         return data, True
 
     def _take_result_entry(self, worker, msg):
-        """Materialize an shm result's entry: copy the blob out of the
-        worker's result ring (releasing it) or take the inline bytes,
-        CRC-check, decode. Returns ``(entry, entry_blob_len)``."""
+        """Materialize a result's entry (``None`` without one): copy
+        the blob out of the worker's result ring (releasing it) or take
+        the inline bytes, CRC-check, decode."""
         if not msg.has_entry:
-            return None, 0
+            return None
         if msg.blob_len > self.config.max_frame_bytes:
-            raise wire.WireError("shm entry blob of %d bytes exceeds the "
+            raise wire.WireError("entry blob of %d bytes exceeds the "
                                  "%d-byte limit"
                                  % (msg.blob_len, self.config.max_frame_bytes))
         if msg.location == wire.BLOB_SHM:
@@ -762,27 +750,23 @@ class WorkerPool:
         else:
             blob = msg.blob
         wire.check_blob(blob, msg.blob_crc)
-        entry, end = wire.decode_entry(blob)
+        try:
+            entry, end = decode_entry(blob)
+        except EngineError as exc:
+            # CRC-valid but structurally bad: still the sender's fault.
+            raise wire.WireError("bad entry blob: %s" % exc)
         if end != len(blob):
-            raise wire.WireError("trailing bytes in shm entry blob")
-        return entry, len(blob)
+            raise wire.WireError("trailing bytes in entry blob")
+        return entry
 
     def _ingest(self, worker, data):
         msg_type, pos = wire.decode_message(data,
                                             self.config.max_frame_bytes)
-        if msg_type == wire.MSG_RESULT:
-            msg = wire.decode_result(data, pos)
-            entry = msg.entry
-            # The pipe frame *is* the logical frame.
-            logical = len(data)
-        elif msg_type == wire.MSG_RESULT_SHM:
-            msg = wire.decode_result_shm(data, pos)
-            entry, entry_len = self._take_result_entry(worker, msg)
-            fault_len = len((msg.fault or "").encode("utf-8"))
-            logical = wire.logical_result_bytes(fault_len, entry_len)
-        else:
+        if msg_type != wire.MSG_RESULT_SHM:
             raise wire.WireError("worker %d sent unexpected message type %d"
                                  % (worker.index, msg_type))
+        msg = wire.decode_result_shm(data, pos)
+        entry = self._take_result_entry(worker, msg)
         if not worker.inflight or worker.inflight[0].task_id != msg.task_id:
             raise wire.WireError("worker %d answered task %d out of order"
                                  % (worker.index, msg.task_id))
@@ -790,7 +774,6 @@ class WorkerPool:
         duration = time.monotonic() - task.dispatch_time
         self.supervisor.note_success(worker.index, duration)
         self.stats.tasks_completed += 1
-        self.stats.logical_bytes_received += logical
         self.stats.worker_instructions += msg.instructions
         if msg.status == wire.RESULT_STALE:
             # Epoch mismatch: the worker refused a sparse delta it has

@@ -12,7 +12,8 @@ for the four things this system can run out of:
 * **/dev/shm** — the tmpfs backing ``multiprocessing.shared_memory``
   (:func:`shm_backing_dir` probes which one that actually is; it is
   *not* always ``/dev/shm``) holds the transport rings; exhaustion
-  degrades a worker to pipe transport rather than failing the spawn;
+  leaves a worker ringless (every blob inline) rather than failing
+  the spawn;
 * **disk** — cache shards and the job journal treat ``ENOSPC``
   (:func:`is_enospc`) as a pressure event: prune oldest, retry, and
   suspend write-through if still starved (results stay correct,

@@ -1,10 +1,10 @@
 """Shared-memory ring buffers for the multiprocess runtime.
 
-The pipe transport ships every start state and every result write set
-through the kernel twice (sender copy-in, receiver copy-out). This
-module provides the bulk lane of the ``shm`` transport: one
-single-producer/single-consumer ring per worker per direction, backed
-by :class:`multiprocessing.shared_memory.SharedMemory`. Payload blobs
+An inline blob moves a start state or a result write set through the
+kernel twice (sender copy-in, receiver copy-out). This module provides
+the transport's bulk lane instead: one single-producer/single-consumer
+ring per worker per direction, backed by
+:class:`multiprocessing.shared_memory.SharedMemory`. Payload blobs
 are written once into the ring; the pipes carry only small control
 frames naming each blob by ``(seq, length, CRC32)``
 (:mod:`repro.runtime.wire`).
@@ -50,7 +50,7 @@ import threading
 
 from repro.errors import ReproError
 
-try:  # the transport is gated on this import succeeding
+try:  # without it every worker is ringless (all blobs inline)
     from multiprocessing import resource_tracker, shared_memory
 except ImportError:  # pragma: no cover - all supported platforms have it
     resource_tracker = None
@@ -75,7 +75,7 @@ class ShmError(ReproError):
 
 
 def shm_available():
-    """Whether this interpreter can host the shm transport at all."""
+    """Whether this interpreter can host rings at all."""
     return shared_memory is not None
 
 

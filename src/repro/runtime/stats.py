@@ -40,11 +40,6 @@ class RuntimeStats:
         # transport boundary so the two directions stay symmetric.
         self.bytes_sent = 0  # engine -> workers, physical pipe bytes
         self.bytes_received = 0  # workers -> engine, physical pipe bytes
-        # Logical bytes: what the equivalent inline (pipe-transport)
-        # frames would have carried — the denominator for "how much the
-        # wire was killed".
-        self.logical_bytes_sent = 0
-        self.logical_bytes_received = 0
         # Bulk bytes moved through shared-memory rings instead of pipes.
         self.shm_bytes_written = 0  # task blobs pushed by the engine
         self.shm_bytes_read = 0  # result blobs read by the engine
@@ -54,14 +49,14 @@ class RuntimeStats:
         self.state_bytes_raw = 0  # raw state-vector bytes (pre-codec)
         self.state_bytes_shipped = 0  # encoded blob bytes (post-codec)
         self.ring_full_backpressure = 0  # ring-full events at dispatch
-        # Ring pressure no longer refuses a dispatch: a blob that does
-        # not fit (ring full, oversized, or a chaos shm_full fault)
-        # falls back to inline pipe delivery. The ledger invariant the
-        # property test pins: on the shm transport,
+        # Ring pressure never refuses a dispatch: a blob its ring cannot
+        # take (ring full, oversized, a chaos shm_full fault — or no
+        # ring at all, a ringless worker) travels as an inline blob.
+        # The ledger invariant the property test pins, unconditionally:
         # state_bytes_shipped == shm_bytes_written + shm_fallback_bytes.
         self.shm_fallbacks = 0  # task blobs delivered inline instead
         self.shm_fallback_bytes = 0  # bytes of those inline blobs
-        self.shm_alloc_failures = 0  # ring creation failed -> pipe worker
+        self.shm_alloc_failures = 0  # spawns that got no rings (ringless)
         self.tasks_oom = 0  # contained worker MemoryErrors (rlimit hit)
         self.stale_results = 0  # epoch-mismatch replies (re-dispatched)
         self.worker_instructions = 0  # really executed on workers

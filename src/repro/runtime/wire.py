@@ -15,18 +15,18 @@ crashed worker. Endpoints additionally bound the frame size they will
 read (``RuntimeConfig.max_frame_bytes``) so one corrupt length field
 in the pipe's own framing cannot force a gigabyte allocation.
 
-Five message types exist. The pipe transport uses :data:`MSG_TASK`
-(a speculation assignment carrying the predicted full start state
-inline) and :data:`MSG_RESULT` (the outcome: instruction count, halt
-flag, optional fault string, optional serialized
-:class:`~repro.core.trajectory_cache.CacheEntry`). The shm transport
-uses :data:`MSG_TASK_SHM` / :data:`MSG_RESULT_SHM`, whose payload
-blobs (a delta-compressed start state; a serialized entry) normally
-live in a :mod:`repro.runtime.shm` ring and are named here only by a
-``(seq, length, CRC32)`` reference — the frame itself stays tiny.
-Either shm frame can instead carry its blob inline
-(:data:`BLOB_INLINE`) when the ring cannot ever fit it; the codec is
-identical either way. :data:`MSG_SHUTDOWN` is shared.
+There is one protocol and three message types: :data:`MSG_TASK_SHM` (a
+speculation assignment), :data:`MSG_RESULT_SHM` (its outcome:
+instruction count, halt flag, optional fault string, optional cache
+entry) and :data:`MSG_SHUTDOWN`. A task's start state and a result's
+entry travel as a *blob* named by a ``(location, seq, length, CRC32)``
+reference: :data:`BLOB_SHM` blobs live in the sender's
+:mod:`repro.runtime.shm` ring, so the frame itself stays tiny;
+:data:`BLOB_INLINE` blobs are appended to the frame — what a ring that
+is full, too small, or absent (a *ringless* worker, whose rings could
+not be allocated) degrades to. The codec and every check are identical
+either way. Type bytes 1 and 2 belonged to a retired inline-only
+message pair and are rejected as unknown.
 
 The delta codec (:func:`encode_state_delta` / :func:`decode_state_delta`)
 is how the engine avoids shipping a full machine state per task — the
@@ -46,7 +46,9 @@ corrupted worker can at worst produce a cache entry that never matches
 (entries are verified facts only if the worker ran honestly; within one
 machine that is our trust boundary, the same one ``multiprocessing``
 itself assumes). A version bump in either endpoint makes the other
-reject the stream loudly instead of misinterpreting it.
+reject the stream loudly instead of misinterpreting it. Entry blobs
+are :func:`repro.core.cache_io.encode_entry` bytes — the same codec
+the cache shards use.
 """
 
 import struct
@@ -54,23 +56,19 @@ import zlib
 
 import numpy as np
 
-from repro.core.trajectory_cache import CacheEntry
 from repro.errors import ReproError
 
 WIRE_MAGIC = b"ASCP"
-WIRE_VERSION = 4
+WIRE_VERSION = 5
 
 #: Default ceiling on a single frame; RuntimeConfig can override.
 DEFAULT_MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-MSG_TASK = 1
-MSG_RESULT = 2
 MSG_SHUTDOWN = 3
 MSG_TASK_SHM = 4
 MSG_RESULT_SHM = 5
 
-_MSG_TYPES = frozenset((MSG_TASK, MSG_RESULT, MSG_SHUTDOWN, MSG_TASK_SHM,
-                        MSG_RESULT_SHM))
+_MSG_TYPES = frozenset((MSG_SHUTDOWN, MSG_TASK_SHM, MSG_RESULT_SHM))
 
 #: Task flags (bitmask).
 FLAG_AUDIT = 1  # replay exactly ``max_instructions`` steps, reference tier
@@ -82,21 +80,15 @@ RESULT_BUDGET = 2  # wandering budget exhausted mid-superstep (no entry)
 RESULT_EMPTY = 3  # zero instructions executed (e.g. already halted)
 RESULT_STALE = 4  # epoch mismatch: delta base unknown, task not executed
 
-#: Where an shm frame's payload blob lives.
+#: Where a frame's payload blob lives.
 BLOB_SHM = 0  # in the sender's ring, at (seq, length)
-BLOB_INLINE = 1  # appended to the control frame (ring could not fit it)
+BLOB_INLINE = 1  # appended to the frame (no ring, or it could not fit)
 
 #: State-delta blob kinds (first byte of every state blob).
 DELTA_FULL = 0  # raw full state vector follows
 DELTA_SPARSE = 1  # sparse (index, value) pairs against the base state
 
 _HEADER = struct.Struct("<4sHBI")  # magic, version, type, payload CRC32
-_TASK = struct.Struct("<QIIQBI")  # task_id, rip, occurrences, budget,
-#                                    flags, state_len
-_RESULT = struct.Struct("<QBQBBH")  # task_id, status, instructions,
-#                                     halted, has_entry, fault_len
-_ENTRY = struct.Struct("<IQIBII")  # rip, length, occurrences, halted,
-#                                    n_start, n_end
 _DELTA = struct.Struct("<BI")  # kind, count (sparse) / length (full)
 _BLOBREF = struct.Struct("<BQII")  # location, seq, length, CRC32
 _TASK_SHM = struct.Struct("<QIIQBII")  # task_id, rip, occurrences,
@@ -109,41 +101,10 @@ class WireError(ReproError):
     """A runtime message could not be decoded."""
 
 
-class TaskMessage:
-    """Decoded :data:`MSG_TASK` payload."""
-
-    __slots__ = ("task_id", "rip", "occurrences", "max_instructions",
-                 "start_state", "flags")
-
-    def __init__(self, task_id, rip, occurrences, max_instructions,
-                 start_state, flags=0):
-        self.task_id = task_id
-        self.rip = rip
-        self.occurrences = occurrences
-        self.max_instructions = max_instructions
-        self.start_state = start_state  # bytes, one full state vector
-        self.flags = flags
-
-
-class ResultMessage:
-    """Decoded :data:`MSG_RESULT` payload."""
-
-    __slots__ = ("task_id", "status", "instructions", "halted", "fault",
-                 "entry")
-
-    def __init__(self, task_id, status, instructions, halted, fault, entry):
-        self.task_id = task_id
-        self.status = status
-        self.instructions = instructions
-        self.halted = halted
-        self.fault = fault
-        self.entry = entry  # CacheEntry or None
-
-
 class TaskRefMessage:
     """Decoded :data:`MSG_TASK_SHM` payload: a task whose start-state
-    blob lives in the task ring (or inline when the ring cannot hold
-    it). ``blob`` is the inline bytes or ``None``."""
+    blob lives in the task ring, or inline. ``blob`` is the inline
+    bytes or ``None``."""
 
     __slots__ = ("task_id", "rip", "occurrences", "max_instructions",
                  "flags", "base_epoch", "epoch", "location", "seq",
@@ -246,48 +207,6 @@ def decode_state_delta(blob, base=None, expected_len=None):
     return state.tobytes()
 
 
-# -- entries -----------------------------------------------------------------
-
-def encode_entry(entry):
-    """Serialize one cache entry (struct header + raw arrays)."""
-    out = bytearray()
-    out += _ENTRY.pack(entry.rip, entry.length, entry.occurrences,
-                       1 if entry.halted else 0,
-                       len(entry.start_indices), len(entry.end_indices))
-    out += np.asarray(entry.start_indices, dtype="<i8").tobytes()
-    out += np.asarray(entry.start_values, dtype=np.uint8).tobytes()
-    out += np.asarray(entry.end_indices, dtype="<i8").tobytes()
-    out += np.asarray(entry.end_values, dtype=np.uint8).tobytes()
-    return bytes(out)
-
-
-def decode_entry(data, pos=0):
-    """Inverse of :func:`encode_entry`; returns ``(entry, next_pos)``."""
-    if pos + _ENTRY.size > len(data):
-        raise WireError("truncated entry header")
-    rip, length, occurrences, halted, n_start, n_end = \
-        _ENTRY.unpack_from(data, pos)
-    pos += _ENTRY.size
-    if pos + 9 * n_start + 9 * n_end > len(data):
-        raise WireError("truncated entry arrays")
-    start_indices = np.frombuffer(data, dtype="<i8", count=n_start,
-                                  offset=pos).astype(np.int64)
-    pos += 8 * n_start
-    start_values = np.frombuffer(data, dtype=np.uint8, count=n_start,
-                                 offset=pos).copy()
-    pos += n_start
-    end_indices = np.frombuffer(data, dtype="<i8", count=n_end,
-                                offset=pos).astype(np.int64)
-    pos += 8 * n_end
-    end_values = np.frombuffer(data, dtype=np.uint8, count=n_end,
-                               offset=pos).copy()
-    pos += n_end
-    entry = CacheEntry(rip, start_indices, start_values, end_indices,
-                       end_values, length, occurrences=occurrences,
-                       ready_time=0.0, halted=bool(halted))
-    return entry, pos
-
-
 # -- messages ----------------------------------------------------------------
 
 def _frame(msg_type, payload):
@@ -316,28 +235,9 @@ def decode_message(data, max_frame_bytes=None):
     return msg_type, _HEADER.size
 
 
-def encode_task(task_id, rip, occurrences, max_instructions, start_state,
-                flags=0):
-    payload = _TASK.pack(task_id, rip, occurrences, max_instructions,
-                         flags, len(start_state)) + bytes(start_state)
-    return _frame(MSG_TASK, payload)
-
-
-def decode_task(data, pos):
-    if pos + _TASK.size > len(data):
-        raise WireError("truncated task header")
-    task_id, rip, occurrences, budget, flags, state_len = \
-        _TASK.unpack_from(data, pos)
-    pos += _TASK.size
-    if pos + state_len != len(data):
-        raise WireError("task state length mismatch")
-    return TaskMessage(task_id, rip, occurrences, budget,
-                       bytes(data[pos:pos + state_len]), flags=flags)
-
-
 def result_status(result):
     """Map a :class:`~repro.core.speculation.SpeculationResult` to its
-    wire status code (shared by both transports)."""
+    wire status code."""
     if result.fault is not None:
         return RESULT_FAULT
     if result.entry is not None:
@@ -347,42 +247,11 @@ def result_status(result):
     return RESULT_BUDGET
 
 
-def encode_result(task_id, result):
-    """Encode a :class:`~repro.core.speculation.SpeculationResult`."""
-    status = result_status(result)
-    fault = (result.fault or "").encode("utf-8")[:65535]
-    entry_blob = b"" if result.entry is None else encode_entry(result.entry)
-    payload = _RESULT.pack(task_id, status, result.instructions,
-                           1 if result.halted else 0,
-                           1 if result.entry is not None else 0,
-                           len(fault))
-    return _frame(MSG_RESULT, payload + fault + entry_blob)
-
-
-def decode_result(data, pos):
-    if pos + _RESULT.size > len(data):
-        raise WireError("truncated result header")
-    task_id, status, instructions, halted, has_entry, fault_len = \
-        _RESULT.unpack_from(data, pos)
-    pos += _RESULT.size
-    if pos + fault_len > len(data):
-        raise WireError("truncated fault string")
-    fault = data[pos:pos + fault_len].decode("utf-8") if fault_len else None
-    pos += fault_len
-    entry = None
-    if has_entry:
-        entry, pos = decode_entry(data, pos)
-    if pos != len(data):
-        raise WireError("trailing bytes in result message")
-    return ResultMessage(task_id, status, instructions, bool(halted),
-                         fault, entry)
-
-
 def encode_shutdown():
     return _frame(MSG_SHUTDOWN, b"")
 
 
-# -- shm control messages ----------------------------------------------------
+# -- task and result messages ------------------------------------------------
 
 def _blobref(blob, seq):
     """Pack one blob reference; ``seq is None`` means inline."""
@@ -395,9 +264,9 @@ def _blobref(blob, seq):
 
 def encode_task_shm(task_id, rip, occurrences, max_instructions, flags,
                     base_epoch, epoch, blob, seq=None):
-    """Control frame for one shm-transport task. ``blob`` is the
-    state-delta blob (:func:`encode_state_delta`); ``seq`` its ring
-    sequence, or ``None`` to carry it inline."""
+    """Frame for one task. ``blob`` is the state-delta blob
+    (:func:`encode_state_delta`); ``seq`` its ring sequence, or
+    ``None`` to carry it inline."""
     ref, inline = _blobref(blob, seq)
     payload = _TASK_SHM.pack(task_id, rip, occurrences, max_instructions,
                              flags, base_epoch, epoch) + ref + inline
@@ -429,8 +298,8 @@ def decode_task_shm(data, pos):
 
 def encode_result_shm(task_id, status, instructions, halted, fault,
                       blob=None, seq=None):
-    """Control frame for one shm-transport result. ``blob`` is the
-    serialized entry (:func:`encode_entry`) or ``None``; ``seq`` its
+    """Frame for one result. ``blob`` is the serialized entry
+    (:func:`repro.core.cache_io.encode_entry`) or ``None``; ``seq`` its
     ring sequence, or ``None`` to carry it inline."""
     fault_bytes = (fault or "").encode("utf-8")[:65535]
     ref, inline = _blobref(blob, seq)
@@ -471,22 +340,10 @@ def decode_result_shm(data, pos):
                             blob_len, blob_crc, blob=blob)
 
 
-def logical_task_bytes(state_len):
-    """Size of the inline :data:`MSG_TASK` frame the pipe transport
-    would have sent for a state of ``state_len`` bytes — the logical
-    baseline the shm transport is measured against."""
-    return _HEADER.size + _TASK.size + state_len
-
-
-def logical_result_bytes(fault_len, entry_len):
-    """Size of the inline :data:`MSG_RESULT` frame the pipe transport
-    would have sent for this fault string and entry blob."""
-    return _HEADER.size + _RESULT.size + fault_len + entry_len
-
-
 def check_blob(blob, crc):
-    """Validate a blob read out of a ring against its control-frame
-    CRC; corruption or ring desync surfaces as :class:`WireError`."""
+    """Validate a blob (read out of a ring, or taken inline) against
+    its frame's CRC; corruption or ring desync surfaces as
+    :class:`WireError`."""
     if zlib.crc32(blob) & 0xFFFFFFFF != crc:
-        raise WireError("shm blob failed its checksum")
+        raise WireError("blob failed its checksum")
     return blob

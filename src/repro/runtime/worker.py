@@ -8,14 +8,16 @@ hot across every task the worker ever runs (the paper's workers likewise
 hold the loaded binary for the life of the computation).
 
 The loop is strictly request/response over one duplex pipe: receive a
-task frame, run the speculation, send a result frame. Under the shm
-transport the pipe frames are *control messages only*: the start state
-arrives as a delta-compressed blob in the worker's task ring (named by
-sequence/length/CRC), and the produced cache entry leaves through its
-result ring the same way. The worker holds the last reconstructed
-start state as the delta base, tagged with the engine-assigned *epoch*;
-a sparse delta against an epoch it does not hold is answered with
-:data:`~repro.runtime.wire.RESULT_STALE` rather than guessed at.
+task frame, run the speculation, send a result frame. The start state
+arrives as a delta-compressed blob — in the worker's task ring (named
+by sequence/length/CRC), or inline in the frame — and the produced
+cache entry leaves through its result ring, or inline, the same way. A
+*ringless* worker (the pool could not allocate its rings) sees every
+blob inline and is otherwise no different. The worker holds the last
+reconstructed start state as the delta base, tagged with the
+engine-assigned *epoch*; a sparse delta against an epoch it does not
+hold is answered with :data:`~repro.runtime.wire.RESULT_STALE` rather
+than guessed at.
 
 A malformed frame, a failed blob checksum, an oversized blob, or a
 closed pipe ends the process; the parent observes that as a worker
@@ -28,6 +30,7 @@ import gc
 import os
 import signal
 
+from repro.core.cache_io import encode_entry
 from repro.core.speculation import SpeculationResult, run_speculation
 from repro.loader.image import Program
 from repro.runtime import resources, shm, wire
@@ -74,13 +77,13 @@ def _contained_run(context, start_state, rip, occurrences,
 
 
 def _take_blob(msg, task_ring, max_frame_bytes):
-    """Materialize an shm task's state blob: copy it out of the task
-    ring (then release it) or take the inline bytes. Any inconsistency
-    — oversized length, CRC failure, ring desync — raises, which ends
+    """Materialize a task's state blob: copy it out of the task ring
+    (then release it) or take the inline bytes. Any inconsistency —
+    oversized length, CRC failure, ring desync — raises, which ends
     the worker: a blob is applied as a trusted start state, so a frame
     we cannot verify means the transport is compromised."""
     if msg.blob_len > max_frame_bytes:
-        raise wire.WireError("shm blob of %d bytes exceeds the %d-byte "
+        raise wire.WireError("blob of %d bytes exceeds the %d-byte "
                              "limit" % (msg.blob_len, max_frame_bytes))
     if msg.location == wire.BLOB_INLINE:
         blob = msg.blob
@@ -100,10 +103,10 @@ def worker_main(conn, program_payload, fast_path, max_frame_bytes=None,
     :meth:`Program.to_dict` form of the image; ``fast_path`` the
     interpreter-tier override (None follows ``REPRO_FAST_PATH``);
     ``max_frame_bytes`` bounds how large a frame the worker will read —
-    and how large an shm blob it will dereference — so an oversized or
+    and how large a blob it will dereference — so an oversized or
     checksum-failing frame ends the process, which the parent observes
     as a worker crash. ``shm_names`` is ``(task_ring, result_ring)``
-    segment names for the shm transport, or ``None`` for pipe-only.
+    segment names, or ``None`` for a ringless worker.
     ``parent_pid`` is the engine's pid as the *pool* recorded it — the
     worker must not derive it itself, because an engine killed during
     worker startup re-parents the child before its first
@@ -153,14 +156,6 @@ def worker_main(conn, program_payload, fast_path, max_frame_bytes=None,
             msg_type, pos = wire.decode_message(data, max_frame_bytes)
             if msg_type == wire.MSG_SHUTDOWN:
                 break
-            if msg_type == wire.MSG_TASK:
-                task = wire.decode_task(data, pos)
-                result = _contained_run(context, task.start_state, task.rip,
-                                        task.occurrences,
-                                        task.max_instructions, task.flags,
-                                        rlimit_restore)
-                conn.send_bytes(wire.encode_result(task.task_id, result))
-                continue
             if msg_type != wire.MSG_TASK_SHM:
                 raise wire.WireError("worker got unexpected message type %d"
                                      % msg_type)
@@ -182,7 +177,7 @@ def worker_main(conn, program_payload, fast_path, max_frame_bytes=None,
                                     msg.flags, rlimit_restore)
             entry_blob = seq = None
             if result.entry is not None:
-                entry_blob = wire.encode_entry(result.entry)
+                entry_blob = encode_entry(result.entry)
                 if result_ring is not None:
                     # Ring full (engine hasn't drained yet) falls back
                     # to inline — a result must never wait on its own

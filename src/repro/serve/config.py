@@ -103,7 +103,6 @@ class ServeConfig:
                  max_instructions=500_000_000,
                  superstep_scale=1,
                  task_timeout_seconds=30.0,
-                 transport=None,
                  # Elastic autoscaling policy for job pools ("off",
                  # "react", "hist", "reg"). When on, each job's engine
                  # may shrink its pool below the lease width — the freed
@@ -151,7 +150,6 @@ class ServeConfig:
         self.max_instructions = max_instructions
         self.superstep_scale = superstep_scale
         self.task_timeout_seconds = task_timeout_seconds
-        self.transport = transport
         if autoscale not in ("off", "react", "hist", "reg"):
             raise ValueError("autoscale must be off/react/hist/reg, "
                              "got %r" % (autoscale,))
@@ -166,12 +164,6 @@ class ServeConfig:
             return resolve_fault_plan(self.fault_plan)
         spec = os.environ.get("REPRO_SERVE_FAULT_PLAN")
         return FaultPlan.parse(spec) if spec else None
-
-    def replace(self, **kwargs):
-        """A copy with the given fields overridden."""
-        fields = dict(self.__dict__)
-        fields.update(kwargs)
-        return ServeConfig(**fields)
 
     def __repr__(self):
         inner = ", ".join("%s=%r" % kv for kv in sorted(self.__dict__.items()))

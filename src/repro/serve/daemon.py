@@ -106,7 +106,7 @@ from repro.serve.queue import (
 #: submit time so a typo fails fast instead of silently running with
 #: defaults.
 _JOB_OPTIONS = frozenset((
-    "workers", "max_instructions", "superstep_scale", "transport",
+    "workers", "max_instructions", "superstep_scale",
     "inflight_wait_bias", "verify_rate", "strict_verify", "engine",
     "deadline_seconds",
 ))
@@ -153,14 +153,13 @@ class _PoolLease:
     lock; the pool object itself is only touched by the job thread
     holding ``busy``)."""
 
-    __slots__ = ("namespace", "program_name", "n_workers", "transport",
-                 "pool", "busy", "jobs_served", "last_used")
+    __slots__ = ("namespace", "program_name", "n_workers", "pool", "busy",
+                 "jobs_served", "last_used")
 
-    def __init__(self, namespace, program_name, n_workers, transport):
+    def __init__(self, namespace, program_name, n_workers):
         self.namespace = namespace
         self.program_name = program_name
         self.n_workers = n_workers
-        self.transport = transport
         self.pool = None  # created lazily by the first job thread
         self.busy = True  # born acquired
         self.jobs_served = 0
@@ -955,9 +954,7 @@ class SpeculationDaemon:
             if victim.pool is not None:
                 victim.pool.shutdown()
             self.pools_retired += 1
-        lease = _PoolLease(job.namespace, job.program_name, needed,
-                           job.options.get("transport")
-                           or self.config.transport)
+        lease = _PoolLease(job.namespace, job.program_name, needed)
         self._pools[job.namespace] = lease
         return lease
 
@@ -966,8 +963,7 @@ class SpeculationDaemon:
     def _pool_runtime_config(self, lease):
         return RuntimeConfig(
             n_workers=lease.n_workers,
-            task_timeout_seconds=self.config.task_timeout_seconds,
-            transport=lease.transport)
+            task_timeout_seconds=self.config.task_timeout_seconds)
 
     def _job_runtime_config(self, job, lease):
         options = job.options
@@ -982,7 +978,6 @@ class SpeculationDaemon:
                                  or self.config.max_instructions),
             inflight_wait_bias=float(options.get("inflight_wait_bias", 1.0)),
             task_timeout_seconds=self.config.task_timeout_seconds,
-            transport=lease.transport,
             autoscale=options.get("autoscale") or self.config.autoscale,
             autoscale_max_workers=lease.n_workers)
 
@@ -1022,7 +1017,7 @@ class SpeculationDaemon:
             recognized = None
             if degraded:
                 self.jobs_degraded += 1
-                pool = warm = transport = None
+                pool = warm = None
                 runtime_config = RuntimeConfig(
                     n_workers=0,
                     max_instructions=int(job.options.get("max_instructions")
@@ -1033,7 +1028,6 @@ class SpeculationDaemon:
                                             self._pool_runtime_config(lease))
                     self.pools_created += 1
                 pool = lease.pool
-                transport = pool.config.transport
                 warm = self.store.snapshot(job.namespace)
                 runtime_snapshot = pool.stats.snapshot()
                 runtime_config = self._job_runtime_config(job, lease)
@@ -1091,7 +1085,6 @@ class SpeculationDaemon:
                 "first_splice_seconds": result.stats.first_splice_seconds,
                 "hits": result.stats.hits,
                 "n_workers": result.n_workers,
-                "transport": transport,
                 "recognition": recognition,
                 "warm_entries": len(warm or ()),
                 "merged_entries": merged,
@@ -1208,7 +1201,6 @@ class SpeculationDaemon:
                 "program": lease.program_name,
                 "workers": lease.n_workers,
                 "live_workers": self._lease_workers(lease),
-                "transport": lease.transport,
                 "busy": lease.busy,
                 "jobs_served": lease.jobs_served,
                 "idle_seconds": (0.0 if lease.busy

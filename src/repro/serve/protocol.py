@@ -6,7 +6,8 @@ carry ``ok`` (bool) plus either payload fields or ``error``/``code``.
 JSON because every field here is control-plane metadata measured in
 kilobytes (program images travel base64-encoded inside the JSON, and
 the largest are a few KB); the data plane — states and cache entries
-between engine and workers — stays on the binary shm/pipe transport.
+between engine and workers — stays on the binary
+:mod:`repro.runtime.wire` protocol.
 
 The length prefix is bounded (:data:`MAX_FRAME_BYTES`) on both ends so
 a corrupt or malicious peer cannot make either side allocate

@@ -244,7 +244,7 @@ def shm_headroom_bytes(path=None):
     :func:`repro.runtime.resources.shm_backing_dir` — not a hardcoded
     ``/dev/shm``, which is wrong on platforms that mount the POSIX shm
     namespace elsewhere), or ``None`` when there is no such filesystem
-    (non-Linux; the shm transport is off anyway)."""
+    (non-Linux; workers run ringless there anyway)."""
     if path is None:
         path = resources.shm_backing_dir()
     try:

@@ -169,7 +169,7 @@ class SpliceAuditor:
         if pending is None:
             return True  # duplicate/late verdict; already resolved
         if outcome.status in (_TASK_CRASHED, _TASK_TIMED_OUT, _TASK_STALE):
-            # Stale is the shm transport refusing an epoch-mismatched
+            # Stale is a worker refusing an epoch-mismatched
             # delta — the audit never executed, which is a *lost* audit
             # like a crash, emphatically not a divergence verdict.
             self.lost += 1

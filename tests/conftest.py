@@ -10,9 +10,10 @@ import pytest
 from repro.asm import assemble
 from repro.minic import compile_source
 from repro.runtime import shm
+from repro.runtime.pool import WorkerPool
 
 #: The REPRO_* environment as it stood when the suite started. CI legs
-#: legitimately export knobs (REPRO_FAST_PATH, REPRO_TRANSPORT); tests
+#: legitimately export knobs (REPRO_FAST_PATH, REPRO_BENCH_PROFILE); tests
 #: are restored to *this* baseline, not to an empty environment.
 REPRO_ENV_BASELINE = {key: value for key, value in os.environ.items()
                       if key.startswith("REPRO_")}
@@ -50,6 +51,50 @@ def _repro_isolation():
     if leaked:
         shm.sweep_created_segments()
         pytest.fail("test leaked /dev/shm segments: %s" % ", ".join(leaked))
+
+
+class _Ringless:
+    """What the ``ringless`` fixture hands a test."""
+
+    def __init__(self):
+        self.slots = None  # worker slots refused rings; None: every slot
+        self.refused = 0  # spawns that got no rings
+
+
+@pytest.fixture
+def ringless(monkeypatch):
+    """Pools this test builds in-process get no rings.
+
+    ``repro.runtime.shm.create_ring`` raises :class:`ShmError` — what a
+    full tmpfs or a platform without ``shared_memory`` does — so the
+    pool observes the failure and runs those workers ringless; nothing
+    is *told* to. Set ``ringless.slots`` to a collection of slot
+    indices to refuse only those (an empty one refuses none). Fails a
+    test that asked for ringless workers and never spawned one.
+    """
+    control = _Ringless()
+    spawning = []  # slot index of the _spawn in progress
+    real_spawn, real_create = WorkerPool._spawn, shm.create_ring
+
+    def spawn(pool, index):
+        spawning.append(index)
+        try:
+            return real_spawn(pool, index)
+        finally:
+            spawning.pop()
+
+    def create_ring(capacity):
+        if spawning and (control.slots is None
+                         or spawning[-1] in control.slots):
+            control.refused += 1
+            raise shm.ShmError("ringless fixture: no ring for slot %d"
+                               % spawning[-1])
+        return real_create(capacity)
+
+    monkeypatch.setattr(WorkerPool, "_spawn", spawn)
+    monkeypatch.setattr(shm, "create_ring", create_ring)
+    yield control
+    assert control.refused, "no worker was ever spawned ringless"
 
 
 @pytest.fixture(scope="session")

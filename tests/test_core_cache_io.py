@@ -56,6 +56,28 @@ class TestSerialization:
         blob = serialize_cache(TrajectoryCache())
         assert len(deserialize_cache(blob)) == 0
 
+    def test_shard_bytes_are_pinned(self):
+        """Formats at rest stay byte-compatible: these are the bytes
+        the codec wrote before shards and worker results shared it."""
+        cache = TrajectoryCache()
+        cache.insert(CacheEntry(
+            0x40, np.array([3, 17], dtype=np.int64),
+            np.array([1, 255], dtype=np.uint8),
+            np.array([3, 4, 900], dtype=np.int64),
+            np.array([2, 0, 7], dtype=np.uint8),
+            length=1234, occurrences=5, halted=False))
+        cache.insert(CacheEntry(
+            0x1000, np.array([], dtype=np.int64),
+            np.array([], dtype=np.uint8), np.array([8], dtype=np.int64),
+            np.array([9], dtype=np.uint8),
+            length=2**40, occurrences=1, halted=True))
+        assert serialize_cache(cache).hex() == (
+            "4153434302000200000040000000d20400000000000005000000000200"
+            "00000300000003000000000000001100000000000000"
+            "01ff030000000000000004000000000000008403000000000000020007"
+            "b7c2cf3b001000000000000000010000010000000100000000010000"
+            "000800000000000000098eeed9da")
+
     @pytest.mark.parametrize("mutation", ["magic", "truncate", "trailing"])
     def test_corrupt_blobs_rejected(self, mutation):
         cache = TrajectoryCache()

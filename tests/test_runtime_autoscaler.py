@@ -238,7 +238,7 @@ class TestElasticMembership:
             assert pool.stats.workers_grown == 2
 
     def test_retire_parks_and_unlinks_rings(self, loop_program):
-        config = RuntimeConfig(n_workers=2, transport="shm")
+        config = RuntimeConfig(n_workers=2)
         with WorkerPool(loop_program, config) as pool:
             before = shm.live_segment_names()
             assert len(before) == 4  # two rings per worker
@@ -305,8 +305,8 @@ class TestElasticMembership:
         /dev/shm segment or lose a task outcome."""
         rng = random.Random(0xA5C)
         rip, start = boundary_state(loop_program)
-        config = RuntimeConfig(n_workers=2, transport="shm",
-                               queue_depth=2, task_timeout_seconds=None,
+        config = RuntimeConfig(n_workers=2, queue_depth=2,
+                               task_timeout_seconds=None,
                                respawn_limit=100)
         pool = WorkerPool(loop_program, config)
         outcomes = []

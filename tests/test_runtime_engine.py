@@ -72,6 +72,12 @@ class TestDifferential:
         assert result.final_state == expected
 
 
+@pytest.mark.usefixtures("ringless")
+class TestDifferentialRingless(TestDifferential):
+    """The same differential, every assertion kept, with every worker
+    ringless: states go out and entries come back as inline blobs."""
+
+
 class TestCrashMidRun:
     def test_worker_killed_mid_run_still_byte_identical(self):
         workload = build_collatz(count=300)

@@ -4,7 +4,7 @@ sequential run no matter what happens to the speculative tier."""
 
 import pytest
 
-from repro.bench import build_collatz, build_ising
+from repro.bench import build_collatz, build_ising, build_mm2
 from repro.runtime import FaultPlan, FaultPlanError, RealParallelEngine, \
     RuntimeConfig, wire
 from repro.runtime.pool import TASK_CRASHED, WorkerPool
@@ -78,7 +78,9 @@ class TestFaultPlan:
         """Every corruption shape the plan produces must fail wire
         decoding — otherwise it could silently poison the cache."""
         plan = FaultPlan(seed=11)
-        frame = wire.encode_task(1, 0x40, 1, 1000, b"\xab" * 128)
+        frame = wire.encode_task_shm(
+            1, 0x40, 1, 1000, 0, 0, 1,
+            wire.encode_state_delta(b"\xab" * 128))
         for __ in range(50):
             damaged = plan.corrupt_bytes(frame)
             assert damaged != frame
@@ -176,10 +178,12 @@ ACCEPTANCE_PLAN = dict(kills=2, timeouts=2, corruptions=1, slows=1,
                        spacing=1)
 
 
-@pytest.fixture(scope="module", params=["collatz", "ising"])
+@pytest.fixture(scope="module", params=["collatz", "ising", "2mm"])
 def workload(request):
     if request.param == "collatz":
         return build_collatz(count=300)
+    if request.param == "2mm":
+        return build_mm2(n=8)
     return build_ising(nodes=48, spins=6)
 
 
@@ -242,6 +246,11 @@ class TestChaosDifferential:
         assert runtime.workers_respawned <= config.respawn_limit
         # The run still used the speculative tier where it survived.
         assert runtime.tasks_dispatched > 0
+        # One protocol whatever rings the workers got: states shipped
+        # as sparse deltas, and the transport ledger balances.
+        assert runtime.states_delta > 0
+        assert runtime.state_bytes_shipped == (
+            runtime.shm_bytes_written + runtime.shm_fallback_bytes)
 
     def test_env_var_plan_applies(self, monkeypatch):
         workload = build_collatz(count=200)
@@ -256,3 +265,9 @@ class TestChaosDifferential:
                                     runtime_config=config).run()
         assert result.final_state == expected
         assert result.runtime.faults_injected == 1
+
+
+@pytest.mark.usefixtures("ringless")
+class TestChaosDifferentialRingless(TestChaosDifferential):
+    """The same schedule, every assertion kept, on pools whose workers
+    all run ringless (each respawn is refused rings again)."""

@@ -226,6 +226,17 @@ class TestTimeout:
             assert pool.worker_pids()[0] != victim
 
 
+@pytest.mark.usefixtures("ringless")
+class TestCrashRecoveryRingless(TestCrashRecovery):
+    """The same kill cases, every assertion kept, on workers that got
+    no rings (every blob inline; each respawn refused rings again)."""
+
+
+@pytest.mark.usefixtures("ringless")
+class TestTimeoutRingless(TestTimeout):
+    """The same deadline case on a ringless worker."""
+
+
 class TestLifecycle:
     def test_shutdown_idempotent_and_submit_after_raises(self, loop_program):
         pool = WorkerPool(loop_program, RuntimeConfig(n_workers=2))

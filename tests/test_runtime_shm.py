@@ -4,9 +4,10 @@ Three layers of guarantees:
 
 * :class:`~repro.runtime.shm.ShmRing` unit behavior — push/read/release
   discipline, wrap-around, backpressure, desync detection;
-* the shm transport end to end through a real :class:`WorkerPool` —
-  results identical to the pipe transport, delta accounting, stale
-  (epoch-mismatch) recovery, oversized-blob crash semantics;
+* the transport end to end through a real :class:`WorkerPool` —
+  results identical with rings and ringless, delta accounting for
+  both, stale (epoch-mismatch) recovery, oversized-blob crash
+  semantics;
 * hygiene — no ``/dev/shm`` segment survives pool shutdown, worker
   SIGKILL + respawn, or (via the registry the atexit sweep walks) an
   unclean engine exit.
@@ -58,6 +59,17 @@ def boundary_state(program):
     top = program.symbol("top")
     machine.run(max_instructions=100_000, break_ips=frozenset((top,)))
     return top, bytes(machine.state.buf)
+
+
+def successive_states(program, n):
+    """(rip, the states at the first ``n`` crossings of ``top``)."""
+    machine = program.make_machine()
+    top = program.symbol("top")
+    states = []
+    for __ in range(n):
+        machine.run(max_instructions=100_000, break_ips=frozenset((top,)))
+        states.append(bytes(machine.state.buf))
+    return top, states
 
 
 def poll_until(pool, n, budget_seconds=20.0):
@@ -171,38 +183,35 @@ class TestShmRing:
 # -- transport end-to-end ----------------------------------------------------
 
 class TestShmTransport:
-    def test_shm_and_pipe_results_identical(self, loop_program):
+    def test_ringed_and_ringless_results_identical(self, loop_program,
+                                                   ringless):
         rip, start = boundary_state(loop_program)
         results = {}
-        for transport in ("pipe", "shm"):
-            config = RuntimeConfig(n_workers=1, transport=transport)
-            with WorkerPool(loop_program, config) as pool:
+        for mode, refused_slots in (("rings", ()), ("ringless", None)):
+            ringless.slots = refused_slots
+            with WorkerPool(loop_program,
+                            RuntimeConfig(n_workers=1)) as pool:
+                assert (pool._workers[0].task_ring is None) \
+                    == (mode == "ringless")
                 assert pool.submit(rip, 1, 10_000, start) is not None
                 outcomes = poll_until(pool, 1)
             assert len(outcomes) == 1
             assert outcomes[0].status == TASK_OK
             entry = outcomes[0].entry
-            results[transport] = (
+            results[mode] = (
                 outcomes[0].instructions, entry.length,
                 list(entry.start_indices), list(entry.start_values),
                 list(entry.end_indices), list(entry.end_values))
-        assert results["shm"] == results["pipe"]
+        assert results["rings"] == results["ringless"]
 
     def test_delta_shipping_and_accounting(self, loop_program):
         """Back-to-back tasks on one worker: first ships a full
         snapshot, subsequent states go as sparse deltas; physical pipe
-        bytes stay far below the logical payload."""
-        rip, start = boundary_state(loop_program)
-        config = RuntimeConfig(n_workers=1, queue_depth=8, transport="shm")
+        bytes stay far below the states and entries moved."""
+        rip, states = successive_states(loop_program, 6)
+        config = RuntimeConfig(n_workers=1, queue_depth=8)
         with WorkerPool(loop_program, config) as pool:
-            states = [start]
-            machine = loop_program.make_machine()
-            machine.state.buf[:] = start
-            for __ in range(5):
-                machine.run(max_instructions=100_000,
-                            break_ips=frozenset((rip,)))
-                states.append(bytes(machine.state.buf))
-            for i, state in enumerate(states[:6]):
+            for i, state in enumerate(states):
                 assert pool.submit(rip, 1, 10_000, state, meta=i) is not None
             outcomes = poll_until(pool, 6)
             stats = pool.stats
@@ -213,16 +222,59 @@ class TestShmTransport:
         assert stats.state_bytes_shipped < stats.state_bytes_raw
         assert stats.shm_bytes_written > 0
         assert stats.shm_bytes_read > 0
-        # Control frames only on the pipes: physical << logical.
-        assert stats.bytes_sent * 4 < stats.logical_bytes_sent
-        assert stats.bytes_received * 2 < stats.logical_bytes_received
+        # Control frames only on the pipes: the states went out, and
+        # the entries came back, through the rings.
+        assert stats.shm_fallbacks == 0
+        assert stats.bytes_sent * 4 < stats.state_bytes_raw
+        assert stats.bytes_received < stats.shm_bytes_read
+
+    def test_ringless_worker_speaks_the_same_protocol(self, loop_program,
+                                                      ringless):
+        """One slot of two gets no rings. Its tasks still ship as sparse
+        deltas — inline, counted as fallbacks — the ledger balances
+        with no exemption, and each spawn refused rings counts once."""
+        ringless.slots = {1}
+        rip, states = successive_states(loop_program, 6)
+        config = RuntimeConfig(n_workers=2, queue_depth=8,
+                               task_timeout_seconds=None)
+        with WorkerPool(loop_program, config) as pool:
+            stats = pool.stats
+            assert pool._workers[0].task_ring is not None
+            assert pool._workers[1].task_ring is None
+            assert stats.shm_alloc_failures == 1
+            # No poll in between: least-loaded dispatch alternates slots.
+            tasks = [pool.submit(rip, 1, 10_000, state, meta=i)
+                     for i, state in enumerate(states)]
+            assert [task.worker for task in tasks] == [0, 1] * 3
+            outcomes = poll_until(pool, 6)
+            assert len(outcomes) == 6
+            assert all(o.status == TASK_OK for o in outcomes)
+            # Each worker: one full snapshot, then two sparse deltas.
+            assert (stats.states_full, stats.states_delta) == (2, 4)
+            # The ringless worker's deltas are what rode the pipe: its
+            # second and third frames are far smaller than a state.
+            assert stats.shm_fallbacks == 3
+            assert all(task.payload_bytes * 4 < len(states[0])
+                       for task in tasks[3::2])
+            assert stats.state_bytes_shipped == (
+                stats.shm_bytes_written + stats.shm_fallback_bytes)
+            assert stats.shm_bytes_written > 0 < stats.shm_fallback_bytes
+            # A respawn tries for rings again — and is refused again.
+            os.kill(pool._workers[1].proc.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 10.0
+            while stats.workers_respawned == 0 \
+                    and time.monotonic() < deadline:
+                pool.poll(timeout=0.05)
+            assert stats.workers_respawned == 1
+            assert stats.shm_alloc_failures == 2
+        assert shm.live_segment_names() == []
 
     def test_epoch_mismatch_reports_stale_and_recovers(self, loop_program):
         """Force the engine's epoch bookkeeping out of sync: the worker
         must answer stale (never guess), and the next dispatch must
         ship a full snapshot that succeeds."""
         rip, start = boundary_state(loop_program)
-        config = RuntimeConfig(n_workers=1, queue_depth=4, transport="shm")
+        config = RuntimeConfig(n_workers=1, queue_depth=4)
         with WorkerPool(loop_program, config) as pool:
             assert pool.submit(rip, 1, 10_000, start, meta="warm") is not None
             assert poll_until(pool, 1)[0].status == TASK_OK
@@ -250,7 +302,7 @@ class TestShmTransport:
         exactly like an oversized pipe frame."""
         rip, start = boundary_state(loop_program)
         config = RuntimeConfig(n_workers=1, max_frame_bytes=64,
-                               task_timeout_seconds=None, transport="shm")
+                               task_timeout_seconds=None)
         with WorkerPool(loop_program, config) as pool:
             task = pool.submit(rip, 1, 10_000, start, meta="big")
             assert task is not None  # control frame itself fits
@@ -263,8 +315,7 @@ class TestShmTransport:
         """A blob that can never fit the ring travels inline on the
         pipe; the task still completes."""
         rip, start = boundary_state(loop_program)
-        config = RuntimeConfig(n_workers=1, shm_ring_bytes=64,
-                               transport="shm")
+        config = RuntimeConfig(n_workers=1, shm_ring_bytes=64)
         with WorkerPool(loop_program, config) as pool:
             assert pool.submit(rip, 1, 10_000, start) is not None
             outcomes = poll_until(pool, 1)
@@ -289,8 +340,7 @@ class TestShmHygiene:
         and then shut the pool down: no psm_* segment may survive."""
         before = _psm_segments()
         rip, start = boundary_state(loop_program)
-        config = RuntimeConfig(n_workers=2, transport="shm",
-                               task_timeout_seconds=None)
+        config = RuntimeConfig(n_workers=2, task_timeout_seconds=None)
         with WorkerPool(loop_program, config) as pool:
             pool.submit(rip, 1, 10_000, start)
             os.kill(pool.worker_pids()[0], signal.SIGKILL)
@@ -307,8 +357,7 @@ class TestShmHygiene:
 
     def test_quarantined_slot_releases_its_rings(self, loop_program):
         before = _psm_segments()
-        config = RuntimeConfig(n_workers=1, respawn_limit=0,
-                               transport="shm")
+        config = RuntimeConfig(n_workers=1, respawn_limit=0)
         with WorkerPool(loop_program, config) as pool:
             os.kill(pool.worker_pids()[0], signal.SIGKILL)
             deadline = time.monotonic() + 10.0
@@ -338,7 +387,7 @@ class TestShmHygiene:
             + env.get("PYTHONPATH", "").split(os.pathsep))
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "run", str(source),
-             "--backend", "real", "--workers", "2", "--transport", "shm"],
+             "--backend", "real", "--workers", "2"],
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         def children():
             try:

@@ -1,11 +1,16 @@
 """Wire format: round-trips are bit-exact, corruption is rejected."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import cache_io
 from repro.core.speculation import SpeculationResult
-from repro.core.trajectory_cache import CacheEntry
+from repro.core.trajectory_cache import CacheEntry, TrajectoryCache
+from repro.errors import EngineError
 from repro.runtime import wire
 
 
@@ -50,11 +55,13 @@ def assert_entries_equal(a, b):
 
 
 class TestEntryRoundTrip:
+    """The one entry codec (``cache_io``), as worker results carry it."""
+
     @settings(max_examples=50, deadline=None)
     @given(entries())
     def test_bit_exact(self, entry):
-        blob = wire.encode_entry(entry)
-        decoded, pos = wire.decode_entry(blob)
+        blob = cache_io.encode_entry(entry)
+        decoded, pos = cache_io.decode_entry(blob)
         assert pos == len(blob)
         assert_entries_equal(entry, decoded)
 
@@ -63,24 +70,71 @@ class TestEntryRoundTrip:
     def test_decoded_entry_applies_like_original(self, entry):
         buf = bytearray(4096)
         expected = bytearray(4096)
-        decoded, __ = wire.decode_entry(wire.encode_entry(entry))
+        decoded, __ = cache_io.decode_entry(cache_io.encode_entry(entry))
         entry.apply(expected)
         decoded.apply(buf)
         assert bytes(buf) == bytes(expected)
 
     def test_truncated_header_rejected(self):
-        with pytest.raises(wire.WireError):
-            wire.decode_entry(b"\x00\x01")
+        with pytest.raises(EngineError):
+            cache_io.decode_entry(b"\x00\x01")
 
     @settings(max_examples=20, deadline=None)
     @given(entries(), st.data())
     def test_truncated_arrays_rejected(self, entry, data):
-        blob = wire.encode_entry(entry)
+        blob = cache_io.encode_entry(entry)
         if len(blob) <= 24:  # header-only entry cannot be array-truncated
             return
         cut = data.draw(st.integers(min_value=24, max_value=len(blob) - 1))
+        with pytest.raises(EngineError):
+            cache_io.decode_entry(blob[:cut])
+
+    @settings(max_examples=25, deadline=None)
+    @given(entries())
+    def test_shard_path_and_worker_result_path_agree(self, entry):
+        """One entry through both carriers of the codec: a cache shard
+        (``serialize_cache``) and a worker result (frame + inline blob,
+        taken the way the pool takes it) decode to the same entry."""
+        cache = TrajectoryCache()
+        cache.insert(entry)
+        (from_shard,) = cache_io.deserialize_cache(
+            cache_io.serialize_cache(cache)).entries()
+        from_worker = take_result_entry(wire.encode_result_shm(
+            1, wire.RESULT_OK, entry.length, entry.halted, None,
+            blob=cache_io.encode_entry(entry)))
+        assert_entries_equal(entry, from_shard)
+        assert_entries_equal(entry, from_worker)
+
+
+def take_result_entry(frame):
+    """A result frame's inline entry, materialized by the pool's own
+    ``_take_result_entry`` (no worker processes involved)."""
+    from repro.runtime.config import RuntimeConfig
+    from repro.runtime.pool import WorkerPool, _Worker
+    from repro.runtime.stats import RuntimeStats
+    pool = WorkerPool.__new__(WorkerPool)
+    pool.config, pool.stats = RuntimeConfig(), RuntimeStats()
+    __, pos = wire.decode_message(frame)
+    return pool._take_result_entry(
+        _Worker(0, None, None), wire.decode_result_shm(frame, pos))
+
+
+def test_structurally_bad_entry_blob_is_a_wire_error():
+    """A CRC-valid blob that is not an entry must reach the pool's
+    worker-crash path (``frames_rejected`` + ``_fail_worker`` catch
+    :class:`WireError`), never escape as an ``EngineError``."""
+    blob = cache_io.encode_entry(CacheEntry(
+        7, np.arange(3), np.zeros(3, np.uint8), np.arange(2),
+        np.ones(2, np.uint8), length=5))
+    for bad in (blob[:-1], blob + b"\x00", blob[:10]):
+        frame = wire.encode_result_shm(1, wire.RESULT_OK, 5, False, None,
+                                       blob=bad)
         with pytest.raises(wire.WireError):
-            wire.decode_entry(blob[:cut])
+            take_result_entry(frame)
+
+
+#: Both places a blob can travel: a ring sequence number, or inline.
+BLOB_SEQS = st.one_of(st.none(), st.integers(min_value=0, max_value=2**63))
 
 
 class TestTaskRoundTrip:
@@ -89,29 +143,62 @@ class TestTaskRoundTrip:
            rip=st.integers(min_value=0, max_value=2**32 - 1),
            occurrences=st.integers(min_value=0, max_value=2**32 - 1),
            budget=st.integers(min_value=0, max_value=2**63),
-           state=st.binary(min_size=0, max_size=2048))
-    def test_bit_exact(self, task_id, rip, occurrences, budget, state):
-        blob = wire.encode_task(task_id, rip, occurrences, budget, state)
-        msg_type, pos = wire.decode_message(blob)
-        assert msg_type == wire.MSG_TASK
-        task = wire.decode_task(blob, pos)
+           epoch=st.integers(min_value=0, max_value=2**32 - 2),
+           state=st.binary(min_size=0, max_size=2048),
+           seq=BLOB_SEQS)
+    def test_bit_exact(self, task_id, rip, occurrences, budget, epoch,
+                       state, seq):
+        blob = wire.encode_state_delta(state)
+        frame = wire.encode_task_shm(task_id, rip, occurrences, budget,
+                                     wire.FLAG_AUDIT, epoch, epoch + 1,
+                                     blob, seq=seq)
+        msg_type, pos = wire.decode_message(frame)
+        assert msg_type == wire.MSG_TASK_SHM
+        task = wire.decode_task_shm(frame, pos)
         assert task.task_id == task_id
         assert task.rip == rip
         assert task.occurrences == occurrences
         assert task.max_instructions == budget
-        assert task.start_state == state
+        assert task.flags == wire.FLAG_AUDIT
+        assert (task.base_epoch, task.epoch) == (epoch, epoch + 1)
+        assert (task.blob_len, task.blob_crc) == (len(blob),
+                                                  zlib.crc32(blob))
+        if seq is None:
+            assert task.location == wire.BLOB_INLINE
+            assert wire.decode_state_delta(task.blob) == state
+        else:
+            assert (task.location, task.seq) == (wire.BLOB_SHM, seq)
+            assert task.blob is None
 
     def test_length_mismatch_rejected(self):
-        blob = wire.encode_task(1, 2, 3, 4, b"\xaa" * 64)
-        __, pos = wire.decode_message(blob)
-        with pytest.raises(wire.WireError):
-            wire.decode_task(blob[:-1], pos)
-        with pytest.raises(wire.WireError):
-            wire.decode_task(blob + b"\x00", pos)
+        blob = wire.encode_state_delta(b"\xaa" * 64)
+        for seq in (None, 7):
+            frame = wire.encode_task_shm(1, 2, 3, 4, 0, 0, 1, blob, seq=seq)
+            __, pos = wire.decode_message(frame)
+            with pytest.raises(wire.WireError):
+                wire.decode_task_shm(frame[:-1], pos)
+            with pytest.raises(wire.WireError):
+                wire.decode_task_shm(frame + b"\x00", pos)
 
 
 def make_result(entry=None, instructions=0, halted=False, fault=None):
     return SpeculationResult(entry, instructions, halted, fault=fault)
+
+
+def encode_result(task_id, result, seq=None):
+    """A result frame built the way ``worker_main`` builds it."""
+    blob = (None if result.entry is None
+            else cache_io.encode_entry(result.entry))
+    return wire.encode_result_shm(
+        task_id, wire.result_status(result), result.instructions,
+        result.halted, result.fault, blob=blob,
+        seq=seq if blob is not None else None)
+
+
+def decode_result(frame):
+    msg_type, pos = wire.decode_message(frame)
+    assert msg_type == wire.MSG_RESULT_SHM
+    return wire.decode_result_shm(frame, pos)
 
 
 class TestResultRoundTrip:
@@ -119,44 +206,46 @@ class TestResultRoundTrip:
     @given(entry=entries(),
            task_id=st.integers(min_value=0, max_value=2**63),
            instructions=st.integers(min_value=0, max_value=2**48),
-           halted=st.booleans())
-    def test_ok_result(self, entry, task_id, instructions, halted):
-        blob = wire.encode_result(
-            task_id, make_result(entry, instructions, halted))
-        msg_type, pos = wire.decode_message(blob)
-        assert msg_type == wire.MSG_RESULT
-        msg = wire.decode_result(blob, pos)
+           halted=st.booleans(),
+           seq=BLOB_SEQS)
+    def test_ok_result(self, entry, task_id, instructions, halted, seq):
+        blob = cache_io.encode_entry(entry)
+        msg = decode_result(encode_result(
+            task_id, make_result(entry, instructions, halted), seq=seq))
         assert msg.task_id == task_id
         assert msg.status == wire.RESULT_OK
         assert msg.instructions == instructions
         assert msg.halted == halted
         assert msg.fault is None
-        assert_entries_equal(entry, msg.entry)
+        assert msg.has_entry
+        assert (msg.blob_len, msg.blob_crc) == (len(blob), zlib.crc32(blob))
+        if seq is None:
+            assert msg.location == wire.BLOB_INLINE
+            assert_entries_equal(entry, cache_io.decode_entry(msg.blob)[0])
+        else:
+            assert (msg.location, msg.seq) == (wire.BLOB_SHM, seq)
+            assert msg.blob is None
 
     @settings(max_examples=25, deadline=None)
     @given(fault=st.text(min_size=1, max_size=200))
     def test_fault_result(self, fault):
-        blob = wire.encode_result(7, make_result(fault=fault,
-                                                 instructions=12))
-        __, pos = wire.decode_message(blob)
-        msg = wire.decode_result(blob, pos)
+        msg = decode_result(encode_result(
+            7, make_result(fault=fault, instructions=12)))
         assert msg.status == wire.RESULT_FAULT
-        assert msg.entry is None
+        assert not msg.has_entry and msg.blob is None
         assert msg.fault == fault
 
     def test_empty_and_budget_statuses(self):
-        __, pos = wire.decode_message(wire.encode_result(1, make_result()))
-        msg = wire.decode_result(wire.encode_result(1, make_result()), pos)
+        msg = decode_result(encode_result(1, make_result()))
         assert msg.status == wire.RESULT_EMPTY
-        blob = wire.encode_result(1, make_result(instructions=99))
-        msg = wire.decode_result(blob, pos)
+        msg = decode_result(encode_result(1, make_result(instructions=99)))
         assert msg.status == wire.RESULT_BUDGET
 
     def test_trailing_bytes_rejected(self):
-        blob = wire.encode_result(1, make_result(instructions=5))
-        __, pos = wire.decode_message(blob)
+        frame = encode_result(1, make_result(instructions=5))
+        __, pos = wire.decode_message(frame)
         with pytest.raises(wire.WireError):
-            wire.decode_result(blob + b"\x00", pos)
+            wire.decode_result_shm(frame + b"\x00", pos)
 
 
 class TestHeaderValidation:
@@ -172,17 +261,21 @@ class TestHeaderValidation:
             wire.decode_message(bytes(blob))
 
     def test_version_mismatch_rejected(self):
-        import struct
-        bad = struct.pack("<4sHBI", wire.WIRE_MAGIC, wire.WIRE_VERSION + 1,
-                          wire.MSG_TASK, 0)
-        with pytest.raises(wire.WireError, match="version"):
-            wire.decode_message(bad)
+        for version in (wire.WIRE_VERSION - 1, wire.WIRE_VERSION + 1):
+            bad = struct.pack("<4sHBI", wire.WIRE_MAGIC, version,
+                              wire.MSG_TASK_SHM, 0)
+            with pytest.raises(wire.WireError, match="version"):
+                wire.decode_message(bad)
 
     def test_unknown_type_rejected(self):
-        import struct
-        bad = struct.pack("<4sHBI", wire.WIRE_MAGIC, wire.WIRE_VERSION, 99, 0)
-        with pytest.raises(wire.WireError, match="type"):
-            wire.decode_message(bad)
+        """1 and 2 were the retired inline-only task/result pair."""
+        for msg_type in (1, 2, 99):
+            bad = struct.pack("<4sHBI", wire.WIRE_MAGIC, wire.WIRE_VERSION,
+                              msg_type, zlib.crc32(b""))
+            with pytest.raises(wire.WireError,
+                               match="unknown message type"):
+                wire.decode_message(bad)
+        assert len(wire._MSG_TYPES) == 3
 
     def test_short_message_rejected(self):
         with pytest.raises(wire.WireError):
@@ -191,7 +284,8 @@ class TestHeaderValidation:
     def test_payload_bit_flip_rejected(self):
         """Any single corrupted byte fails the header checksum — this is
         the property fault injection's 'corrupt' kind relies on."""
-        blob = wire.encode_task(1, 2, 3, 4, b"\xaa" * 64)
+        blob = wire.encode_task_shm(
+            1, 2, 3, 4, 0, 0, 1, wire.encode_state_delta(b"\xaa" * 64))
         for pos in range(len(blob)):
             mutated = bytearray(blob)
             mutated[pos] ^= 0xFF
@@ -199,13 +293,14 @@ class TestHeaderValidation:
                 wire.decode_message(bytes(mutated))
 
     def test_truncation_rejected(self):
-        blob = wire.encode_result(3, make_result(instructions=5))
+        blob = encode_result(3, make_result(instructions=5))
         for cut in range(1, len(blob)):
             with pytest.raises(wire.WireError):
                 wire.decode_message(blob[:cut])
 
     def test_oversized_frame_rejected(self):
-        blob = wire.encode_task(1, 2, 3, 4, b"\x00" * 256)
+        blob = wire.encode_task_shm(
+            1, 2, 3, 4, 0, 0, 1, wire.encode_state_delta(b"\x00" * 256))
         with pytest.raises(wire.WireError, match="exceeds"):
             wire.decode_message(blob, max_frame_bytes=64)
 
@@ -286,13 +381,11 @@ class TestStateDeltaCodec:
             wire.decode_state_delta(blob[:cut], base=base)
 
     def test_unknown_kind_rejected(self):
-        import struct
         blob = struct.pack("<BI", 9, 0)
         with pytest.raises(wire.WireError, match="kind"):
             wire.decode_state_delta(blob)
 
     def test_out_of_bounds_index_rejected(self):
-        import struct
         blob = (struct.pack("<BI", wire.DELTA_SPARSE, 1)
                 + struct.pack("<I", 64) + b"\x01")
         with pytest.raises(wire.WireError, match="beyond"):

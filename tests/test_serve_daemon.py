@@ -286,6 +286,11 @@ class TestFailureContainment:
             with pytest.raises(ServeClientError) as info:
                 client.submit(collatz.program, not_an_option=1)
             assert info.value.code == "bad-request"
+            # Once an option, now a typo like any other.
+            with pytest.raises(ServeClientError) as info:
+                client.submit(collatz.program, transport="pipe")
+            assert info.value.code == "bad-request"
+            assert "unknown submit options: transport" in str(info.value)
             with pytest.raises(ServeClientError) as info:
                 client.submit(collatz.program, engine={"bogus_knob": 1})
             assert info.value.code == "bad-request"
@@ -436,7 +441,7 @@ class TestResourceManager:
                              worker_budget=2, workers_per_job=2)
         daemon = SpeculationDaemon(config)
         try:
-            busy = _PoolLease("f" * 16, "other", 2, None)
+            busy = _PoolLease("f" * 16, "other", 2)
             daemon._pools[busy.namespace] = busy  # all budget committed
             job = type("J", (), {"namespace": "e" * 16,
                                  "options": {},

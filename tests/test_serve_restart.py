@@ -20,6 +20,7 @@ from repro.core.config import EngineConfig
 from repro.minic import compile_source
 from repro.serve import (ServeClient, ServeClientError, ServeConfig,
                          ServeError, SpeculationDaemon)
+from repro.serve.queue import Job
 
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src")
@@ -270,6 +271,31 @@ class TestCrashOnly:
         with SpeculationDaemon(config) as history:
             assert history.jobs_replayed == 2
             assert len(history.images) == 0
+
+    def test_journal_naming_the_removed_transport_option_replays(
+            self, tmp_path, collatz):
+        """A queued job journaled by a daemon that still had the
+        ``transport`` submit option replays and runs: the journal's
+        format at rest did not change, the key is just not read."""
+        config = ServeConfig(socket_path=str(tmp_path / "g.sock"),
+                             cache_dir=str(tmp_path / "cache"))
+        crashed = SpeculationDaemon(config)  # never started: nothing runs
+        options = dict(submit_options(collatz), transport="pipe")
+        crashed.journal.record_submit(
+            Job("j1", "A", collatz.program, collatz.program.image_hash(),
+                options, token="old"), "old")
+        crashed.journal.close()  # all a SIGKILL leaves behind
+
+        with SpeculationDaemon(config) as replayed:
+            assert replayed.jobs_requeued == 1
+            assert replayed._jobs["j1"].options["transport"] == "pipe"
+            replayed.start()
+            with ServeClient(config.socket_path, client="A") as client:
+                assert client.wait(token="old")["state"] == "done"
+                result = client.result(token="old")
+        assert result["halted"]
+        assert base64.b64decode(result["final_state"]) \
+            == sequential_state(collatz.program)
 
     def test_result_survives_restart_via_result_store(self, tmp_path,
                                                       collatz):
