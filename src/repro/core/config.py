@@ -27,7 +27,6 @@ class EngineConfig:
                  use_compiler_hints=False,
                  # -- predictors -----------------------------------------
                  logistic_learning_rates=(0.5, 0.05),
-                 linreg_degree=1,
                  enable_trend_predictor=False,
                  rwma_beta=0.3,
                  rwma_randomized=False,
@@ -75,7 +74,6 @@ class EngineConfig:
         # EXPERIMENTS.md reports both charges.
         self.converge_supersteps_charge = converge_supersteps_charge
         self.logistic_learning_rates = tuple(logistic_learning_rates)
-        self.linreg_degree = linreg_degree
         # Extension (off by default — the paper's ensemble is exactly
         # the four algorithms of §4.4.2): add the trend predictor for
         # constant-second-difference sequences.

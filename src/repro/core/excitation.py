@@ -72,8 +72,8 @@ class ExcitationTracker:
         self.n_observed = 0
         self._prev = None  # np.uint8 snapshot of previous RIP state
         self._change_counts = {}  # byte index -> times seen changed
-        self._bit_change_counts = {}  # bit index -> times seen changed
-        self.target_words = np.zeros(0, dtype=np.int64)  # word start indices
+        self._bits_changed = None  # per byte: OR of every XOR seen
+        self._set_targets([])
         self._target_set = set()
         self._pending_words = set()  # discovered, not yet adopted
         self._frozen = False
@@ -96,7 +96,9 @@ class ExcitationTracker:
     @property
     def excited_bit_count(self):
         """Number of individual bits ever seen to change (paper's metric)."""
-        return len(self._bit_change_counts)
+        if self._bits_changed is None:
+            return 0
+        return int(np.unpackbits(self._bits_changed).sum())
 
     @property
     def excited_byte_count(self):
@@ -144,8 +146,7 @@ class ExcitationTracker:
         self._pending_words.clear()
         self._target_set.update(added)
         # Append so existing bit positions stay stable.
-        self.target_words = np.concatenate(
-            [self.target_words, np.array(added, dtype=np.int64)])
+        self._set_targets(self.target_words.tolist() + added)
         self.version += 1
 
     def _record_changes(self, changed, current, prev):
@@ -160,13 +161,9 @@ class ExcitationTracker:
                         and word not in self._pending_words:
                     self._pending_words.add(word)
         # Bit-level statistics (vs. the previous state).
-        diff = current[changed] ^ prev[changed]
-        for idx, d in zip(changed.tolist(), diff.tolist()):
-            for bit in range(8):
-                if d & (1 << bit):
-                    key = idx * 8 + bit
-                    self._bit_change_counts[key] = \
-                        self._bit_change_counts.get(key, 0) + 1
+        if self._bits_changed is None:
+            self._bits_changed = np.zeros(len(current), dtype=np.uint8)
+        self._bits_changed[changed] |= current[changed] ^ prev[changed]
 
     def _freeze(self):
         threshold = self.config.excitation_threshold
@@ -175,16 +172,20 @@ class ExcitationTracker:
                  if count >= threshold}
         if not words:
             return  # nothing ever changed; keep warming up
-        self.target_words = np.array(sorted(words), dtype=np.int64)
+        self._set_targets(sorted(words))
         self._target_set = set(words)
         self._pending_words.clear()
         self.version += 1
         self._frozen = True
 
+    def _set_targets(self, words):
+        self.target_words = np.array(words, dtype=np.int64)  # start indices
+        #: State-vector index of every target byte, word after word.
+        self._target_bytes = (self.target_words[:, None]
+                              + np.arange(_WORD)[None, :]).reshape(-1)
+
     def _project(self, current):
-        gather = (self.target_words[:, None]
-                  + np.arange(_WORD)[None, :]).reshape(-1)
-        word_bytes = current[gather]
+        word_bytes = current[self._target_bytes]
         word_values = word_bytes.view("<u4").copy()
         bits = np.unpackbits(word_bytes, bitorder="little")
         return ObservationView(word_values, bits, self.version,
@@ -226,16 +227,15 @@ class ExcitationTracker:
         — their bytes come from ``base_buf``, which is exactly what they
         were before adoption.
         """
-        out = bytearray(base_buf)
         values = np.asarray(word_values, dtype="<u4").view(np.uint8)
-        targets = self.target_words.tolist()
-        if len(values) < 4 * len(targets):
+        n_bytes = len(self._target_bytes)
+        if len(values) < n_bytes:
             raise EngineError(
                 "materialize got %d word(s) for %d targets"
-                % (len(values) // 4, len(targets)))
-        for pos, start in enumerate(targets):
-            out[start:start + _WORD] = values[4 * pos:4 * pos + 4].tobytes()
-        return out
+                % (len(values) // _WORD, n_bytes // _WORD))
+        out = np.frombuffer(base_buf, dtype=np.uint8).copy()
+        out[self._target_bytes] = values[:n_bytes]
+        return bytearray(out)
 
     def words_digest(self, word_values):
         """Digest for dedup keys, consistent with ``ObservationView.digest``."""

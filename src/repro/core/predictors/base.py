@@ -11,6 +11,12 @@ A predictor sees the trajectory only as a sequence of
 receives consecutive (previous, next) view pairs; ``predict`` must be a
 *pure function* of its input view — the allocator calls it on predicted
 views to roll predictions out multiple supersteps (§4.5.2).
+
+To the ensemble an expert is a *row* of its prediction matrix. A
+predictor is one row unless it says otherwise: a bank of models that
+share their work (logistic regression at several learning rates) sets
+``n_experts``, names its rows in ``instance_names`` and answers
+``predict_rows`` with ``(n_experts, n_bits)`` arrays.
 """
 
 import numpy as np
@@ -20,6 +26,8 @@ class Predictor:
     """Base class: bookkeeping for target-set growth."""
 
     name = "base"
+    #: Rows this predictor fills in the ensemble's prediction matrix.
+    n_experts = 1
 
     def __init__(self):
         self._n_bits = 0
@@ -46,9 +54,21 @@ class Predictor:
 
         Returns ``(bits, confidence)``: a uint8 0/1 array and a float
         array in [0.5, 1] giving the predictor's own probability that
-        each predicted bit is correct.
+        each predicted bit is correct. The arrays stay the predictor's
+        (it may hand out the same ones until its next ``update``): copy
+        before writing to them.
         """
         raise NotImplementedError
+
+    def predict_rows(self, view):
+        """``predict`` for every row: arrays that broadcast against
+        ``(n_experts, n_bits)``."""
+        return self.predict(view)
+
+    @property
+    def instance_names(self):
+        """One name per row, in row order."""
+        return [getattr(self, "instance_name", self.name)]
 
     def reset(self):
         """Discard the model (recognizer retarget, §4.4.1)."""

@@ -25,10 +25,9 @@ from repro.core.predictors.weatherman import WeathermanPredictor
 def default_ensemble(config=None):
     """The paper's four algorithms; logistic at multiple learning rates."""
     rates = config.logistic_learning_rates if config is not None else (0.5, 0.05)
-    predictors = [MeanPredictor(), WeathermanPredictor()]
-    for rate in rates:
-        predictors.append(LogisticPredictor(learning_rate=rate))
-    predictors.append(LinearRegressionPredictor())
+    predictors = [MeanPredictor(), WeathermanPredictor(),
+                  LogisticPredictor(learning_rates=rates),
+                  LinearRegressionPredictor()]
     if config is not None and getattr(config, "enable_trend_predictor",
                                       False):
         predictors.append(TrendPredictor())
@@ -42,16 +41,24 @@ def default_ensemble(config=None):
 class ObserveOutcome:
     """What happened when a new RIP state arrived (for statistics)."""
 
-    __slots__ = ("scored", "expert_errors", "ensemble_bits",
-                 "equal_weight_bits", "actual_bits")
+    __slots__ = ("scored", "expert_bits", "ensemble_bits", "actual_bits")
 
-    def __init__(self, scored, expert_errors, ensemble_bits,
-                 equal_weight_bits, actual_bits):
+    def __init__(self, scored, expert_bits, ensemble_bits, actual_bits):
         self.scored = scored
-        self.expert_errors = expert_errors  # list of bool arrays per expert
+        self.expert_bits = expert_bits  # (experts, bits) each had predicted
         self.ensemble_bits = ensemble_bits  # what we had predicted
-        self.equal_weight_bits = equal_weight_bits
         self.actual_bits = actual_bits
+
+    @property
+    def expert_errors(self):
+        """(experts, bits) bool: where each expert was wrong."""
+        return self.expert_bits != self.actual_bits
+
+    @property
+    def equal_weight_bits(self):
+        """The vote had every expert counted the same (ties go to 1)."""
+        votes = self.expert_bits.sum(axis=0)
+        return (votes * 2 >= len(self.expert_bits)).astype(np.uint8)
 
 
 class PredictorEnsemble:
@@ -62,30 +69,34 @@ class PredictorEnsemble:
         if not 0.0 < beta < 1.0:
             raise ValueError("beta must be in (0, 1), got %r" % (beta,))
         self.predictors = list(predictors)
+        #: Each predictor's rows of the (experts, bits) matrices.
+        self._rows = []
+        for predictor in self.predictors:
+            first = self._rows[-1].stop if self._rows else 0
+            self._rows.append(slice(first, first + predictor.n_experts))
+        self.n_experts = self._rows[-1].stop
         self.beta = beta
         self.randomized = randomized
         self.weight_floor = weight_floor
         self._rng = np.random.default_rng(seed)
-        self.weights = np.ones((len(self.predictors), 0))
+        self.weights = np.ones((self.n_experts, 0))
         self._last_view = None
-        self._last_predictions = None  # list of (bits, conf) per expert
-        self._last_combined = None  # (bits, probs) predicted for the next state
-
-    @property
-    def n_experts(self):
-        return len(self.predictors)
+        # Every expert's (bits, confidence) at the last observed state,
+        # one row each, and the (bits, probs) combined from them.
+        self._last_rows = None
+        self._last_combined = None
 
     @property
     def expert_names(self):
-        return [getattr(p, "instance_name", p.name) for p in self.predictors]
+        return [name for p in self.predictors for name in p.instance_names]
 
     def _ensure_bits(self, n_bits):
         if self.weights.shape[1] < n_bits:
             grown = np.ones((self.n_experts, n_bits))
             grown[:, :self.weights.shape[1]] = self.weights
             self.weights = grown
-        for predictor in self.predictors:
-            predictor.ensure_capacity(n_bits)
+            for predictor in self.predictors:
+                predictor.ensure_capacity(n_bits)
 
     # -- learning loop -----------------------------------------------------
 
@@ -98,64 +109,53 @@ class PredictorEnsemble:
         state. Returns an :class:`ObserveOutcome` for statistics.
         """
         self._ensure_bits(view.n_bits)
-        scored = False
-        expert_errors = None
-        ensemble_bits = None
-        equal_bits = None
-        actual = view.bits
-
-        if self._last_view is not None and self._last_predictions is not None:
+        if self._last_view is None:
+            outcome = ObserveOutcome(False, None, None, view.bits)
+        else:
+            expert_bits = self._last_rows[0]
             # Bits added to the target set since the last prediction have
             # no prediction to score; they join the game next round.
-            n_scorable = self._last_predictions[0][0].shape[0]
+            n_scorable = expert_bits.shape[1]
             actual = view.bits[:n_scorable]
-            expert_errors = []
-            for e, (bits, __) in enumerate(self._last_predictions):
-                errors = bits != actual
-                expert_errors.append(errors)
-                w = self.weights[e, :n_scorable]
-                w[errors] *= self.beta
-                np.maximum(w, self.weight_floor, out=w)
-            ensemble_bits = self._last_combined[0]
-            equal_bits = self._equal_weight_vote(self._last_predictions)
-            scored = True
+            w = self.weights[:, :n_scorable]
+            w *= np.where(expert_bits != actual, self.beta, 1.0)
+            np.maximum(w, self.weight_floor, out=w)
+            outcome = ObserveOutcome(True, expert_bits,
+                                     self._last_combined[0], actual)
             for predictor in self.predictors:
                 predictor.update(self._last_view, view)
-
-        outcome = ObserveOutcome(scored, expert_errors, ensemble_bits,
-                                 equal_bits, actual)
         self._last_view = view
-        self._last_predictions = [p.predict(view) for p in self.predictors]
-        self._last_combined = self._combine(self._last_predictions,
-                                            view.n_bits)
+        self._last_rows = self._predict_rows(view)
+        self._last_combined = self._combine(*self._last_rows)
         return outcome
+
+    def _predict_rows(self, view):
+        """Every expert's answer for ``view``: (experts, bits) matrices
+        of predicted bits and of self-reported confidence."""
+        bits = np.empty((self.n_experts, view.n_bits), dtype=np.uint8)
+        confidence = np.empty((self.n_experts, view.n_bits))
+        for predictor, rows in zip(self.predictors, self._rows):
+            bits[rows], confidence[rows] = predictor.predict_rows(view)
+        return bits, confidence
 
     # -- combination ----------------------------------------------------------
 
-    def _combine(self, predictions, n_bits):
+    def _combine(self, bits, confidence):
+        # Axis-0 sums of a C-contiguous matrix add the rows in expert
+        # order, one after another: the same floats a loop would give.
+        n_bits = bits.shape[1]
         w = self.weights[:, :n_bits]
         total = w.sum(axis=0)
-        vote_one = np.zeros(n_bits)
-        prob_one = np.zeros(n_bits)
-        for e, (bits, conf) in enumerate(predictions):
-            vote_one += w[e] * bits
-            # Eq. 2's Bernoulli parameter: confidence-weighted belief.
-            prob_one += w[e] * np.where(bits == 1, conf, 1.0 - conf)
-        share_one = vote_one / total
-        prob_one = prob_one / total
+        share_one = (w * bits).sum(axis=0) / total
+        # Eq. 2's Bernoulli parameter: confidence-weighted belief.
+        prob_one = (w * np.where(bits == 1, confidence,
+                                 1.0 - confidence)).sum(axis=0) / total
         if self.randomized:
             bits = (self._rng.random(n_bits) < share_one).astype(np.uint8)
         else:
             bits = (share_one >= 0.5).astype(np.uint8)
         probs = np.where(bits == 1, prob_one, 1.0 - prob_one)
         return bits, probs
-
-    def _equal_weight_vote(self, predictions):
-        n_bits = predictions[0][0].shape[0]
-        votes = np.zeros(n_bits)
-        for bits, __ in predictions:
-            votes += bits
-        return (votes * 2 >= len(predictions)).astype(np.uint8)
 
     # -- pure prediction (rollout) ----------------------------------------------
 
@@ -167,13 +167,14 @@ class PredictorEnsemble:
         Returns ``(bits, per_bit_probabilities)``.
         """
         self._ensure_bits(view.n_bits)
-        if view is self._last_view:
-            # The allocator's first rollout step: observe() has just
-            # asked every expert about this view under these models.
-            predictions = self._last_predictions
-        else:
-            predictions = [p.predict(view) for p in self.predictors]
-        return self._combine(predictions, view.n_bits)
+        if view is not self._last_view:
+            return self._combine(*self._predict_rows(view))
+        # The allocator's first rollout step: observe() has just asked
+        # every expert about this view under these models. Randomized
+        # mode still draws — the rng stream is part of the answer.
+        if self.randomized:
+            return self._combine(*self._last_rows)
+        return self._last_combined
 
     def current_prediction(self):
         """The prediction computed at the last observed state."""
@@ -188,7 +189,7 @@ class PredictorEnsemble:
         made for a different point on the trajectory.
         """
         self._last_view = None
-        self._last_predictions = None
+        self._last_rows = None
         self._last_combined = None
 
     # -- introspection ---------------------------------------------------------
@@ -206,6 +207,4 @@ class PredictorEnsemble:
         for predictor in self.predictors:
             predictor.reset()
         self.weights = np.ones((self.n_experts, 0))
-        self._last_view = None
-        self._last_predictions = None
-        self._last_combined = None
+        self.flush_pending()

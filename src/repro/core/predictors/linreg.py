@@ -67,8 +67,8 @@ class _WordModel:
         self.recent = []  # last WINDOW (x, y) pairs
         #: The affine map ``(slope, intercept)`` the recent window agrees
         #: on (a constant output is slope 0), or None. A function of
-        #: ``recent`` alone, so it is searched once per observation and
-        #: every prediction until the next one only evaluates it.
+        #: ``recent`` alone: what :meth:`_find_consensus` returns for it.
+        #: Every prediction until the next observation only evaluates it.
         self.consensus = None
 
     def observe(self, x, y):
@@ -90,7 +90,34 @@ class _WordModel:
         self.recent.append((x, y))
         if len(self.recent) > self.WINDOW:
             self.recent.pop(0)
-        self.consensus = self._find_consensus()
+        if not self._consensus_stands():
+            self.consensus = self._find_consensus()
+
+    def _consensus_stands(self):
+        """Is ``consensus`` provably what the search would return?
+
+        True in the two steady states. (1) The two newest pairs give the
+        standing ``(slope, intercept)`` — as exact integers: the search
+        tries that hypothesis first, and accepts it, because a standing
+        consensus always holds a supermajority of the window (it had
+        one when the search chose it, and since then every pair pushed
+        agreed with it while at most one agreeing pair was popped).
+        (2) Every pair in the window is the same pair: no ``dx`` is
+        non-zero, so no hypothesis forms and the constant-output rule
+        returns ``(0, y)``. Anything else — a repeated ``x`` with older
+        pairs that differ included — is searched.
+        """
+        pairs = self.recent
+        if self.consensus is None or len(pairs) < 3:
+            return False
+        slope, intercept = self.consensus
+        (x1, y1), (x2, y2) = pairs[-2], pairs[-1]
+        dx = _wrap_signed(x2 - x1)
+        if dx == 0:
+            return (slope == 0 and intercept == y2
+                    and pairs.count(pairs[-1]) == len(pairs))
+        return (_wrap_signed(y2 - y1) == slope * dx
+                and intercept == y1 - slope * x1)
 
     def _find_consensus(self):
         """Supermajority-verified integer affine map, or None.
@@ -160,32 +187,60 @@ class LinearRegressionPredictor(Predictor):
     def __init__(self):
         super().__init__()
         self._models = []
+        #: ``(slope, intercept, confidence, unfitted)`` of the models as
+        #: they stand: the consensus maps reduced mod 2^32 as uint64
+        #: columns (persistence is slope 1, intercept 0), confidence
+        #: per bit, and the indices of the words that have no consensus
+        #: and predict by least squares. Built by the first ``predict``
+        #: after the models changed.
+        self._columns = None
 
     def _grow(self, old_bits, new_bits):
         n_words = new_bits // 32
         while len(self._models) < n_words:
             self._models.append(_WordModel())
+        self._columns = None
 
     def update(self, prev_view, next_view):
         self.ensure_capacity(next_view.n_bits)
         prev = prev_view.word_values.tolist()
         nxt = next_view.word_values.tolist()
         for model, x, y in zip(self._models, prev, nxt):
-            model.observe(int(x), int(y))
+            model.observe(x, y)
+        self._columns = None
+
+    def _build_columns(self):
+        slope, intercept, confidence, unfitted = [], [], [], []
+        for i, model in enumerate(self._models):
+            consensus = model.consensus
+            if consensus is None:
+                consensus = (1, 0)  # persistence until fitted
+                if model.n >= 2:
+                    unfitted.append(i)
+            slope.append(consensus[0] % _M32)
+            intercept.append(consensus[1] % _M32)
+            confidence.append(model.confidence())
+        return (np.array(slope, dtype=np.uint64),
+                np.array(intercept, dtype=np.uint64),
+                np.repeat(np.array(confidence), 32), unfitted)
 
     def predict(self, view):
         self.ensure_capacity(view.n_bits)
-        values = view.word_values.tolist()
-        predicted = np.empty(len(values), dtype=np.uint32)
-        confidence_words = np.empty(len(values))
-        for i, (model, x) in enumerate(zip(self._models, values)):
-            predicted[i] = model.predict(int(x))
-            confidence_words[i] = model.confidence()
-        word_bytes = predicted.astype("<u4").view(np.uint8)
-        bits = np.unpackbits(word_bytes, bitorder="little")
-        confidence = np.repeat(confidence_words, 32)
-        return bits, confidence
+        if self._columns is None:
+            self._columns = self._build_columns()
+        slope, intercept, confidence, unfitted = self._columns
+        x = view.word_values
+        n_words = len(x)
+        # Both factors are below 2^32, so the uint64 sum cannot wrap.
+        predicted = ((slope[:n_words] * x + intercept[:n_words])
+                     & 0xFFFFFFFF).astype("<u4")
+        for i in unfitted:
+            if i < n_words:
+                predicted[i] = self._models[i].predict(int(x[i]))
+        bits = np.unpackbits(predicted.view(np.uint8), bitorder="little")
+        return bits, confidence[:32 * n_words]
 
     def reset(self):
         super().reset()
         self._models = []
+        self._columns = None

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.excitation import ObservationView
 from repro.core.predictors import (
@@ -171,6 +172,44 @@ def test_capacity_growth_mid_stream():
     assert ensemble.weights.shape[1] == 64
     outcome = ensemble.observe(view_of(6, 100))
     assert len(outcome.actual_bits) == 64
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_experts=st.integers(1, 7),
+       n_words=st.integers(1, 4), randomized=st.booleans())
+def test_combine_is_the_per_expert_loop(seed, n_experts, n_words,
+                                        randomized):
+    """Two axis-0 sums over the (experts, bits) matrices give exactly
+    the floats of the loop they replaced — one expert after another
+    into an accumulator — weights spread over twelve decades, and the
+    same draws in randomized mode."""
+    rng = np.random.default_rng(seed)
+    n_bits = 32 * n_words
+    ensemble = PredictorEnsemble([MeanPredictor()] * n_experts,
+                                 randomized=randomized, seed=seed)
+    ensemble.weights = rng.random((n_experts, n_bits)) * 10.0 ** (
+        -rng.integers(0, 13, (n_experts, n_bits)))
+    bits = rng.integers(0, 2, (n_experts, n_bits)).astype(np.uint8)
+    confidence = 0.5 + rng.random((n_experts, n_bits)) / 2
+
+    got_bits, got_probs = ensemble._combine(bits, confidence)
+
+    w = ensemble.weights
+    total = w.sum(axis=0)
+    vote_one, prob_one = np.zeros(n_bits), np.zeros(n_bits)
+    for e in range(n_experts):
+        vote_one += w[e] * bits[e]
+        prob_one += w[e] * np.where(bits[e] == 1, confidence[e],
+                                    1.0 - confidence[e])
+    share_one, prob_one = vote_one / total, prob_one / total
+    if randomized:
+        draws = np.random.default_rng(seed).random(n_bits)
+        want_bits = (draws < share_one).astype(np.uint8)
+    else:
+        want_bits = (share_one >= 0.5).astype(np.uint8)
+    assert np.array_equal(got_bits, want_bits)
+    assert np.array_equal(
+        got_probs, np.where(want_bits == 1, prob_one, 1.0 - prob_one))
 
 
 def test_reusing_an_observation_changes_no_prediction():

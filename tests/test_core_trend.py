@@ -73,12 +73,12 @@ class TestTrendPredictor:
 
 class TestEnsembleIntegration:
     def test_off_by_default(self):
-        assert len(default_ensemble(EngineConfig()).predictors) == 5
+        assert default_ensemble(EngineConfig()).n_experts == 5
 
     def test_config_flag_adds_expert(self):
         config = EngineConfig(enable_trend_predictor=True)
         ensemble = default_ensemble(config)
-        assert len(ensemble.predictors) == 6
+        assert ensemble.n_experts == 6
         assert "trend" in ensemble.expert_names
 
     def test_rwma_routes_quadratic_bits_to_trend(self):
