@@ -10,7 +10,6 @@ Rendered outputs are written to ``benchmarks/results/*.txt`` and printed
 the paper's numbers.
 """
 
-import json
 import os
 import pathlib
 
@@ -43,35 +42,6 @@ def publish(name, text):
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / ("%s.txt" % name)).write_text(text + "\n")
     print("\n" + text)
-
-
-def publish_metrics(name, metrics):
-    """Persist machine-readable metrics as ``results/BENCH_<name>.json``.
-
-    Each call rotates the existing file's metrics into a ``previous``
-    section and records per-metric ``speedup_vs_previous`` ratios, so
-    the perf trajectory is tracked across PRs. Returns the payload.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / ("BENCH_%s.json" % name)
-    previous = None
-    if path.exists():
-        try:
-            previous = json.loads(path.read_text()).get("metrics")
-        except (ValueError, OSError):
-            previous = None
-    speedups = {}
-    if previous:
-        for key, value in metrics.items():
-            old = previous.get(key)
-            if (isinstance(value, (int, float))
-                    and isinstance(old, (int, float)) and old):
-                speedups[key] = value / old
-    payload = {"metrics": metrics, "previous": previous,
-               "speedup_vs_previous": speedups}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print("\n[%s] %s" % (path.name, json.dumps(metrics, sort_keys=True)))
-    return payload
 
 
 @pytest.fixture(scope="session")

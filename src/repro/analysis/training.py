@@ -9,6 +9,7 @@ single instrumented pass.
 
 from repro.core.excitation import ExcitationTracker
 from repro.core.predictors.ensemble import default_ensemble
+from repro.core.recognizer import SPECULATION_BUDGET_FACTOR
 from repro.core.speculation import run_speculation
 from repro.core.stats import PredictionStats
 from repro.core.superstep import run_superstep
@@ -63,7 +64,7 @@ def train_on_boundaries(context, max_boundaries=None, max_query_samples=32,
     rip = recognized.ip
     stride = recognized.stride
     break_ips = frozenset((rip,))
-    budget = recognized.speculation_budget(config.speculation_budget_factor)
+    budget = recognized.speculation_budget(SPECULATION_BUDGET_FACTOR)
 
     tracker = ExcitationTracker(program.layout, config)
     ensemble = default_ensemble(config)

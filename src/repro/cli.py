@@ -29,6 +29,8 @@ from repro.core.config import EngineConfig
 from repro.isa.registers import NAME_TO_REG
 from repro.loader.image import Program
 from repro.minic import compile_source
+from repro.runtime import resources
+from repro.runtime.autoscaler import AUTOSCALE_CHOICES
 
 
 def load_program(path, name=None):
@@ -829,10 +831,10 @@ def _serve_config(args):
         job_deadline_seconds=getattr(args, "job_deadline", None),
         no_progress_seconds=getattr(args, "no_progress_seconds", 20.0),
         kill_grace_seconds=getattr(args, "kill_grace_seconds", 5.0),
-        min_shm_headroom_bytes=getattr(args, "shm_headroom_bytes", None),
-        min_disk_free_bytes=getattr(args, "min_disk_free_bytes", None),
-        min_fd_headroom=getattr(args, "min_fd_headroom", None),
-        max_queued_jobs=getattr(args, "max_queued_jobs", None),
+        min_shm_headroom_bytes=args.shm_headroom_bytes,
+        min_disk_free_bytes=args.min_disk_free_bytes,
+        min_fd_headroom=args.min_fd_headroom,
+        max_queued_jobs=args.max_queued_jobs,
         fault_plan=getattr(args, "fault_plan", None),
         autoscale=getattr(args, "autoscale", "off"))
 
@@ -1078,15 +1080,13 @@ def build_parser():
                             "quarantine divergent groups for good")
 
     def add_autoscale_flag(p):
-        p.add_argument("--autoscale",
-                       choices=["off", "react", "hist", "reg"],
+        p.add_argument("--autoscale", choices=AUTOSCALE_CHOICES,
                        default="off",
-                       help="elastic worker autoscaling policy sampled at "
-                            "superstep boundaries: 'react' (payoff "
-                            "thresholds), 'hist' (windowed payoff "
-                            "distribution), 'reg' (payoff trend fit); "
-                            "'off' keeps the static pool byte-identical "
-                            "to previous behavior")
+                       help="elastic worker autoscaling sampled at "
+                            "superstep boundaries: 'react' shrinks the "
+                            "pool while speculation does not pay and "
+                            "regrows it when it does; 'off' keeps the "
+                            "static pool")
 
     def add_checkpoint_flags(p):
         p.add_argument("--checkpoint-dir", dest="checkpoint_dir",
@@ -1313,26 +1313,23 @@ def build_parser():
                    type=float, default=5.0,
                    help="grace between watchdog escalation stages")
     p.add_argument("--shm-headroom-bytes", dest="shm_headroom_bytes",
-                   type=int, default=None,
+                   type=int, default=resources.DEFAULT_SHM_HEADROOM_BYTES,
                    help="shm free-space floor below which the daemon "
-                        "runs degraded-sequential (default "
-                        "REPRO_SHM_HEADROOM_BYTES or 64 MiB; 0 "
+                        "runs degraded-sequential (default 64 MiB; 0 "
                         "disables)")
     p.add_argument("--min-disk-free-bytes", dest="min_disk_free_bytes",
-                   type=int, default=None,
+                   type=int, default=resources.DEFAULT_DISK_FLOOR_BYTES,
                    help="free-disk floor under the journal/cache dir "
                         "below which submits are shed as 'overloaded' "
-                        "(default REPRO_DISK_FLOOR_BYTES or 32 MiB; 0 "
-                        "disables)")
+                        "(default 32 MiB; 0 disables)")
     p.add_argument("--fd-headroom", dest="min_fd_headroom", type=int,
-                   default=None,
+                   default=resources.DEFAULT_FD_HEADROOM,
                    help="open-fd headroom below which submits are shed "
-                        "(default REPRO_FD_HEADROOM or 64; 0 disables)")
+                        "(default 64; 0 disables)")
     p.add_argument("--max-queued-jobs", dest="max_queued_jobs", type=int,
-                   default=None,
+                   default=resources.DEFAULT_MAX_QUEUED_JOBS,
                    help="global queued-job bound before shedding "
-                        "(default REPRO_MAX_QUEUED_JOBS or 64; 0 "
-                        "disables)")
+                        "(default 64; 0 disables)")
     p.add_argument("--fault-plan", dest="fault_plan", metavar="SPEC",
                    help="serve-tier chaos plan the daemon consumes at "
                         "its own seams, e.g. 'seed=7,disk_full=2,"

@@ -14,33 +14,23 @@ class EngineConfig:
     def __init__(self,
                  # -- excitation tracking --------------------------------
                  warmup_observations=6,
-                 excitation_threshold=1,
                  grow_targets=True,
                  growth_batch_observations=16,
                  # -- recognizer -----------------------------------------
                  recognizer_window=60_000,
                  recognizer_max_window_doublings=3,
-                 recognizer_max_candidates=8,
                  recognizer_validate_states=24,
                  recognizer_min_occurrences=4,
                  min_superstep_instructions=800,
                  use_compiler_hints=False,
                  # -- predictors -----------------------------------------
                  logistic_learning_rates=(0.5, 0.05),
-                 enable_trend_predictor=False,
                  rwma_beta=0.3,
                  rwma_randomized=False,
                  seed=0,
                  # -- allocator / speculation ----------------------------
                  converge_supersteps_charge=None,
                  max_rollout=None,
-                 speculation_budget_factor=4.0,
-                 # Near-zero: with idle workers the opportunity cost of a
-                 # low-probability speculation is nil, so expected-utility
-                 # maximization prunes only the hopeless. Cumulative
-                 # chain probabilities decay geometrically with rank, so
-                 # any sizable threshold silently caps pipeline depth.
-                 min_dispatch_probability=1e-9,
                  # -- memoization mode -----------------------------------
                  memo_block=8,
                  # -- cache ------------------------------------------------
@@ -50,12 +40,10 @@ class EngineConfig:
                  # forces the reference interpreter everywhere.
                  fast_path=None):
         self.warmup_observations = warmup_observations
-        self.excitation_threshold = excitation_threshold
         self.grow_targets = grow_targets
         self.growth_batch_observations = growth_batch_observations
         self.recognizer_window = recognizer_window
         self.recognizer_max_window_doublings = recognizer_max_window_doublings
-        self.recognizer_max_candidates = recognizer_max_candidates
         self.recognizer_validate_states = recognizer_validate_states
         self.recognizer_min_occurrences = recognizer_min_occurrences
         # Restrict the recognizer's candidate IPs to the compiler's
@@ -74,16 +62,10 @@ class EngineConfig:
         # EXPERIMENTS.md reports both charges.
         self.converge_supersteps_charge = converge_supersteps_charge
         self.logistic_learning_rates = tuple(logistic_learning_rates)
-        # Extension (off by default — the paper's ensemble is exactly
-        # the four algorithms of §4.4.2): add the trend predictor for
-        # constant-second-difference sequences.
-        self.enable_trend_predictor = enable_trend_predictor
         self.rwma_beta = rwma_beta
         self.rwma_randomized = rwma_randomized
         self.seed = seed
         self.max_rollout = max_rollout
-        self.speculation_budget_factor = speculation_budget_factor
-        self.min_dispatch_probability = min_dispatch_probability
         self.memo_block = memo_block
         self.cache_capacity_bytes = cache_capacity_bytes
         self.fast_path = fast_path

@@ -22,6 +22,9 @@ from repro.errors import EngineError
 
 _WORD = 4
 
+#: Changes a byte must show before its word becomes a prediction target.
+_EXCITATION_THRESHOLD = 1
+
 
 class ObservationView:
     """One RIP state projected onto the current target-word set."""
@@ -150,12 +153,11 @@ class ExcitationTracker:
         self.version += 1
 
     def _record_changes(self, changed, current, prev):
-        threshold = self.config.excitation_threshold
         for idx in changed.tolist():
             count = self._change_counts.get(idx, 0) + 1
             self._change_counts[idx] = count
             if self._frozen and self.config.grow_targets \
-                    and count >= threshold:
+                    and count >= _EXCITATION_THRESHOLD:
                 word = idx & ~(_WORD - 1)
                 if word not in self._target_set \
                         and word not in self._pending_words:
@@ -166,10 +168,9 @@ class ExcitationTracker:
         self._bits_changed[changed] |= current[changed] ^ prev[changed]
 
     def _freeze(self):
-        threshold = self.config.excitation_threshold
         words = {idx & ~(_WORD - 1)
                  for idx, count in self._change_counts.items()
-                 if count >= threshold}
+                 if count >= _EXCITATION_THRESHOLD}
         if not words:
             return  # nothing ever changed; keep warming up
         self._set_targets(sorted(words))

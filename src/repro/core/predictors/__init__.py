@@ -11,7 +11,6 @@ from repro.core.predictors.mean import MeanPredictor
 from repro.core.predictors.weatherman import WeathermanPredictor
 from repro.core.predictors.logistic import LogisticPredictor
 from repro.core.predictors.linreg import LinearRegressionPredictor
-from repro.core.predictors.trend import TrendPredictor
 from repro.core.predictors.ensemble import PredictorEnsemble, default_ensemble
 
 __all__ = [
@@ -20,7 +19,6 @@ __all__ = [
     "WeathermanPredictor",
     "LogisticPredictor",
     "LinearRegressionPredictor",
-    "TrendPredictor",
     "PredictorEnsemble",
     "default_ensemble",
 ]

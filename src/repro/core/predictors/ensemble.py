@@ -18,7 +18,6 @@ import numpy as np
 from repro.core.predictors.linreg import LinearRegressionPredictor
 from repro.core.predictors.logistic import LogisticPredictor
 from repro.core.predictors.mean import MeanPredictor
-from repro.core.predictors.trend import TrendPredictor
 from repro.core.predictors.weatherman import WeathermanPredictor
 
 
@@ -28,9 +27,6 @@ def default_ensemble(config=None):
     predictors = [MeanPredictor(), WeathermanPredictor(),
                   LogisticPredictor(learning_rates=rates),
                   LinearRegressionPredictor()]
-    if config is not None and getattr(config, "enable_trend_predictor",
-                                      False):
-        predictors.append(TrendPredictor())
     beta = config.rwma_beta if config is not None else 0.5
     randomized = config.rwma_randomized if config is not None else False
     seed = config.seed if config is not None else 0

@@ -35,6 +35,12 @@ from repro.core.predictors.ensemble import default_ensemble
 from repro.core.speculation import run_speculation
 from repro.machine.executor import STOP_BREAKPOINT
 
+#: Candidate IPs the shortlist passes on to validation.
+_MAX_CANDIDATES = 8
+
+#: A speculation's instruction budget, in mean supersteps.
+SPECULATION_BUDGET_FACTOR = 4.0
+
 
 class CandidateReport:
     """Diagnostics for one candidate IP considered by the recognizer."""
@@ -190,7 +196,6 @@ class Recognizer:
                 continue
             seen.add(key)
             unique.append(c)
-        limit = self.config.recognizer_max_candidates
         by_regularity = sorted(unique, key=lambda c: (c.gap_cv,
                                                       -c.mean_gap * c.stride))
         by_width = sorted(unique, key=lambda c: -c.mean_gap * c.stride)
@@ -198,7 +203,7 @@ class Recognizer:
         chosen = set()
         for a, b in zip(by_regularity, by_width):
             for c in (a, b):
-                if len(shortlist) >= limit:
+                if len(shortlist) >= _MAX_CANDIDATES:
                     break
                 if id(c) not in chosen:
                     chosen.add(id(c))
@@ -279,7 +284,7 @@ class Recognizer:
 
     def _candidate_budget(self, candidate):
         by_mean = (candidate.mean_gap * candidate.stride
-                   * self.config.speculation_budget_factor)
+                   * SPECULATION_BUDGET_FACTOR)
         by_max = candidate.max_gap * candidate.stride * 6.0
         return int(max(by_mean, by_max)) + 256
 

@@ -24,6 +24,7 @@ import time
 from repro.core.allocator import Allocator, RelevanceMask
 from repro.core.excitation import ExcitationTracker
 from repro.core.predictors.ensemble import default_ensemble
+from repro.core.recognizer import SPECULATION_BUDGET_FACTOR
 from repro.core.stats import PredictionStats, RunStats
 from repro.core.trajectory_cache import TrajectoryCache
 from repro.errors import EngineError
@@ -34,6 +35,13 @@ from repro.verify.auditor import SpliceAuditor
 #: while no superstep boundary exists (~0.3 s of interpretation, well
 #: inside the serve watchdog's no-progress window).
 PLAIN_RUN_CHUNK = 1_000_000
+
+#: Chain probability under which a rollout target is not dispatched.
+#: Near-zero on purpose: with idle workers the opportunity cost of a
+#: low-probability speculation is nil, so expected-utility maximization
+#: prunes only the hopeless. Cumulative chain probabilities decay
+#: geometrically with rank, so any sizable threshold caps pipeline depth.
+MIN_DISPATCH_PROBABILITY = 1e-9
 
 
 def run_superstep(machine, break_ips, stride, drought, budget, dep=None):
@@ -276,7 +284,7 @@ class SuperstepLoop:
         self.break_ips = frozenset((phase.ip,))
         self.stride = phase.stride * self.scale
         self.spec_budget = phase.speculation_budget(
-            self.config.speculation_budget_factor) * self.scale
+            SPECULATION_BUDGET_FACTOR) * self.scale
         self.mean_jump = phase.mean_gap * self.stride
         self.drought = backend.drought_limit(phase)
         if not backend.predicts:
@@ -403,7 +411,7 @@ class SuperstepLoop:
         """
         backend, mask, covered = self.backend, self.mask, self.covered
         order = self.allocator.dispatch_order(
-            self.mean_jump, self.config.min_dispatch_probability)
+            self.mean_jump, MIN_DISPATCH_PROBABILITY)
         chain = self.allocator.chain
         for idx in order:
             step = chain[idx]

@@ -30,16 +30,14 @@ Layers:
 * :mod:`repro.runtime.engine` — :class:`RealParallelEngine`: the
   Figure 1 loop against real workers and real wall-clock time, with
   checkpoint/restore via :mod:`repro.core.checkpoint`;
-* :mod:`repro.runtime.autoscaler` — :class:`Autoscaler`: elastic
-  worker-count policies sampled at superstep boundaries, steering the
+* :mod:`repro.runtime.autoscaler` — :class:`Autoscaler`: the elastic
+  worker-count policy sampled at superstep boundaries, steering the
   pool's live width by the paper's expected-utility economics.
 """
 
 from repro.runtime.autoscaler import (
-    POLICIES as AUTOSCALE_POLICIES,
     AutoscaleSignals,
     Autoscaler,
-    make_autoscaler,
     resolve_autoscaler,
 )
 from repro.runtime.config import RuntimeConfig
@@ -61,7 +59,6 @@ from repro.runtime.supervisor import Supervisor, WorkerHealth
 from repro.runtime.wire import WireError
 
 __all__ = [
-    "AUTOSCALE_POLICIES",
     "AutoscaleSignals",
     "Autoscaler",
     "FaultPlan",
@@ -83,6 +80,5 @@ __all__ = [
     "WireError",
     "WorkerHealth",
     "WorkerPool",
-    "make_autoscaler",
     "resolve_autoscaler",
 ]

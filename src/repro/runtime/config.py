@@ -3,6 +3,8 @@
 import multiprocessing
 import os
 
+from repro.runtime.autoscaler import check_autoscale
+
 
 def default_start_method():
     """How the pool starts its workers on this platform: ``fork``
@@ -51,7 +53,6 @@ class RuntimeConfig:
                  # executing; a huge bias means "always wait" (used by
                  # the differential tests to make hits deterministic).
                  inflight_wait_bias=1.0,
-                 max_inflight_wait_seconds=10.0,
                  # Superstep coarsening: the real engine multiplies the
                  # recognized stride by this factor. Real boundaries cost
                  # real milliseconds (observe + predict + dispatch), so
@@ -104,9 +105,9 @@ class RuntimeConfig:
                  # 0 explicitly disables the cap.
                  worker_rlimit_as_bytes=None,
                  # Elastic autoscaling (runtime/autoscaler.py): "off"
-                 # keeps the fixed-width pool; "react"/"hist"/"reg"
-                 # sample the policy at every superstep boundary and
-                 # resize the pool toward its target. ``n_workers``
+                 # keeps the fixed-width pool; "react" samples the
+                 # policy at every superstep boundary and resizes the
+                 # pool toward its target. ``n_workers``
                  # stays the starting width; the policy moves within
                  # [autoscale_min_workers, autoscale_max_workers]
                  # (None: n_workers), deciding at most once per
@@ -121,7 +122,6 @@ class RuntimeConfig:
         self.queue_depth = queue_depth
         self.task_timeout_seconds = task_timeout_seconds
         self.inflight_wait_bias = inflight_wait_bias
-        self.max_inflight_wait_seconds = max_inflight_wait_seconds
         self.superstep_scale = superstep_scale
         self.respawn_limit = respawn_limit
         self.max_instructions = max_instructions
@@ -138,10 +138,7 @@ class RuntimeConfig:
             worker_rlimit_as_bytes = default_worker_rlimit_as()
         # Normalized to bytes-or-None; 0 means "explicitly uncapped".
         self.worker_rlimit_as_bytes = worker_rlimit_as_bytes or None
-        if autoscale not in ("off", "react", "hist", "reg"):
-            raise ValueError("autoscale must be off/react/hist/reg, not %r"
-                             % (autoscale,))
-        self.autoscale = autoscale
+        self.autoscale = check_autoscale(autoscale)
         self.autoscale_min_workers = autoscale_min_workers
         self.autoscale_max_workers = autoscale_max_workers
         self.autoscale_cooldown = autoscale_cooldown

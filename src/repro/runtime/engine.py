@@ -65,6 +65,11 @@ class RealParallelResult(LoopResult):
                    self.runtime.entries_shipped))
 
 
+#: Longest one boundary waits for an in-flight speculation of its
+#: current state, however wrong the EWMA estimate that chose to wait.
+_MAX_INFLIGHT_WAIT_SECONDS = 10.0
+
+
 def _ewma(value, sample, alpha=0.3):
     """Exponentially weighted wall-time estimate."""
     return sample if value is None else value + alpha * (sample - value)
@@ -134,12 +139,10 @@ class _PoolBackend(SpeculationBackend):
         loop, pool, runtime = self.loop, self.pool, self.runtime
         stats = loop.stats
         target = self.autoscaler.observe(AutoscaleSignals(
-            stats.supersteps, pool.active_workers, pool.parked_workers,
-            self.rtc.queue_depth, pool.inflight_count(),
+            stats.supersteps, pool.active_workers,
             sum(loop.allocator.probabilities()) * loop.mean_jump,
-            loop.stride, stats.hits, stats.queries,
-            stats.instructions_executed, stats.instructions_fast_forwarded,
-            runtime.entries_shipped, len(self.used_entries),
+            loop.stride, stats.instructions_executed,
+            stats.instructions_fast_forwarded,
             runtime.dispatch_backpressure))
         if target is not None and any(pool.resize(target)):
             runtime.autoscale_resizes += 1
@@ -218,7 +221,7 @@ class _PoolBackend(SpeculationBackend):
                 return None
         elif rtc.inflight_wait_bias <= 1.0:
             return None  # no estimates yet: don't gamble
-        deadline = now + min(rtc.max_inflight_wait_seconds,
+        deadline = now + min(_MAX_INFLIGHT_WAIT_SECONDS,
                              rtc.task_timeout_seconds or float("inf"))
         self.runtime.inflight_waits += 1
         t_wait = time.perf_counter()

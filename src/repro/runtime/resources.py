@@ -23,9 +23,9 @@ for the four things this system can run out of:
 
 :class:`ResourceGovernor` combines the probes into one admission
 verdict the serve daemon consults before accepting a job; a verdict of
-"no" becomes the retryable ``overloaded`` protocol error. Every floor
-has a ``REPRO_*`` environment default so deployments can tune budgets
-without code.
+"no" becomes the retryable ``overloaded`` protocol error. Each floor
+is a ``ServeConfig`` field and ``repro serve`` flag defaulting to the
+``DEFAULT_*`` constants below; ``0`` disables a floor entirely.
 
 The probes are injectable (and :meth:`ResourceGovernor.force_pressure`
 lets the chaos tier deterministically fake exhaustion), so every
@@ -40,11 +40,8 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX
     _resource = None
 
-#: Env-tunable floors. ``0`` disables a floor entirely.
-ENV_SHM_HEADROOM = "REPRO_SHM_HEADROOM_BYTES"
-ENV_DISK_FLOOR = "REPRO_DISK_FLOOR_BYTES"
-ENV_FD_HEADROOM = "REPRO_FD_HEADROOM"
-ENV_MAX_QUEUED = "REPRO_MAX_QUEUED_JOBS"
+#: ``repro serve`` has no flag for it: the only way to cap a daemon
+#: pool's workers.
 ENV_WORKER_RLIMIT_AS = "REPRO_WORKER_RLIMIT_AS"
 
 DEFAULT_SHM_HEADROOM_BYTES = 64 * 1024 * 1024
@@ -53,35 +50,13 @@ DEFAULT_FD_HEADROOM = 64
 DEFAULT_MAX_QUEUED_JOBS = 64
 
 
-def _env_int(name, default):
-    raw = os.environ.get(name)
-    if raw is None or raw.strip() == "":
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
-
-
-def default_shm_headroom_bytes():
-    return _env_int(ENV_SHM_HEADROOM, DEFAULT_SHM_HEADROOM_BYTES)
-
-
-def default_disk_floor_bytes():
-    return _env_int(ENV_DISK_FLOOR, DEFAULT_DISK_FLOOR_BYTES)
-
-
-def default_fd_headroom():
-    return _env_int(ENV_FD_HEADROOM, DEFAULT_FD_HEADROOM)
-
-
-def default_max_queued_jobs():
-    return _env_int(ENV_MAX_QUEUED, DEFAULT_MAX_QUEUED_JOBS)
-
-
 def default_worker_rlimit_as():
-    """Per-worker address-space cap in bytes, or ``None`` (unlimited)."""
-    value = _env_int(ENV_WORKER_RLIMIT_AS, 0)
+    """Per-worker address-space cap in bytes, or ``None`` (unlimited;
+    also what an unset, empty or malformed variable means)."""
+    try:
+        value = int(os.environ.get(ENV_WORKER_RLIMIT_AS, ""))
+    except ValueError:
+        return None
     return value if value > 0 else None
 
 
@@ -252,28 +227,20 @@ class ResourceGovernor:
 
     ``admission_reason`` returns ``None`` (admit) or a short reason
     string (shed — the daemon maps it to the retryable ``overloaded``
-    error code). Floors of ``0``/``None`` disable their check. Probes
+    error code). A floor of ``0`` disables its check. Probes
     are injectable for tests; :meth:`force_pressure` makes the next N
     checks of one kind report exhaustion, which is how the seeded
     ``fd_exhaust`` chaos fault is delivered deterministically.
     """
 
-    def __init__(self, shm_headroom_floor=None, disk_floor_bytes=None,
-                 fd_headroom_floor=None, max_queued_jobs=None,
+    def __init__(self, shm_headroom_floor, disk_floor_bytes,
+                 fd_headroom_floor, max_queued_jobs,
                  shm_path=None, disk_path=None,
                  shm_probe=None, disk_probe=None, fd_probe=None):
-        self.shm_headroom_floor = (default_shm_headroom_bytes()
-                                   if shm_headroom_floor is None
-                                   else shm_headroom_floor)
-        self.disk_floor_bytes = (default_disk_floor_bytes()
-                                 if disk_floor_bytes is None
-                                 else disk_floor_bytes)
-        self.fd_headroom_floor = (default_fd_headroom()
-                                  if fd_headroom_floor is None
-                                  else fd_headroom_floor)
-        self.max_queued_jobs = (default_max_queued_jobs()
-                                if max_queued_jobs is None
-                                else max_queued_jobs)
+        self.shm_headroom_floor = shm_headroom_floor
+        self.disk_floor_bytes = disk_floor_bytes
+        self.fd_headroom_floor = fd_headroom_floor
+        self.max_queued_jobs = max_queued_jobs
         self.shm_path = shm_path
         self.disk_path = disk_path
         self._shm_probe = shm_probe or shm_headroom_bytes

@@ -3,6 +3,9 @@
 import os
 import tempfile
 
+from repro.runtime import resources
+from repro.runtime.autoscaler import check_autoscale
+
 
 def default_socket_path():
     """``REPRO_SERVE_SOCKET`` or a per-user path under the temp dir."""
@@ -66,11 +69,10 @@ class ServeConfig:
                  watchdog_interval_seconds=0.5,
                  # Self-check: probe cadence and the shm headroom below
                  # which the daemon flips into degraded mode (sequential
-                 # execution, cache write-through off). None follows
-                 # REPRO_SHM_HEADROOM_BYTES (default 64 MiB); 0 disables
+                 # execution, cache write-through off); 0 disables
                  # the check.
                  selfcheck_interval_seconds=2.0,
-                 min_shm_headroom_bytes=None,
+                 min_shm_headroom_bytes=resources.DEFAULT_SHM_HEADROOM_BYTES,
                  # Resource governance (see runtime/resources.py): the
                  # admission-time floors behind load shedding. A submit
                  # arriving while free disk under the journal/cache
@@ -78,12 +80,11 @@ class ServeConfig:
                  # is below min_fd_headroom, or max_queued_jobs jobs are
                  # already queued is refused with the retryable
                  # "overloaded" error code instead of being accepted
-                 # and failed later. None follows REPRO_DISK_FLOOR_BYTES
-                 # / REPRO_FD_HEADROOM / REPRO_MAX_QUEUED_JOBS; 0
-                 # disables the corresponding check.
-                 min_disk_free_bytes=None,
-                 min_fd_headroom=None,
-                 max_queued_jobs=None,
+                 # and failed later. 0 disables the corresponding
+                 # check.
+                 min_disk_free_bytes=resources.DEFAULT_DISK_FLOOR_BYTES,
+                 min_fd_headroom=resources.DEFAULT_FD_HEADROOM,
+                 max_queued_jobs=resources.DEFAULT_MAX_QUEUED_JOBS,
                  # Serve-tier chaos: a FaultPlan (instance or spec
                  # string) whose resource faults the *daemon* consumes
                  # at its own seams (disk_full at journal/cache writes,
@@ -94,24 +95,19 @@ class ServeConfig:
                  # REPRO_SERVE_FAULT_PLAN.
                  fault_plan=None,
                  # Lifecycle: how long a drain waits for running jobs
-                 # before cancelling them at their next boundary, and
-                 # how long a finished job waits for its pool's
-                 # straggler speculations before force-clearing them.
+                 # before cancelling them at their next boundary.
                  drain_seconds=10.0,
-                 quiesce_seconds=5.0,
                  # Per-job defaults (submit options override).
                  max_instructions=500_000_000,
                  superstep_scale=1,
                  task_timeout_seconds=30.0,
-                 # Elastic autoscaling policy for job pools ("off",
-                 # "react", "hist", "reg"). When on, each job's engine
-                 # may shrink its pool below the lease width — the freed
-                 # workers return to the shared budget, so other warm
-                 # namespaces can admit jobs sooner. The lease width
-                 # stays the per-pool ceiling.
-                 autoscale="off",
-                 # Socket accept backlog.
-                 backlog=16):
+                 # Elastic autoscaling of job pools ("off" or "react").
+                 # When on, each job's engine may shrink its pool below
+                 # the lease width — the freed workers return to the
+                 # shared budget, so other warm namespaces can admit
+                 # jobs sooner. The lease width stays the per-pool
+                 # ceiling.
+                 autoscale="off"):
         self.socket_path = socket_path or default_socket_path()
         self.worker_budget = worker_budget
         self.workers_per_job = workers_per_job
@@ -131,30 +127,16 @@ class ServeConfig:
         self.kill_grace_seconds = kill_grace_seconds
         self.watchdog_interval_seconds = watchdog_interval_seconds
         self.selfcheck_interval_seconds = selfcheck_interval_seconds
-        from repro.runtime import resources
-        if min_shm_headroom_bytes is None:
-            min_shm_headroom_bytes = resources.default_shm_headroom_bytes()
         self.min_shm_headroom_bytes = min_shm_headroom_bytes
-        if min_disk_free_bytes is None:
-            min_disk_free_bytes = resources.default_disk_floor_bytes()
         self.min_disk_free_bytes = min_disk_free_bytes
-        if min_fd_headroom is None:
-            min_fd_headroom = resources.default_fd_headroom()
         self.min_fd_headroom = min_fd_headroom
-        if max_queued_jobs is None:
-            max_queued_jobs = resources.default_max_queued_jobs()
         self.max_queued_jobs = max_queued_jobs
         self.fault_plan = fault_plan
         self.drain_seconds = drain_seconds
-        self.quiesce_seconds = quiesce_seconds
         self.max_instructions = max_instructions
         self.superstep_scale = superstep_scale
         self.task_timeout_seconds = task_timeout_seconds
-        if autoscale not in ("off", "react", "hist", "reg"):
-            raise ValueError("autoscale must be off/react/hist/reg, "
-                             "got %r" % (autoscale,))
-        self.autoscale = autoscale
-        self.backlog = backlog
+        self.autoscale = check_autoscale(autoscale)
 
     def resolve_fault_plan(self):
         """The effective serve-tier plan: the configured one, or the

@@ -114,6 +114,13 @@ _JOB_OPTIONS = frozenset((
 #: Terminal jobs retained for ``jobs``/``result`` queries.
 _JOB_HISTORY = 256
 
+#: How long a finished job waits for its pool's straggler speculations
+#: before force-clearing them.
+_QUIESCE_SECONDS = 5.0
+
+#: Socket accept backlog.
+_LISTEN_BACKLOG = 16
+
 #: Images whose ``Program`` (hence translated blocks) and recognitions
 #: the daemon keeps between pools, least recently submitted out first.
 _IMAGES_KEPT = 64
@@ -345,7 +352,7 @@ class SpeculationDaemon:
             listener.close()
             raise ServeError("cannot bind %s: %s" % (path, exc))
         os.chmod(path, 0o600)
-        listener.listen(self.config.backlog)
+        listener.listen(_LISTEN_BACKLOG)
         listener.settimeout(0.2)
         self._listener = listener
         self._socket_bound = True
@@ -978,7 +985,7 @@ class SpeculationDaemon:
                                  or self.config.max_instructions),
             inflight_wait_bias=float(options.get("inflight_wait_bias", 1.0)),
             task_timeout_seconds=self.config.task_timeout_seconds,
-            autoscale=options.get("autoscale") or self.config.autoscale,
+            autoscale=self.config.autoscale,
             autoscale_max_workers=lease.n_workers)
 
     @staticmethod
@@ -1152,7 +1159,7 @@ class SpeculationDaemon:
         """Merge what a job learned into the shared store, absorbing
         the pool's stragglers so its next job starts clean; their OK
         entries are valid facts about this image. Returns the count."""
-        leftovers = pool.quiesce(self.config.quiesce_seconds)
+        leftovers = pool.quiesce(_QUIESCE_SECONDS)
         return self.store.merge(job.namespace, itertools.chain(
             learned, (o.entry for o in leftovers
                       if o.ok and not o.task.audit)))

@@ -43,7 +43,6 @@ into journaled degraded mode — sequential execution, cache
 write-through disabled — instead of crashing when resources run out.
 """
 
-import os
 import threading
 import time
 
@@ -238,34 +237,17 @@ class Watchdog:
 
 # -- resource self-checks (degraded-mode probes) ------------------------------
 
-def shm_headroom_bytes(path=None):
-    """Free bytes on the tmpfs actually backing
-    ``multiprocessing.shared_memory`` (probed once by
-    :func:`repro.runtime.resources.shm_backing_dir` — not a hardcoded
-    ``/dev/shm``, which is wrong on platforms that mount the POSIX shm
-    namespace elsewhere), or ``None`` when there is no such filesystem
-    (non-Linux; workers run ringless there anyway)."""
-    if path is None:
-        path = resources.shm_backing_dir()
-    try:
-        stat = os.statvfs(path)
-    except (OSError, AttributeError):
-        return None
-    return stat.f_bavail * stat.f_frsize
-
-
 class SelfCheck:
     """Aggregates the daemon's health probes into one healthy/degraded
     verdict, with a reason string for the journal. Deliberately free of
     daemon state so tests can drive it with fake probes.
 
-    ``min_shm_headroom_bytes=None`` follows ``REPRO_SHM_HEADROOM_BYTES``
-    (default 64 MiB); ``0`` explicitly disables the headroom check."""
+    ``min_shm_headroom_bytes=0`` disables the headroom check, and a
+    probe that returns ``None`` (nothing to probe) reads as healthy."""
 
-    def __init__(self, min_shm_headroom_bytes=None,
-                 headroom_probe=shm_headroom_bytes):
-        if min_shm_headroom_bytes is None:
-            min_shm_headroom_bytes = resources.default_shm_headroom_bytes()
+    def __init__(self,
+                 min_shm_headroom_bytes=resources.DEFAULT_SHM_HEADROOM_BYTES,
+                 headroom_probe=resources.shm_headroom_bytes):
         self.min_shm_headroom_bytes = min_shm_headroom_bytes
         self.headroom_probe = headroom_probe
         self.flush_failures = 0

@@ -1,15 +1,17 @@
 """Shared fixtures: small compiled programs used across test modules,
-plus per-test isolation (REPRO_* env, /dev/shm hygiene) and a seeded
-test-order shuffle for the CI isolation leg."""
+plus per-test isolation (REPRO_* env, /dev/shm hygiene), a session-wide
+shm leak gate and a seeded test-order shuffle for the CI isolation
+leg."""
 
 import os
 import random
+import time
 
 import pytest
 
 from repro.asm import assemble
 from repro.minic import compile_source
-from repro.runtime import shm
+from repro.runtime import resources, shm
 from repro.runtime.pool import WorkerPool
 
 #: The REPRO_* environment as it stood when the suite started. CI legs
@@ -30,6 +32,45 @@ def pytest_collection_modifyitems(config, items):
     seed = config.getoption("--repro-shuffle")
     if seed is not None:
         random.Random(seed).shuffle(items)
+
+
+_PSM_BASELINE = pytest.StashKey()
+
+
+def _psm_names():
+    """Every ``psm_*`` segment in the directory backing shared memory,
+    whichever process created it."""
+    try:
+        return {name for name in os.listdir(resources.shm_backing_dir())
+                if name.startswith("psm_")}
+    except OSError:
+        return set()
+
+
+def pytest_sessionstart(session):
+    session.config.stash[_PSM_BASELINE] = _psm_names()
+
+
+def pytest_sessionfinish(session):
+    """Fail the session over any segment it left behind. The per-test
+    gate below only knows segments this process created; a SIGKILLed
+    subprocess daemon's ring is visible only here. Orphaned workers
+    unlink their own rings once they notice, so allow them a moment."""
+    baseline = session.config.stash.get(_PSM_BASELINE, None)
+    if baseline is None:
+        return
+    deadline = time.monotonic() + 5.0
+    while _psm_names() - baseline and time.monotonic() < deadline:
+        time.sleep(0.1)
+    leaked = sorted(_psm_names() - baseline)
+    if leaked:
+        reporter = session.config.pluginmanager.get_plugin(
+            "terminalreporter")
+        reporter.ensure_newline()
+        reporter.write_line(
+            "session leaked shm segments in %s: %s"
+            % (resources.shm_backing_dir(), ", ".join(leaked)), red=True)
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 @pytest.fixture(autouse=True)

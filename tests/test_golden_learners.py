@@ -25,7 +25,7 @@ from repro.bench import build_collatz, build_ising, build_mm2
 from repro.core.allocator import Allocator, RelevanceMask
 from repro.core.excitation import ExcitationTracker
 from repro.core.predictors import default_ensemble
-from repro.core.recognizer import Recognizer
+from repro.core.recognizer import SPECULATION_BUDGET_FACTOR, Recognizer
 from repro.core.speculation import run_speculation
 from repro.core.superstep import run_superstep
 
@@ -42,7 +42,6 @@ VARIANTS = {
     "default": ({}, 4),
     "rollout1": ({}, 1),
     "randomized": ({"rwma_randomized": True, "seed": 7}, 4),
-    "trend": ({"enable_trend_predictor": True}, 4),
     "one-rate": ({"logistic_learning_rates": (0.5,)}, 4),
     "three-rates": ({"logistic_learning_rates": (0.5, 0.05, 0.005)}, 2),
 }
@@ -58,9 +57,6 @@ GOLDEN = {
     ("collatz", "randomized"): (
         "fcf571c2978e12acde9e6fdfd7afc03d27255958e06df73b8bae0a4447f8f564",
         113, 7, 1),
-    ("collatz", "trend"): (
-        "1843533aa4b4326ad445ecd3e510bdbc7c91cfe2adce714e77c17949741e3b4c",
-        115, 5, 1),
     ("collatz", "one-rate"): (
         "178fca5994b1167663ffff1176a7558d0d2d7f7b3f8176b168ad1679ae9af5ef",
         116, 4, 1),
@@ -76,9 +72,6 @@ GOLDEN = {
     ("ising", "randomized"): (
         "b5de00046468e5f0856f03b2ca3cafb7a2cb9a1a2d0032e58797318bee15962f",
         20, 11, 1),
-    ("ising", "trend"): (
-        "b9cf8fc6bcd837d4b50a848da0de275ea181c0645c5a4c7f777900c35535b47f",
-        26, 5, 1),
     ("ising", "one-rate"): (
         "c57e3b81cf2ff841eaa16358897192bd9e0013d43ec0613b1e3909319fd15e30",
         28, 3, 1),
@@ -94,9 +87,6 @@ GOLDEN = {
     ("2mm", "randomized"): (
         "a9bdcde4722114877a94c5f9b2623a0c2603025170d0b8b7ea109a9a3475c196",
         90, 37, 9),
-    ("2mm", "trend"): (
-        "64341a8390cb9ac1a4156e8335cca0c5d590fd0915c3160ccb423760544f28ff",
-        98, 29, 9),
     ("2mm", "one-rate"): (
         "f0175bf77cd9d91ae5e44a8172d9ec245de780706ecd3d58e38496374148e3da",
         98, 29, 9),
@@ -121,8 +111,7 @@ class Stream:
             self.snapshots.append(bytes(machine.state.buf))
         # What the backends' seed_mask learns: the words one real
         # superstep reads.
-        budget = recognized.speculation_budget(
-            config.speculation_budget_factor)
+        budget = recognized.speculation_budget(SPECULATION_BUDGET_FACTOR)
         self.probe = run_speculation(
             machine.context, self.snapshots[len(self.snapshots) // 2],
             recognized.ip, recognized.stride, budget).entry

@@ -2,8 +2,9 @@
 degradation ladder's runtime rungs.
 
 Three layers under test. The :mod:`repro.runtime.resources` unit layer
-(is_enospc, the shm-backing-dir probe, env-tunable floors, rlimit
-plumbing, the :class:`ResourceGovernor` verdicts). The pool layer: a
+(is_enospc, the shm-backing-dir probe, the worker rlimit's environment
+default, rlimit plumbing, the :class:`ResourceGovernor` verdicts). The
+pool layer: a
 ``worker_oom`` chaos fault is *contained* — the worker survives, the
 task fails with a structured ``oom:`` fault and an incident record.
 And the ledger layer (satellite audit): the transport's physical
@@ -61,6 +62,13 @@ class TestProbes:
     def test_headroom_probe_returns_bytes_or_none(self):
         headroom = resources.shm_headroom_bytes()
         assert headroom is None or headroom >= 0
+        # The daemon's self-check reads this probe (wherever segments
+        # actually live, not a hardcoded /dev/shm) against this floor.
+        from repro.serve.watchdog import SelfCheck
+        check = SelfCheck()
+        assert check.headroom_probe is resources.shm_headroom_bytes
+        assert check.min_shm_headroom_bytes == \
+            resources.DEFAULT_SHM_HEADROOM_BYTES
 
     def test_headroom_probe_failure_is_none_not_zero(self):
         # "Cannot probe" must read as "fine", never as "empty".
@@ -76,29 +84,12 @@ class TestProbes:
 
 
 class TestEnvDefaults:
-    def test_env_overrides_apply(self, monkeypatch):
-        monkeypatch.setenv(resources.ENV_SHM_HEADROOM, "1234")
-        monkeypatch.setenv(resources.ENV_DISK_FLOOR, "5678")
-        monkeypatch.setenv(resources.ENV_FD_HEADROOM, "9")
-        monkeypatch.setenv(resources.ENV_MAX_QUEUED, "3")
-        assert resources.default_shm_headroom_bytes() == 1234
-        assert resources.default_disk_floor_bytes() == 5678
-        assert resources.default_fd_headroom() == 9
-        assert resources.default_max_queued_jobs() == 3
-
-    def test_bad_and_empty_values_fall_back(self, monkeypatch):
-        monkeypatch.setenv(resources.ENV_FD_HEADROOM, "not-a-number")
-        assert resources.default_fd_headroom() == \
-            resources.DEFAULT_FD_HEADROOM
-        monkeypatch.setenv(resources.ENV_FD_HEADROOM, "")
-        assert resources.default_fd_headroom() == \
-            resources.DEFAULT_FD_HEADROOM
-
     def test_worker_rlimit_default_unlimited(self, monkeypatch):
         monkeypatch.delenv(resources.ENV_WORKER_RLIMIT_AS, raising=False)
         assert resources.default_worker_rlimit_as() is None
-        monkeypatch.setenv(resources.ENV_WORKER_RLIMIT_AS, "0")
-        assert resources.default_worker_rlimit_as() is None
+        for unset in ("0", "", "not-a-number"):
+            monkeypatch.setenv(resources.ENV_WORKER_RLIMIT_AS, unset)
+            assert resources.default_worker_rlimit_as() is None
         monkeypatch.setenv(resources.ENV_WORKER_RLIMIT_AS, str(1 << 30))
         assert resources.default_worker_rlimit_as() == 1 << 30
 

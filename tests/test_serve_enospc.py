@@ -23,16 +23,13 @@ from repro.bench import build_collatz
 from repro.core.cache_store import SHARD_SUFFIX, SharedCacheStore
 from repro.core.config import EngineConfig
 from repro.core.trajectory_cache import CacheEntry
-from repro.runtime import resources
 from repro.serve import (
     JobJournal,
-    SelfCheck,
     ServeClient,
     ServeClientError,
     ServeConfig,
     SpeculationDaemon,
 )
-from repro.serve import watchdog as serve_watchdog
 
 NS_A = "a1" * 16
 NS_B = "b2" * 16
@@ -337,24 +334,3 @@ class TestServeFaultPlan:
         assert ServeConfig(
             socket_path=str(tmp_path / "s.sock")).resolve_fault_plan() \
             is None
-
-
-class TestWatchdogProbeFollowsBackingDir:
-    def test_default_probe_path_is_the_real_backing_dir(self):
-        # Satellite: the old probe hardcoded /dev/shm; the default must
-        # now follow wherever shared_memory segments actually live.
-        ours = serve_watchdog.shm_headroom_bytes()
-        direct = resources.shm_headroom_bytes(resources.shm_backing_dir())
-        if ours is None or direct is None:
-            pytest.skip("tmpfs not probeable here")
-        # Both probe the same filesystem; headroom drifts between two
-        # statvfs calls, so compare loosely.
-        assert abs(ours - direct) < 64 * 1024 * 1024
-
-    def test_selfcheck_floor_follows_env(self, monkeypatch):
-        monkeypatch.setenv(resources.ENV_SHM_HEADROOM, "12345")
-        check = SelfCheck()
-        assert check.min_shm_headroom_bytes == 12345
-        monkeypatch.delenv(resources.ENV_SHM_HEADROOM)
-        assert SelfCheck().min_shm_headroom_bytes == \
-            resources.DEFAULT_SHM_HEADROOM_BYTES
