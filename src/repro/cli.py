@@ -20,17 +20,45 @@ assembled, and ``.json`` loads a previously saved program image.
 """
 
 import argparse
+import base64
 import json
+import os
+import shutil
+import signal
+import subprocess
 import sys
+import tempfile
+import time
 
+# ``import repro`` loads every layer before this module runs: nothing
+# below is worth importing lazily.
+import repro
+from repro.analysis import (ExperimentContext, memoization_curve,
+                            scaling_sweep)
+from repro.analysis.report import format_series
+from repro.analysis.scaling import ideal_series
 from repro.asm import assemble, disassemble_program
+from repro.bench import build_collatz, build_ising, build_mm2
 from repro.bench.workload import Workload
+from repro.core.checkpoint import Checkpointer, load_latest
 from repro.core.config import EngineConfig
+from repro.core.recognizer import Recognizer
+from repro.core.superstep import SpeculationBackend, SuperstepLoop
 from repro.isa.registers import NAME_TO_REG
 from repro.loader.image import Program
+from repro.machine.state import StateVector
 from repro.minic import compile_source
-from repro.runtime import resources
-from repro.runtime.autoscaler import AUTOSCALE_CHOICES
+from repro.runtime import FaultPlan, RealParallelEngine, RuntimeConfig
+from repro.runtime.faults import resolve_fault_plan
+from repro.serve import (ServeClient, ServeClientError, ServeConfig,
+                         ServeError, SpeculationDaemon)
+from repro.serve.config import SubmitOptions
+from repro.verify import VerifyConfig
+from repro.verify.incidents import format_incident
+
+#: One-shot commands stop a runaway program well before the engine's
+#: own limit would.
+_MAX_INSTRUCTIONS = 50_000_000
 
 
 def load_program(path, name=None):
@@ -45,31 +73,47 @@ def load_program(path, name=None):
     return compile_source(source, name=program_name)
 
 
-def _engine_config(args):
-    overrides = {}
-    if getattr(args, "window", None):
-        overrides["recognizer_window"] = args.window
-    if getattr(args, "min_superstep", None):
-        overrides["min_superstep_instructions"] = args.min_superstep
-    if getattr(args, "hints", False):
-        overrides["use_compiler_hints"] = True
-    return EngineConfig(**overrides)
+def _reference_state(program, max_instructions):
+    """The sequential oracle: the final state bytes of a plain run."""
+    machine = program.make_machine()
+    machine.run(max_instructions=max_instructions)
+    return bytes(machine.state.buf)
 
 
-def _verify_config(args):
-    """Build a VerifyConfig from --verify-rate / --strict-verify.
-
-    Returns ``None`` when neither flag was given, which lets the engine
-    fall back to ``REPRO_VERIFY``. An explicit ``--verify-rate 0``
-    returns a disabled config so it overrides the environment.
-    """
-    from repro.verify import VerifyConfig
-    if getattr(args, "strict_verify", False):
-        return VerifyConfig(strict=True)
-    rate = getattr(args, "verify_rate", None)
-    if rate is not None:
-        return VerifyConfig(rate=rate)
-    return None
+def _report(args, program, state, payload, summary=None):
+    """Finish a command that ends in a final :class:`StateVector`: the
+    ``--reg`` / ``--global`` / ``--state-out`` read-back, then ``payload``
+    under ``--json``, else ``summary`` and the values. Returns the exit
+    code: 2 for a register or global the program does not have."""
+    registers = {}
+    for reg_name in args.reg or ():
+        reg = NAME_TO_REG.get(reg_name.lower())
+        if reg is None:
+            print("unknown register %r" % reg_name, file=sys.stderr)
+            return 2
+        registers[reg_name] = state.get_reg_signed(reg)
+    global_values = {}
+    for symbol in args.globals or ():
+        for candidate in (symbol, "g_" + symbol):
+            if candidate in program.symbols:
+                global_values[symbol] = state.read_i32(
+                    program.symbol(candidate))
+                break
+        else:
+            print("unknown global %r" % symbol, file=sys.stderr)
+            return 2
+    if args.state_out:
+        with open(args.state_out, "wb") as handle:
+            handle.write(bytes(state.buf))
+    if args.json:
+        payload.update(registers=registers, globals=global_values)
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        if summary:
+            print(summary)
+        for name, value in [*registers.items(), *global_values.items()]:
+            print("%s = %d" % (name, value))
+    return 0 if payload["halted"] else 1
 
 
 def _verify_line(audit):
@@ -83,23 +127,19 @@ def _verify_line(audit):
 
 def _checkpoint_setup(args, program, subdir=None):
     """Build (checkpointer, resume_from) from --checkpoint-* flags."""
-    directory = getattr(args, "checkpoint_dir", None)
-    resume = getattr(args, "resume", False)
+    directory = args.checkpoint_dir
     if directory is None:
-        if resume:
+        if args.resume:
             print("--resume requires --checkpoint-dir", file=sys.stderr)
             raise SystemExit(2)
         return None, None
-    import os
-
-    from repro.core.checkpoint import Checkpointer, load_latest
     if subdir is not None:
         directory = os.path.join(directory, subdir)
     checkpointer = Checkpointer(
         directory, every_instructions=args.checkpoint_every,
         program=program.name)
     resume_from = None
-    if resume:
+    if args.resume:
         resume_from = load_latest(directory)
         if resume_from is None:
             print("no valid checkpoint in %s; starting fresh" % directory,
@@ -164,23 +204,15 @@ def _wire_line(runtime):
                runtime.shm_fallbacks))
 
 
-def _run_real_backend(program, args):
+def _run_real_backend(program, args, checkpointer, resume_from):
     """Execute on the multiprocess runtime; returns (machine, payload)."""
-    from repro.runtime import RealParallelEngine, RuntimeConfig
-
-    runtime_config = RuntimeConfig(
-        n_workers=args.workers,
-        superstep_scale=args.superstep_scale,
-        max_instructions=args.max_instructions,
-        fault_plan=getattr(args, "fault_plan", None),
-        worker_rlimit_as_bytes=getattr(args, "worker_rlimit_as", None),
-        autoscale=getattr(args, "autoscale", "off"))
-    checkpointer, resume_from = _checkpoint_setup(args, program)
-    engine = RealParallelEngine(program, config=_engine_config(args),
+    runtime_config = RuntimeConfig.from_args(args)
+    engine = RealParallelEngine(program, config=EngineConfig.from_args(args),
                                 runtime_config=runtime_config,
                                 checkpointer=checkpointer,
                                 resume_from=resume_from,
-                                verify=_verify_config(args))
+                                verify=VerifyConfig.from_options(
+                                    args.verify_rate, args.strict_verify))
     result = engine.run()
     stats, runtime = result.stats, result.runtime
     payload = {
@@ -215,119 +247,75 @@ def _run_real_backend(program, args):
             print(_autoscale_line(runtime_config.autoscale, runtime))
         if result.audit is not None:
             print(_verify_line(result.audit))
-        if engine.resumed_instructions:
-            print("resumed from checkpoint at %d instructions"
-                  % engine.resumed_instructions)
-        if checkpointer is not None:
-            print("checkpoints: %d written to %s"
-                  % (checkpointer.saves, checkpointer.directory))
     return engine.machine, payload
 
 
-def _run_sim_backend(program, args):
+def _run_sim_backend(program, args, checkpointer, resume_from):
     """Plain single-machine execution — the superstep loop with no
     phases and no speculation — with optional checkpoint/resume."""
-    from repro.core.config import EngineConfig
-    from repro.core.superstep import SpeculationBackend, SuperstepLoop
-
-    checkpointer, resume_from = _checkpoint_setup(args, program)
     loop = SuperstepLoop(program, EngineConfig(), SpeculationBackend(), (),
                          args.max_instructions, checkpointer=checkpointer,
                          resume_from=resume_from)
     loop.run()
     machine = loop.main
     executed = loop.stats.instructions_executed
-    base = loop.base_instructions
     payload = {
         "program": program.name,
         "backend": "sim",
         "halted": machine.halted,
         "instructions": executed,
-        "resumed_instructions": base,
+        "resumed_instructions": loop.base_instructions,
     }
     if not args.json:
         print("%s after %d instructions (eip=0x%x)"
               % ("halted" if machine.halted else "limit", executed,
                  machine.state.eip))
-        if base:
-            print("resumed from checkpoint at %d instructions" % base)
-        if checkpointer is not None:
-            print("checkpoints: %d written to %s"
-                  % (checkpointer.saves, checkpointer.directory))
     return machine, payload
 
 
 def cmd_run(args):
     program = load_program(args.file)
-    if args.backend == "real":
-        machine, payload = _run_real_backend(program, args)
-    else:
-        machine, payload = _run_sim_backend(program, args)
-    registers = {}
-    for reg_name in args.reg or ():
-        reg = NAME_TO_REG.get(reg_name.lower())
-        if reg is None:
-            print("unknown register %r" % reg_name, file=sys.stderr)
-            return 2
-        registers[reg_name] = machine.state.get_reg_signed(reg)
-    global_values = {}
-    for symbol in args.globals or ():
-        for candidate in (symbol, "g_" + symbol):
-            if candidate in program.symbols:
-                global_values[symbol] = machine.state.read_i32(
-                    program.symbol(candidate))
-                break
-        else:
-            print("unknown global %r" % symbol, file=sys.stderr)
-            return 2
-    if args.state_out:
-        with open(args.state_out, "wb") as handle:
-            handle.write(bytes(machine.state.buf))
-    if args.json:
-        payload["registers"] = registers
-        payload["globals"] = global_values
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for name, value in registers.items():
-            print("%s = %d" % (name, value))
-        for name, value in global_values.items():
-            print("%s = %d" % (name, value))
-    return 0 if machine.halted else 1
+    checkpointer, resume_from = _checkpoint_setup(args, program)
+    run = _run_real_backend if args.backend == "real" else _run_sim_backend
+    machine, payload = run(program, args, checkpointer, resume_from)
+    if not args.json:
+        if payload["resumed_instructions"]:
+            print("resumed from checkpoint at %d instructions"
+                  % payload["resumed_instructions"])
+        if checkpointer is not None:
+            print("checkpoints: %d written to %s"
+                  % (checkpointer.saves, checkpointer.directory))
+    return _report(args, program, machine.state, payload)
+
+
+def _recognized_line(recognized):
+    return ("recognized IP 0x%x (superstep ~%.0f instructions, stride %d)"
+            % (recognized.ip, recognized.superstep_instructions,
+               recognized.stride))
 
 
 def _scale_real_backend(program, args):
     """Measured wall-clock scaling on the multiprocess runtime."""
-    import time
-
-    from repro.core.recognizer import Recognizer
-    from repro.runtime import RealParallelEngine, RuntimeConfig
-
-    json_out = getattr(args, "json", False)
-    config = _engine_config(args)
+    config = EngineConfig.from_args(args)
     recognized = Recognizer(config).find(program)
-    if not json_out:
-        print("recognized IP 0x%x (superstep ~%.0f instructions, stride %d)"
-              % (recognized.ip, recognized.superstep_instructions,
-                 recognized.stride))
+    if not args.json:
+        print(_recognized_line(recognized))
     t0 = time.perf_counter()
-    machine = program.make_machine()
-    machine.run(max_instructions=500_000_000)
+    expected = _reference_state(program, RuntimeConfig().max_instructions)
     seq_wall = time.perf_counter() - t0
-    expected = bytes(machine.state.buf)
-    if not json_out:
+    if not args.json:
         print("sequential: %.3fs wall" % seq_wall)
     all_identical = True
     points = []
     for n_workers in (int(w) for w in args.workers.split(",")):
-        runtime_config = RuntimeConfig(
-            n_workers=n_workers, superstep_scale=args.superstep_scale,
-            autoscale=getattr(args, "autoscale", "off"))
+        runtime_config = RuntimeConfig.from_args(args, n_workers=n_workers)
         checkpointer, resume_from = _checkpoint_setup(
             program=program, args=args, subdir="w%d" % n_workers)
         result = RealParallelEngine(
             program, config=config, runtime_config=runtime_config,
             recognized=recognized, checkpointer=checkpointer,
-            resume_from=resume_from, verify=_verify_config(args)).run()
+            resume_from=resume_from, verify=VerifyConfig.from_options(
+                args.verify_rate, args.strict_verify)).run()
         identical = result.final_state == expected
         all_identical = all_identical and identical
         points.append({
@@ -342,7 +330,7 @@ def _scale_real_backend(program, args):
             "cache": result.cache.stats_dict(),
             "audit": result.audit,
         })
-        if not json_out:
+        if not args.json:
             print("%3d workers: %.3fs wall, %.2fx, %d hits, %d shipped, "
                   "identical=%s"
                   % (n_workers, result.wall_seconds,
@@ -357,7 +345,7 @@ def _scale_real_backend(program, args):
                       % resume_from.instruction_count)
             if result.audit is not None:
                 print("    " + _verify_line(result.audit))
-    if json_out:
+    if args.json:
         print(json.dumps({
             "program": program.name,
             "backend": "real",
@@ -369,21 +357,15 @@ def _scale_real_backend(program, args):
 
 
 def cmd_scale(args):
-    from repro.analysis import ExperimentContext, scaling_sweep
-    from repro.analysis.report import format_series
-    from repro.analysis.scaling import ideal_series
-
     program = load_program(args.file)
     if args.backend == "real":
         return _scale_real_backend(program, args)
-    json_out = getattr(args, "json", False)
-    workload = Workload(program.name, program, config=_engine_config(args))
+    workload = Workload(program.name, program,
+                        config=EngineConfig.from_args(args))
     context = ExperimentContext(workload)
     recognized = context.recognized
-    if not json_out:
-        print("recognized IP 0x%x (superstep ~%.0f instructions, stride %d)"
-              % (recognized.ip, recognized.superstep_instructions,
-                 recognized.stride))
+    if not args.json:
+        print(_recognized_line(recognized))
     cores = [int(c) for c in args.cores.split(",")]
     series = {"ideal": ideal_series(cores)}
     if args.oracle:
@@ -391,7 +373,7 @@ def cmd_scale(args):
             context, cores, platform=args.platform, oracle=True)
     series["lasc"] = scaling_sweep(context, cores, platform=args.platform,
                                    collect_prediction_stats=False)
-    if json_out:
+    if args.json:
         payload = {
             "program": program.name,
             "backend": "sim",
@@ -417,10 +399,8 @@ def cmd_scale(args):
 
 
 def cmd_memoize(args):
-    from repro.analysis import ExperimentContext, memoization_curve
-
     program = load_program(args.file)
-    config = _engine_config(args).replace(
+    config = EngineConfig.from_args(args).replace(
         min_superstep_instructions=args.min_superstep or 60,
         recognizer_validate_states=96)
     workload = Workload(program.name, program, config=config)
@@ -433,36 +413,19 @@ def cmd_memoize(args):
     return 0
 
 
-_CHAOS_BUILTINS = ("collatz", "ising", "mm2")
+_CHAOS_BUILTINS = {
+    "collatz": lambda size: build_collatz(count=size or 300),
+    "ising": lambda size: build_ising(nodes=size or 48, spins=6),
+    "mm2": lambda size: build_mm2(n=size or 10),
+}
 
 
 def _chaos_workload(args):
     """A (program, engine_config) pair for the chaos target."""
-    target = args.target
-    if target == "collatz":
-        from repro.bench.collatz import build_collatz
-        workload = build_collatz(count=args.size or 300)
-    elif target == "ising":
-        from repro.bench.ising import build_ising
-        workload = build_ising(nodes=args.size or 48, spins=6)
-    elif target == "mm2":
-        from repro.bench.mm2 import build_mm2
-        workload = build_mm2(n=args.size or 10)
-    else:
-        return load_program(target), _engine_config(args)
+    if args.target not in _CHAOS_BUILTINS:
+        return load_program(args.target), EngineConfig.from_args(args)
+    workload = _CHAOS_BUILTINS[args.target](args.size)
     return workload.program, workload.config
-
-
-def _engine_overrides(config):
-    """Diff an :class:`EngineConfig` against the defaults — the dict a
-    submit verb ships so the daemon rebuilds the same tuned config."""
-    defaults = EngineConfig().__dict__
-    overrides = {}
-    for key, value in config.__dict__.items():
-        if defaults.get(key) != value:
-            overrides[key] = list(value) if isinstance(value, tuple) \
-                else value
-    return overrides
 
 
 def _chaos_serve(args):
@@ -475,15 +438,6 @@ def _chaos_serve(args):
     land at seeded, reproducible points of the job's life. The job is
     tracked purely by its idempotency token — the thing the journal
     guarantees survives any restart."""
-    import os
-    import shutil
-    import subprocess
-    import tempfile
-    import time
-
-    from repro.runtime import FaultPlan
-    from repro.serve import ServeClient, ServeClientError
-
     program, config = _chaos_workload(args)
     plan = FaultPlan(seed=args.seed,
                      daemon_kills=args.daemon_kills,
@@ -503,15 +457,12 @@ def _chaos_serve(args):
         serve_plan_spec = ("seed=%d,disk_full=%d,fd_exhaust=%d,"
                           "start=1,spacing=1"
                           % (args.seed, args.disk_fulls, args.fd_exhausts))
-    sequential = program.make_machine()
-    sequential.run(max_instructions=args.max_instructions)
-    expected = bytes(sequential.state.buf)
+    expected = _reference_state(program, args.max_instructions)
 
     workdir = tempfile.mkdtemp(prefix="repro-chaos-serve-")
     socket_path = os.path.join(workdir, "serve.sock")
     cache_dir = os.path.join(workdir, "cache")
     journal_path = os.path.join(cache_dir, "journal", "journal.ascj")
-    import repro
     pkg_root = os.path.dirname(os.path.dirname(
         os.path.abspath(repro.__file__)))
     env = dict(os.environ)
@@ -544,11 +495,9 @@ def _chaos_serve(args):
         proc.kill()
         raise RuntimeError("daemon never bound %s" % socket_path)
 
-    options = {"max_instructions": args.max_instructions,
-               "inflight_wait_bias": 1e9}
-    overrides = _engine_overrides(config)
-    if overrides:
-        options["engine"] = overrides
+    options = SubmitOptions(max_instructions=args.max_instructions,
+                            inflight_wait_bias=1e9,
+                            engine=config.overrides()).overrides()
 
     restarts = 0
     proc = start_daemon()
@@ -682,16 +631,36 @@ def _chaos_serve(args):
                  and serve_faults_ok) else 1
 
 
+def _run_beside_reference(args, plan, verify=None, **runtime):
+    """Run the chaos target on the real backend and hold its final
+    state against the sequential oracle's: ``(program, result, payload)``
+    with the keys every differential report shares."""
+    program, config = _chaos_workload(args)
+    expected = _reference_state(program, args.max_instructions)
+    result = RealParallelEngine(
+        program, config=config, verify=verify,
+        runtime_config=RuntimeConfig.from_args(
+            args, fault_plan=plan, **runtime)).run()
+    return program, result, {
+        "program": program.name,
+        "seed": args.seed,
+        "identical": result.final_state == expected,
+        "halted": result.halted,
+        "wall_seconds": result.wall_seconds,
+        "total_instructions": result.total_instructions,
+        "plan": plan.as_dict() if plan is not None else None,
+        "stats": result.stats.as_dict(),
+        "runtime": result.runtime.as_dict(),
+    }
+
+
 def cmd_chaos(args):
     """Run a workload under a seeded fault schedule and assert that the
     final state is byte-identical to a plain sequential run — the ASC
     correctness property under adversarial infrastructure."""
-    from repro.runtime import FaultPlan, RealParallelEngine, RuntimeConfig
-
     if args.serve:
         return _chaos_serve(args)
 
-    program, config = _chaos_workload(args)
     plan = FaultPlan(seed=args.seed, kills=args.kills,
                      timeouts=args.timeouts, corruptions=args.corrupts,
                      slows=args.slows, drops=args.drops,
@@ -699,32 +668,8 @@ def cmd_chaos(args):
                      worker_ooms=args.worker_ooms,
                      slow_seconds=args.slow_ms / 1000.0,
                      spacing=args.spacing)
-    sequential = program.make_machine()
-    sequential.run(max_instructions=args.max_instructions)
-    expected = bytes(sequential.state.buf)
-
-    runtime_config = RuntimeConfig(
-        n_workers=args.workers,
-        max_instructions=args.max_instructions,
-        task_timeout_seconds=args.task_timeout,
-        fault_plan=plan)
-    engine = RealParallelEngine(program, config=config,
-                                runtime_config=runtime_config)
-    result = engine.run()
-    runtime = result.runtime
-    identical = result.final_state == expected
-
-    payload = {
-        "program": program.name,
-        "seed": args.seed,
-        "identical": identical,
-        "halted": result.halted,
-        "wall_seconds": result.wall_seconds,
-        "total_instructions": result.total_instructions,
-        "plan": plan.as_dict(),
-        "stats": result.stats.as_dict(),
-        "runtime": runtime.as_dict(),
-    }
+    program, result, payload = _run_beside_reference(args, plan)
+    identical = payload["identical"]
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -737,7 +682,7 @@ def cmd_chaos(args):
         print("%s after %d instructions in %.3fs wall"
               % ("halted" if result.halted else "limit",
                  result.total_instructions, result.wall_seconds))
-        print(_supervision_line(runtime))
+        print(_supervision_line(result.runtime))
         print("final state %s sequential reference"
               % ("IDENTICAL to" if identical else "DIVERGES from"))
     return 0 if identical and result.halted else 1
@@ -748,52 +693,23 @@ def cmd_audit(args):
     mode) and the final state compared against a plain sequential run.
     Exit 0 only if no audit diverged and the state is byte-identical —
     the machine-checkable form of the paper's correctness argument."""
-    from repro.runtime import FaultPlan, RealParallelEngine, RuntimeConfig
-    from repro.runtime.faults import resolve_fault_plan
-    from repro.verify import VerifyConfig
-    from repro.verify.incidents import format_incident
-
-    program, config = _chaos_workload(args)
     if args.fault_plan:
         plan = resolve_fault_plan(args.fault_plan)
     elif args.taints:
         plan = FaultPlan(seed=args.seed, taints=args.taints)
     else:
         plan = None
-    sequential = program.make_machine()
-    sequential.run(max_instructions=args.max_instructions)
-    expected = bytes(sequential.state.buf)
-
     # The wait bias makes every on-trajectory speculation a hit, so the
     # audit sweep covers the same splices on every run of a given seed.
-    runtime_config = RuntimeConfig(
-        n_workers=args.workers,
-        max_instructions=args.max_instructions,
-        inflight_wait_bias=1e9,
-        fault_plan=plan)
-    engine = RealParallelEngine(
-        program, config=config, runtime_config=runtime_config,
-        verify=VerifyConfig(strict=True, seed=args.seed))
-    result = engine.run()
+    program, result, payload = _run_beside_reference(
+        args, plan, verify=VerifyConfig(strict=True, seed=args.seed),
+        inflight_wait_bias=1e9)
     audit = result.audit or {}
     incidents = audit.get("incidents", [])
-    identical = result.final_state == expected
+    identical = payload["identical"]
     clean = bool(identical and result.halted and not incidents)
-
-    payload = {
-        "program": program.name,
-        "seed": args.seed,
-        "clean": clean,
-        "identical": identical,
-        "halted": result.halted,
-        "total_instructions": result.total_instructions,
-        "wall_seconds": result.wall_seconds,
-        "plan": plan.as_dict() if plan is not None else None,
-        "audit": audit,
-        "stats": result.stats.as_dict(),
-        "runtime": result.runtime.as_dict(),
-        "cache": result.cache.stats_dict(),
-    }
+    payload.update(clean=clean, audit=audit,
+                   cache=result.cache.stats_dict())
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -812,75 +728,29 @@ def cmd_audit(args):
     return 0 if clean else 1
 
 
-def _serve_config(args):
-    from repro.serve import ServeConfig
-    return ServeConfig(
-        socket_path=args.socket,
-        worker_budget=args.worker_budget,
-        workers_per_job=args.workers_per_job,
-        max_concurrent_jobs=args.max_jobs,
-        max_running_per_client=args.max_running_per_client,
-        max_queued_per_client=args.max_queued_per_client,
-        cache_dir=args.cache_dir,
-        flush_every_jobs=args.flush_every,
-        drain_seconds=args.drain_seconds,
-        max_instructions=args.max_instructions,
-        task_timeout_seconds=args.task_timeout,
-        journal_dir=getattr(args, "journal_dir", None),
-        journal_fsync=getattr(args, "journal_fsync", True),
-        job_deadline_seconds=getattr(args, "job_deadline", None),
-        no_progress_seconds=getattr(args, "no_progress_seconds", 20.0),
-        kill_grace_seconds=getattr(args, "kill_grace_seconds", 5.0),
-        min_shm_headroom_bytes=args.shm_headroom_bytes,
-        min_disk_free_bytes=args.min_disk_free_bytes,
-        min_fd_headroom=args.min_fd_headroom,
-        max_queued_jobs=args.max_queued_jobs,
-        fault_plan=getattr(args, "fault_plan", None),
-        autoscale=getattr(args, "autoscale", "off"))
-
-
 def cmd_serve(args):
     """Run (or stop) the resident speculation daemon."""
-    import signal
-
-    from repro.serve import (ServeClient, ServeClientError, ServeError,
-                             SpeculationDaemon)
-
     if args.status or args.ping:
-        try:
-            with ServeClient(socket_path=args.socket, retries=0) as client:
-                if args.status:
-                    print(json.dumps(client.status(), indent=2,
-                                     sort_keys=True))
-                else:
-                    client.ping()
-                    print("ok: daemon on %s" % client.socket_path)
-        except ServeClientError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
+        with ServeClient(socket_path=args.socket, retries=0) as client:
+            if args.status:
+                print(json.dumps(client.status(), indent=2, sort_keys=True))
+            else:
+                client.ping()
+                print("ok: daemon on %s" % client.socket_path)
         return 0
-
     if args.stop:
-        try:
-            with ServeClient(socket_path=args.socket) as client:
-                client.shutdown(drain=not args.no_drain)
-        except ServeClientError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
+        with ServeClient(socket_path=args.socket) as client:
+            client.shutdown(drain=not args.no_drain)
         print("shutdown requested")
         return 0
 
-    daemon = SpeculationDaemon(_serve_config(args))
+    daemon = SpeculationDaemon(ServeConfig.from_args(args))
     # SIGTERM drains; a second SIGTERM escalates to an immediate
     # cancel. Both land in the same idempotent close() path.
     handler = lambda signum, frame: daemon.request_stop()  # noqa: E731
     signal.signal(signal.SIGTERM, handler)
     signal.signal(signal.SIGINT, handler)
-    try:
-        daemon.start()
-    except ServeError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    daemon.start()
     cache = ("cache %s" % daemon.config.cache_dir
              if daemon.config.cache_dir else "cache in memory")
     print("repro serve: listening on %s (%d-worker budget, %s, "
@@ -894,124 +764,52 @@ def cmd_serve(args):
     return 0
 
 
-def _submit_target(args):
-    """Resolve a submit target to (program, engine-config overrides).
-
-    The daemon rebuilds ``EngineConfig`` from the overrides dict, so
-    builtins run with the same tuned config ``repro chaos`` gives them
-    and files honor --window/--min-superstep/--hints.
-    """
-    target = args.target
-    if target in _CHAOS_BUILTINS:
-        program, config = _chaos_workload(args)
-    else:
-        program = load_program(target)
-        config = _engine_config(args)
-    return program, _engine_overrides(config)
-
-
 def cmd_submit(args):
     """Submit a program to the daemon; by default wait for the result."""
-    import base64
+    # The daemon rebuilds EngineConfig from the overrides, so builtins
+    # run with the same tuned config ``repro chaos`` gives them and
+    # files honor --window/--min-superstep/--hints.
+    program, config = _chaos_workload(args)
+    options = SubmitOptions.from_args(
+        args, engine=config.overrides()).overrides()
 
-    from repro.machine.state import StateVector
-    from repro.serve import ServeClient, ServeClientError
+    with ServeClient(socket_path=args.socket, client=args.client,
+                     timeout=args.timeout) as client:
+        submitted = client.submit(program, token=args.token, **options)
+        job_id = submitted["job_id"]
+        if args.no_wait:
+            if args.json:
+                print(json.dumps(submitted, indent=2, sort_keys=True))
+            else:
+                print("submitted %s as %s (namespace %s, %d warm entries)"
+                      % (program.name, job_id, submitted["namespace"][:12],
+                         submitted["warm_entries"]))
+            return 0
+        job = client.wait(job_id, timeout=args.timeout)
+        if job["state"] != "done":
+            print("job %s %s: %s" % (job_id, job["state"],
+                                     job.get("error")), file=sys.stderr)
+            return 1
+        result = client.result(job_id)
 
-    program, engine_overrides = _submit_target(args)
-    options = {"max_instructions": args.max_instructions}
-    if args.workers:
-        options["workers"] = args.workers
-    if args.superstep_scale != 1:
-        options["superstep_scale"] = args.superstep_scale
-    if args.wait_bias is not None:
-        options["inflight_wait_bias"] = args.wait_bias
-    if getattr(args, "strict_verify", False):
-        options["strict_verify"] = True
-    if getattr(args, "verify_rate", None) is not None:
-        options["verify_rate"] = args.verify_rate
-    if getattr(args, "deadline", None) is not None:
-        options["deadline_seconds"] = args.deadline
-    if engine_overrides:
-        options["engine"] = engine_overrides
-
-    try:
-        with ServeClient(socket_path=args.socket, client=args.client,
-                         timeout=args.timeout) as client:
-            submitted = client.submit(program, token=args.token, **options)
-            job_id = submitted["job_id"]
-            if args.no_wait:
-                if args.json:
-                    print(json.dumps(submitted, indent=2, sort_keys=True))
-                else:
-                    print("submitted %s as %s (namespace %s, %d warm "
-                          "entries)" % (program.name, job_id,
-                                        submitted["namespace"][:12],
-                                        submitted["warm_entries"]))
-                return 0
-            job = client.wait(job_id, timeout=args.timeout)
-            if job["state"] != "done":
-                print("job %s %s: %s" % (job_id, job["state"],
-                                         job.get("error")), file=sys.stderr)
-                return 1
-            result = client.result(job_id)
-    except ServeClientError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-
-    final_bytes = base64.b64decode(result.pop("final_state"))
     state = StateVector(program.layout)
-    state.buf[:] = final_bytes
-    registers = {}
-    for reg_name in args.reg or ():
-        reg = NAME_TO_REG.get(reg_name.lower())
-        if reg is None:
-            print("unknown register %r" % reg_name, file=sys.stderr)
-            return 2
-        registers[reg_name] = state.get_reg_signed(reg)
-    global_values = {}
-    for symbol in args.globals or ():
-        for candidate in (symbol, "g_" + symbol):
-            if candidate in program.symbols:
-                global_values[symbol] = state.read_i32(
-                    program.symbol(candidate))
-                break
-        else:
-            print("unknown global %r" % symbol, file=sys.stderr)
-            return 2
-    if args.state_out:
-        with open(args.state_out, "wb") as handle:
-            handle.write(final_bytes)
-    if args.json:
-        result["registers"] = registers
-        result["globals"] = global_values
-        print(json.dumps(result, indent=2, sort_keys=True))
-    else:
-        first = result.get("first_splice_seconds")
-        print("%s: %s after %d instructions in %.3fs wall "
-              "(%d warm entries, %d hits%s, %d new entries banked)"
-              % (job_id, "halted" if result["halted"] else "limit",
-                 result["total_instructions"], result["wall_seconds"],
-                 result["warm_entries"], result["hits"],
-                 ", first splice %.3fs" % first if first is not None else "",
-                 result["merged_entries"]))
-        for name, value in registers.items():
-            print("%s = %d" % (name, value))
-        for name, value in global_values.items():
-            print("%s = %d" % (name, value))
-    return 0 if result["halted"] else 1
+    state.buf[:] = base64.b64decode(result.pop("final_state"))
+    first = result.get("first_splice_seconds")
+    return _report(args, program, state, result, summary=(
+        "%s: %s after %d instructions in %.3fs wall "
+        "(%d warm entries, %d hits%s, %d new entries banked)"
+        % (job_id, "halted" if result["halted"] else "limit",
+           result["total_instructions"], result["wall_seconds"],
+           result["warm_entries"], result["hits"],
+           ", first splice %.3fs" % first if first is not None else "",
+           result["merged_entries"])))
 
 
 def cmd_jobs(args):
     """List the daemon's jobs, with per-client aggregates via stats."""
-    from repro.serve import ServeClient, ServeClientError
-
-    try:
-        with ServeClient(socket_path=args.socket) as client:
-            rows = client.jobs()
-            stats = client.stats()
-    except ServeClientError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    with ServeClient(socket_path=args.socket) as client:
+        rows = client.jobs()
+        stats = client.stats()
     if args.json:
         print(json.dumps({"jobs": rows, "stats": stats}, indent=2,
                          sort_keys=True))
@@ -1050,12 +848,53 @@ def cmd_jobs(args):
     return 0
 
 
+def _group(*parents):
+    """A flag group to share between subcommands through ``parents=``."""
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+
 def build_parser():
+    """Flags a config class declares come from its table (``add_flags``);
+    only what is the command line's own is spelled out here."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="ASC (ASPLOS 2014) reproduction: compile, run, and "
                     "automatically scale sequential programs.")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    # Unset means "the config's default", so these show None, not it.
+    recognize = _group()
+    EngineConfig.add_flags(recognize, recognizer_window=None,
+                           min_superstep_instructions=None,
+                           use_compiler_hints=False)
+    target = _group(recognize)
+    target.add_argument("target",
+                        help="builtin workload (%s) or a program file"
+                             % "/".join(_CHAOS_BUILTINS))
+    target.add_argument("--size", type=int,
+                        help="builtin workload size (collatz count / "
+                             "ising nodes / mm2 n)")
+    read_back = _group()
+    read_back.add_argument("--reg", action="append",
+                           help="print a register of the final state "
+                                "(repeatable)")
+    read_back.add_argument("--global", dest="globals", action="append",
+                           help="print a global variable of the final "
+                                "state (repeatable)")
+    read_back.add_argument("--state-out", dest="state_out", metavar="PATH",
+                           help="write the final machine state bytes to "
+                                "PATH")
+    verify = _group()
+    SubmitOptions.add_flags(verify, "verify_rate", "strict_verify")
+    checkpoint = _group()
+    checkpoint.add_argument("--checkpoint-dir", dest="checkpoint_dir",
+                            help="write periodic durable checkpoints here")
+    checkpoint.add_argument("--checkpoint-every", dest="checkpoint_every",
+                            type=int, default=1_000_000, metavar="N",
+                            help="checkpoint cadence in instructions")
+    checkpoint.add_argument("--resume", action="store_true",
+                            help="resume from the newest valid checkpoint "
+                                 "in --checkpoint-dir")
 
     p = sub.add_parser("compile", help="compile Mini-C / assemble SVM32")
     p.add_argument("file")
@@ -1068,112 +907,46 @@ def build_parser():
     p.add_argument("file")
     p.set_defaults(func=cmd_disasm)
 
-    def add_verify_flags(p):
-        p.add_argument("--verify-rate", dest="verify_rate", type=float,
-                       metavar="RATE",
-                       help="shadow-audit this fraction of cache splices "
-                            "on the reference interpreter (0..1; real "
-                            "backend; overrides REPRO_VERIFY)")
-        p.add_argument("--strict-verify", dest="strict_verify",
-                       action="store_true",
-                       help="audit every splice synchronously and "
-                            "quarantine divergent groups for good")
-
-    def add_autoscale_flag(p):
-        p.add_argument("--autoscale", choices=AUTOSCALE_CHOICES,
-                       default="off",
-                       help="elastic worker autoscaling sampled at "
-                            "superstep boundaries: 'react' shrinks the "
-                            "pool while speculation does not pay and "
-                            "regrows it when it does; 'off' keeps the "
-                            "static pool")
-
-    def add_checkpoint_flags(p):
-        p.add_argument("--checkpoint-dir", dest="checkpoint_dir",
-                       help="write periodic durable checkpoints here")
-        p.add_argument("--checkpoint-every", dest="checkpoint_every",
-                       type=int, default=1_000_000, metavar="N",
-                       help="checkpoint cadence in instructions")
-        p.add_argument("--resume", action="store_true",
-                       help="resume from the newest valid checkpoint in "
-                            "--checkpoint-dir")
-
-    p = sub.add_parser("run", help="execute a program to halt")
+    p = sub.add_parser("run", help="execute a program to halt",
+                       parents=[read_back, verify, checkpoint])
     p.add_argument("file")
-    p.add_argument("--max-instructions", type=int, default=50_000_000)
-    p.add_argument("--reg", action="append",
-                   help="print a register after the run (repeatable)")
-    p.add_argument("--global", dest="globals", action="append",
-                   help="print a global variable after the run")
     p.add_argument("--backend", choices=["sim", "real"], default="sim",
                    help="'real' speculates on a pool of worker processes")
-    p.add_argument("--workers", type=int, default=2,
-                   help="worker processes for --backend real")
-    p.add_argument("--superstep-scale", type=int, default=1,
-                   dest="superstep_scale",
-                   help="multiply the recognized superstep (real backend)")
     p.add_argument("--json", action="store_true",
                    help="emit a JSON report (stats + runtime counters)")
-    p.add_argument("--state-out", dest="state_out", metavar="PATH",
-                   help="write the final machine state bytes to PATH")
-    p.add_argument("--fault-plan", dest="fault_plan", metavar="SPEC",
-                   help="inject faults, e.g. 'seed=42,kill=2,corrupt=1' "
-                        "(real backend)")
-    p.add_argument("--worker-rlimit-as", dest="worker_rlimit_as", type=int,
-                   help="cap each worker's address space (RLIMIT_AS, "
-                        "bytes); a runaway speculation fails as a "
-                        "contained task fault instead of taking the "
-                        "host (default REPRO_WORKER_RLIMIT_AS; 0 = "
-                        "uncapped)")
-    add_verify_flags(p)
-    add_checkpoint_flags(p)
-    add_autoscale_flag(p)
+    RuntimeConfig.add_flags(
+        p, "n_workers", "superstep_scale", "fault_plan",
+        "worker_rlimit_as_bytes", "autoscale",
+        max_instructions=_MAX_INSTRUCTIONS)
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("scale", help="ASC scaling sweep")
+    p = sub.add_parser("scale", help="ASC scaling sweep",
+                       parents=[recognize, verify, checkpoint])
     p.add_argument("file")
     p.add_argument("--cores", default="4,16,32")
     p.add_argument("--platform", default="server32",
                    choices=["server32", "bluegene_p"])
     p.add_argument("--oracle", action="store_true")
-    p.add_argument("--window", type=int, help="recognizer window")
-    p.add_argument("--min-superstep", type=int, dest="min_superstep")
-    p.add_argument("--hints", action="store_true",
-                   help="restrict recognition to compiler hints")
     p.add_argument("--backend", choices=["sim", "real"], default="sim",
                    help="'sim' charges a cost model; 'real' measures "
                         "wall-clock on worker processes")
     p.add_argument("--workers", default="1,2,4",
                    help="worker counts to sweep for --backend real")
-    p.add_argument("--superstep-scale", type=int, default=1,
-                   dest="superstep_scale",
-                   help="multiply the recognized superstep (real backend)")
     p.add_argument("--json", action="store_true",
                    help="emit a JSON report (per-point stats, cache, "
                         "and audit sections)")
-    add_verify_flags(p)
-    add_checkpoint_flags(p)
-    add_autoscale_flag(p)
+    RuntimeConfig.add_flags(p, "superstep_scale", "autoscale")
     p.set_defaults(func=cmd_scale)
 
-    p = sub.add_parser("memoize",
+    p = sub.add_parser("memoize", parents=[recognize],
                        help="single-core generalized memoization run")
     p.add_argument("file")
-    p.add_argument("--window", type=int)
-    p.add_argument("--min-superstep", type=int, dest="min_superstep")
-    p.add_argument("--hints", action="store_true")
     p.set_defaults(func=cmd_memoize)
 
     p = sub.add_parser(
-        "chaos",
+        "chaos", parents=[target],
         help="run under seeded fault injection; assert the final state "
              "is byte-identical to a sequential run")
-    p.add_argument("target",
-                   help="builtin workload (%s) or a program file"
-                        % "/".join(_CHAOS_BUILTINS))
-    p.add_argument("--size", type=int,
-                   help="builtin workload size (collatz count / ising "
-                        "nodes / mm2 n)")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--kills", type=int, default=2,
                    help="workers to SIGKILL mid-task")
@@ -1202,13 +975,8 @@ def build_parser():
     p.add_argument("--fd-exhausts", dest="fd_exhausts", type=int, default=0,
                    help="with --serve: admissions shed for fd pressure "
                         "this many times (retryable 'overloaded')")
-    p.add_argument("--workers", type=int, default=3)
-    p.add_argument("--task-timeout", dest="task_timeout", type=float,
-                   default=30.0)
-    p.add_argument("--max-instructions", type=int, default=50_000_000)
-    p.add_argument("--window", type=int, help="recognizer window")
-    p.add_argument("--min-superstep", type=int, dest="min_superstep")
-    p.add_argument("--hints", action="store_true")
+    RuntimeConfig.add_flags(p, "task_timeout_seconds", n_workers=3,
+                            max_instructions=_MAX_INSTRUCTIONS)
     p.add_argument("--json", action="store_true")
     p.add_argument("--serve", action="store_true",
                    help="service-tier chaos: drive a real daemon "
@@ -1230,15 +998,9 @@ def build_parser():
     p.set_defaults(func=cmd_chaos)
 
     p = sub.add_parser(
-        "audit",
+        "audit", parents=[target],
         help="shadow-verify every cache splice against the reference "
              "interpreter; nonzero exit on any semantic divergence")
-    p.add_argument("target",
-                   help="builtin workload (%s) or a program file"
-                        % "/".join(_CHAOS_BUILTINS))
-    p.add_argument("--size", type=int,
-                   help="builtin workload size (collatz count / ising "
-                        "nodes / mm2 n)")
     p.add_argument("--seed", type=int, default=42,
                    help="seeds the audit sampler and any --taints plan")
     p.add_argument("--taints", type=int, default=0,
@@ -1247,11 +1009,8 @@ def build_parser():
     p.add_argument("--fault-plan", dest="fault_plan", metavar="SPEC",
                    help="full fault-plan spec, e.g. 'seed=7,taint=3'; "
                         "overrides --taints")
-    p.add_argument("--workers", type=int, default=2)
-    p.add_argument("--max-instructions", type=int, default=50_000_000)
-    p.add_argument("--window", type=int, help="recognizer window")
-    p.add_argument("--min-superstep", type=int, dest="min_superstep")
-    p.add_argument("--hints", action="store_true")
+    RuntimeConfig.add_flags(p, "n_workers",
+                            max_instructions=_MAX_INSTRUCTIONS)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_audit)
 
@@ -1259,9 +1018,6 @@ def build_parser():
         "serve",
         help="run the resident speculation daemon (warm pools + shared "
              "cross-run trajectory cache)")
-    p.add_argument("--socket", default=None,
-                   help="unix socket path (default REPRO_SERVE_SOCKET or "
-                        "a per-user path under the temp dir)")
     p.add_argument("--stop", action="store_true",
                    help="ask the daemon on --socket to drain and exit")
     p.add_argument("--status", action="store_true",
@@ -1272,113 +1028,27 @@ def build_parser():
     p.add_argument("--no-drain", dest="no_drain", action="store_true",
                    help="with --stop: cancel running jobs instead of "
                         "draining them")
-    p.add_argument("--worker-budget", dest="worker_budget", type=int,
-                   default=4,
-                   help="total live workers across every warm pool")
-    p.add_argument("--workers-per-job", dest="workers_per_job", type=int,
-                   default=2, help="workers per newly created pool")
-    p.add_argument("--max-jobs", dest="max_jobs", type=int, default=2,
-                   help="concurrently running jobs")
-    p.add_argument("--max-running-per-client", dest="max_running_per_client",
-                   type=int, default=1)
-    p.add_argument("--max-queued-per-client", dest="max_queued_per_client",
-                   type=int, default=8,
-                   help="per-client backlog bound (backpressure)")
-    p.add_argument("--cache-dir", dest="cache_dir",
-                   help="persist cache shards here across restarts "
-                        "(default: memory only)")
-    p.add_argument("--flush-every", dest="flush_every", type=int, default=1,
-                   help="flush dirty shards every N finished jobs")
-    p.add_argument("--drain-seconds", dest="drain_seconds", type=float,
-                   default=10.0,
-                   help="shutdown grace for running jobs before cancel")
-    p.add_argument("--max-instructions", type=int, default=500_000_000,
-                   help="per-job default instruction limit")
-    p.add_argument("--task-timeout", dest="task_timeout", type=float,
-                   default=30.0)
-    p.add_argument("--journal-dir", dest="journal_dir",
-                   help="job journal directory (default: "
-                        "<cache-dir>/journal when --cache-dir is set)")
-    p.add_argument("--no-journal-fsync", dest="journal_fsync",
-                   action="store_false",
-                   help="skip fsync on journal appends (faster, weaker "
-                        "crash durability)")
-    p.add_argument("--job-deadline", dest="job_deadline", type=float,
-                   help="default per-job wall-clock deadline, seconds")
-    p.add_argument("--no-progress-seconds", dest="no_progress_seconds",
-                   type=float, default=20.0,
-                   help="kill a job after this long without a superstep "
-                        "heartbeat")
-    p.add_argument("--kill-grace-seconds", dest="kill_grace_seconds",
-                   type=float, default=5.0,
-                   help="grace between watchdog escalation stages")
-    p.add_argument("--shm-headroom-bytes", dest="shm_headroom_bytes",
-                   type=int, default=resources.DEFAULT_SHM_HEADROOM_BYTES,
-                   help="shm free-space floor below which the daemon "
-                        "runs degraded-sequential (default 64 MiB; 0 "
-                        "disables)")
-    p.add_argument("--min-disk-free-bytes", dest="min_disk_free_bytes",
-                   type=int, default=resources.DEFAULT_DISK_FLOOR_BYTES,
-                   help="free-disk floor under the journal/cache dir "
-                        "below which submits are shed as 'overloaded' "
-                        "(default 32 MiB; 0 disables)")
-    p.add_argument("--fd-headroom", dest="min_fd_headroom", type=int,
-                   default=resources.DEFAULT_FD_HEADROOM,
-                   help="open-fd headroom below which submits are shed "
-                        "(default 64; 0 disables)")
-    p.add_argument("--max-queued-jobs", dest="max_queued_jobs", type=int,
-                   default=resources.DEFAULT_MAX_QUEUED_JOBS,
-                   help="global queued-job bound before shedding "
-                        "(default 64; 0 disables)")
-    p.add_argument("--fault-plan", dest="fault_plan", metavar="SPEC",
-                   help="serve-tier chaos plan the daemon consumes at "
-                        "its own seams, e.g. 'seed=7,disk_full=2,"
-                        "fd_exhaust=1' (default REPRO_SERVE_FAULT_PLAN)")
-    add_autoscale_flag(p)
+    ServeConfig.add_flags(p)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
-        "submit",
+        "submit", parents=[target, read_back, verify],
         help="submit a program to the daemon and (by default) wait")
-    p.add_argument("target",
-                   help="builtin workload (%s) or a program file"
-                        % "/".join(_CHAOS_BUILTINS))
-    p.add_argument("--size", type=int,
-                   help="builtin workload size (collatz count / ising "
-                        "nodes / mm2 n)")
     p.add_argument("--socket", default=None)
     p.add_argument("--client", default=None,
                    help="client name for fairness and stats bookkeeping")
-    p.add_argument("--workers", type=int,
-                   help="pool width if the daemon creates a pool for "
-                        "this image")
-    p.add_argument("--max-instructions", type=int, default=50_000_000)
-    p.add_argument("--superstep-scale", type=int, default=1,
-                   dest="superstep_scale")
-    p.add_argument("--wait-bias", dest="wait_bias", type=float,
-                   help="engine inflight wait bias (large values make "
-                        "warm-cache runs deterministic)")
+    SubmitOptions.add_flags(p, "workers", "superstep_scale",
+                            "inflight_wait_bias", "deadline_seconds",
+                            max_instructions=_MAX_INSTRUCTIONS)
     p.add_argument("--no-wait", dest="no_wait", action="store_true",
                    help="print the job id and return immediately")
     p.add_argument("--token",
                    help="idempotency token (default: random; resubmit "
                         "with the same token to dedup onto the original "
                         "job, even across a daemon restart)")
-    p.add_argument("--deadline", type=float,
-                   help="per-job wall-clock deadline, seconds")
     p.add_argument("--timeout", type=float, default=120.0,
                    help="seconds to wait for the result")
-    p.add_argument("--reg", action="append",
-                   help="print a register from the final state")
-    p.add_argument("--global", dest="globals", action="append",
-                   help="print a global variable from the final state")
-    p.add_argument("--state-out", dest="state_out", metavar="PATH",
-                   help="write the final machine state bytes to PATH")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--window", type=int, help="recognizer window")
-    p.add_argument("--min-superstep", type=int, dest="min_superstep")
-    p.add_argument("--hints", action="store_true")
-    add_verify_flags(p)
     p.set_defaults(func=cmd_submit)
 
     p = sub.add_parser("jobs",
@@ -1392,7 +1062,12 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ServeClientError, ServeError) as exc:
+        # No daemon, a refused request, a socket another daemon owns.
+        print(str(exc), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,7 +1,13 @@
 """Engine and learning configuration."""
 
+from repro.settings import Setting, Settings, as_bool, table
 
-class EngineConfig:
+
+def _rates(value):
+    return tuple(float(rate) for rate in value)
+
+
+class EngineConfig(Settings):
     """All tunables for the LASC components in one place.
 
     The defaults correspond to the paper's described behavior, scaled to
@@ -11,47 +17,32 @@ class EngineConfig:
     smaller). Benchmarks override per-workload knobs explicitly.
     """
 
-    def __init__(self,
-                 # -- excitation tracking --------------------------------
-                 warmup_observations=6,
-                 grow_targets=True,
-                 growth_batch_observations=16,
-                 # -- recognizer -----------------------------------------
-                 recognizer_window=60_000,
-                 recognizer_max_window_doublings=3,
-                 recognizer_validate_states=24,
-                 recognizer_min_occurrences=4,
-                 min_superstep_instructions=800,
-                 use_compiler_hints=False,
-                 # -- predictors -----------------------------------------
-                 logistic_learning_rates=(0.5, 0.05),
-                 rwma_beta=0.3,
-                 rwma_randomized=False,
-                 seed=0,
-                 # -- allocator / speculation ----------------------------
-                 converge_supersteps_charge=None,
-                 max_rollout=None,
-                 # -- memoization mode -----------------------------------
-                 memo_block=8,
-                 # -- cache ------------------------------------------------
-                 cache_capacity_bytes=None,
-                 # -- interpreter tier -------------------------------------
-                 # None follows REPRO_FAST_PATH (on by default); False
-                 # forces the reference interpreter everywhere.
-                 fast_path=None):
-        self.warmup_observations = warmup_observations
-        self.grow_targets = grow_targets
-        self.growth_batch_observations = growth_batch_observations
-        self.recognizer_window = recognizer_window
-        self.recognizer_max_window_doublings = recognizer_max_window_doublings
-        self.recognizer_validate_states = recognizer_validate_states
-        self.recognizer_min_occurrences = recognizer_min_occurrences
+    KIND = "engine"
+    FIELDS = table(
+        # -- excitation tracking ----------------------------------------
+        Setting("warmup_observations", 6, int),
+        Setting("grow_targets", True, as_bool),
+        Setting("growth_batch_observations", 16, int),
+        # -- recognizer -------------------------------------------------
+        Setting("recognizer_window", 60_000, int, flag="--window",
+                help="recognizer window"),
+        Setting("recognizer_max_window_doublings", 3, int),
+        Setting("recognizer_validate_states", 24, int),
+        Setting("recognizer_min_occurrences", 4, int),
+        Setting("min_superstep_instructions", 800, int,
+                flag="--min-superstep"),
         # Restrict the recognizer's candidate IPs to the compiler's
         # loop-header/function-entry hints when the program carries them
         # (§2.1: importing static analysis as priors). Hybrid mode: the
         # online validation still decides among the hinted candidates.
-        self.use_compiler_hints = use_compiler_hints
-        self.min_superstep_instructions = min_superstep_instructions
+        Setting("use_compiler_hints", False, as_bool, flag="--hints",
+                help="restrict recognition to compiler hints"),
+        # -- predictors -------------------------------------------------
+        Setting("logistic_learning_rates", (0.5, 0.05), _rates),
+        Setting("rwma_beta", 0.3, float),
+        Setting("rwma_randomized", False, as_bool),
+        Setting("seed", 0, int),
+        # -- allocator / speculation ------------------------------------
         # How much simulated time the recognizer search occupies before
         # speculation may begin, expressed in supersteps. None charges the
         # recognizer's real observation span. The paper's measured
@@ -60,22 +51,17 @@ class EngineConfig:
         # live trajectory, while ours validates candidates sequentially
         # in Python — figure generation sets 2.0 for paper parity and
         # EXPERIMENTS.md reports both charges.
-        self.converge_supersteps_charge = converge_supersteps_charge
-        self.logistic_learning_rates = tuple(logistic_learning_rates)
-        self.rwma_beta = rwma_beta
-        self.rwma_randomized = rwma_randomized
-        self.seed = seed
-        self.max_rollout = max_rollout
-        self.memo_block = memo_block
-        self.cache_capacity_bytes = cache_capacity_bytes
-        self.fast_path = fast_path
+        Setting("converge_supersteps_charge", None, float),
+        Setting("max_rollout", None, int),
+        # -- memoization mode -------------------------------------------
+        Setting("memo_block", 8, int),
+        # -- cache ------------------------------------------------------
+        Setting("cache_capacity_bytes", None, int),
+        # -- interpreter tier -------------------------------------------
+        # None follows REPRO_FAST_PATH (on by default); False forces the
+        # reference interpreter everywhere.
+        Setting("fast_path", None, as_bool),
+    )
 
-    def replace(self, **kwargs):
-        """A copy with the given fields overridden."""
-        fields = dict(self.__dict__)
-        fields.update(kwargs)
-        return EngineConfig(**fields)
-
-    def __repr__(self):
-        inner = ", ".join("%s=%r" % kv for kv in sorted(self.__dict__.items()))
-        return "EngineConfig(%s)" % inner
+    def _finish(self):
+        self.logistic_learning_rates = tuple(self.logistic_learning_rates)

@@ -37,14 +37,6 @@ AUTOSCALE_CHOICES = ("off", "react")
 _LOW_PAYOFF, _HIGH_PAYOFF = 0.15, 0.5
 
 
-def check_autoscale(value):
-    """``value`` if it is one of :data:`AUTOSCALE_CHOICES`."""
-    if value not in AUTOSCALE_CHOICES:
-        raise ValueError("autoscale must be %s, not %r"
-                         % ("/".join(AUTOSCALE_CHOICES), value))
-    return value
-
-
 #: One boundary's worth of scaling evidence. ``executed``,
 #: ``fast_forwarded`` (instructions) and ``backpressure`` (dispatches
 #: refused) are cumulative — the policy differences consecutive samples

@@ -6,7 +6,7 @@ bargain — *bounding* what gets spent. It owns the probes and budgets
 for the four things this system can run out of:
 
 * **worker memory** — each worker process runs under a configurable
-  ``RLIMIT_AS`` (:func:`default_worker_rlimit_as`), so a runaway
+  ``RLIMIT_AS`` (``RuntimeConfig.worker_rlimit_as_bytes``), so a runaway
   speculation hits a contained ``MemoryError`` (reported as a failed
   task, or at worst a worker crash) instead of taking the host;
 * **/dev/shm** — the tmpfs backing ``multiprocessing.shared_memory``
@@ -48,16 +48,6 @@ DEFAULT_SHM_HEADROOM_BYTES = 64 * 1024 * 1024
 DEFAULT_DISK_FLOOR_BYTES = 32 * 1024 * 1024
 DEFAULT_FD_HEADROOM = 64
 DEFAULT_MAX_QUEUED_JOBS = 64
-
-
-def default_worker_rlimit_as():
-    """Per-worker address-space cap in bytes, or ``None`` (unlimited;
-    also what an unset, empty or malformed variable means)."""
-    try:
-        value = int(os.environ.get(ENV_WORKER_RLIMIT_AS, ""))
-    except ValueError:
-        return None
-    return value if value > 0 else None
 
 
 def is_enospc(exc):

@@ -25,7 +25,7 @@ next step. This package keeps all three warm in one long-lived daemon:
 """
 
 from repro.serve.client import ServeClient, ServeClientError
-from repro.serve.config import ServeConfig, default_socket_path
+from repro.serve.config import ServeConfig
 from repro.serve.daemon import ServeError, SpeculationDaemon
 from repro.serve.journal import JobJournal, JournalError
 from repro.serve.protocol import PROTOCOL_VERSION, ProtocolError
@@ -64,5 +64,4 @@ __all__ = [
     "SpeculationDaemon",
     "Watchdog",
     "WatchdogTimeout",
-    "default_socket_path",
 ]

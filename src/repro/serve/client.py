@@ -35,7 +35,7 @@ import uuid
 
 from repro.errors import ReproError
 from repro.serve import protocol
-from repro.serve.config import default_socket_path
+from repro.serve.config import ServeConfig
 
 #: Response codes that are never retried: the daemon answered
 #: authoritatively and asking again cannot change the answer.
@@ -77,7 +77,7 @@ class ServeClient:
     def __init__(self, socket_path=None, client=None, timeout=30.0,
                  retries=5, backoff_base=0.05, backoff_max=2.0,
                  jitter_seed=None, rng=None):
-        self.socket_path = socket_path or default_socket_path()
+        self.socket_path = socket_path or ServeConfig().socket_path
         self.client = client or default_client_name()
         self.timeout = timeout
         self.retries = retries

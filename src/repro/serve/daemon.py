@@ -86,10 +86,12 @@ from repro.runtime import RealParallelEngine, RuntimeConfig, WorkerPool
 from repro.runtime import shm
 from repro.runtime.resources import ResourceGovernor
 from repro.serve import protocol
-from repro.serve.config import ServeConfig
+from repro.serve.config import ServeConfig, SubmitOptions
 from repro.serve.images import ImageTable, recognition_key
 from repro.serve.journal import JobJournal
 from repro.serve.watchdog import SelfCheck, Watchdog, WatchdogTimeout
+from repro.settings import SettingsError
+from repro.verify import VerifyConfig
 from repro.serve.queue import (
     JOB_CANCELLED,
     JOB_DONE,
@@ -101,15 +103,6 @@ from repro.serve.queue import (
     Job,
     JobCancelled,
 )
-
-#: Submit options the daemon understands; anything else is rejected at
-#: submit time so a typo fails fast instead of silently running with
-#: defaults.
-_JOB_OPTIONS = frozenset((
-    "workers", "max_instructions", "superstep_scale",
-    "inflight_wait_bias", "verify_rate", "strict_verify", "engine",
-    "deadline_seconds",
-))
 
 #: Terminal jobs retained for ``jobs``/``result`` queries.
 _JOB_HISTORY = 256
@@ -178,9 +171,7 @@ class SpeculationDaemon:
 
     def __init__(self, config=None):
         self.config = config or ServeConfig()
-        self.store = SharedCacheStore(
-            self.config.cache_dir,
-            capacity_bytes=self.config.cache_capacity_bytes)
+        self.store = SharedCacheStore(self.config.cache_dir)
         self.queue = CentralQueue(
             max_queued_per_client=self.config.max_queued_per_client,
             max_running_per_client=self.config.max_running_per_client)
@@ -254,10 +245,8 @@ class SpeculationDaemon:
         self.degraded_reason = None
         self.journal = None
         if self.config.journal_dir:
-            self.journal = JobJournal(
-                self.config.journal_dir,
-                fsync=self.config.journal_fsync,
-                result_store_bytes=self.config.result_store_bytes)
+            self.journal = JobJournal(self.config.journal_dir,
+                                      fsync=self.config.journal_fsync)
             self._replay_journal()
 
     # -- journal replay ------------------------------------------------------
@@ -286,7 +275,14 @@ class SpeculationDaemon:
             job.incidents = list(replayed.incidents)
             if replayed.interrupted:
                 try:
+                    # A record this table cannot coerce must not reach
+                    # the scheduler; a name it no longer knows is only
+                    # a key nobody reads.
+                    self._options(job)
                     self.queue.submit(job)
+                except SettingsError as exc:
+                    job.state = JOB_FAILED
+                    job.error = "bad options at replay: %s" % exc
                 except BacklogFull:
                     job.state = JOB_FAILED
                     job.error = "backlog full at replay"
@@ -744,21 +740,13 @@ class SpeculationDaemon:
         if shed is not None:
             return shed
         client = str(request.get("client") or "anonymous")
-        options = request.get("options") or {}
-        if not isinstance(options, dict):
-            return protocol.error_response("options must be an object",
-                                           "bad-request")
-        unknown = set(options) - _JOB_OPTIONS
-        if unknown:
-            return protocol.error_response(
-                "unknown submit options: %s" % ", ".join(sorted(unknown)),
-                "bad-request")
-        engine_overrides = options.get("engine") or {}
-        bad = set(engine_overrides) - set(EngineConfig().__dict__)
-        if bad:
-            return protocol.error_response(
-                "unknown engine options: %s" % ", ".join(sorted(bad)),
-                "bad-request")
+        try:
+            # Coerced here, once: what is queued and journaled is the
+            # table's own spelling of the options, never raw input.
+            options = SubmitOptions.from_options(
+                request.get("options") or {}).overrides()
+        except SettingsError as exc:
+            return protocol.error_response(exc, "bad-request")
         try:
             program = Program.from_dict(request.get("program") or {})
         except (ReproError, KeyError, TypeError, ValueError) as exc:
@@ -939,9 +927,16 @@ class SpeculationDaemon:
                         for l in self._pools.values() if l.busy)
         return committed + needed <= self.config.worker_budget
 
+    @staticmethod
+    def _options(job):
+        """The job's submit options, as accepted at the door."""
+        return SubmitOptions.from_options(job.options, ignore_unknown=True)
+
     def _job_workers(self, job):
-        workers = job.options.get("workers") or self.config.workers_per_job
-        return max(1, min(int(workers), self.config.worker_budget))
+        # On every scheduler pass, under the lock: coerce one option only.
+        workers = SubmitOptions.FIELDS["workers"].coerce(
+            job.options.get("workers")) or self.config.workers_per_job
+        return max(1, min(workers, self.config.worker_budget))
 
     def _acquire_lease(self, job):
         """Reserve (or create) the pool lease for a job. Lock held."""
@@ -967,51 +962,35 @@ class SpeculationDaemon:
 
     # -- job execution (job thread; daemon lock NOT held) --------------------
 
-    def _pool_runtime_config(self, lease):
-        return RuntimeConfig(
-            n_workers=lease.n_workers,
-            task_timeout_seconds=self.config.task_timeout_seconds)
-
-    def _job_runtime_config(self, job, lease):
-        options = job.options
-        # The lease width is the autoscaler's ceiling: a job may shrink
-        # its pool (returning budget to other namespaces) but never grow
-        # past what the resource manager admitted it at.
-        return RuntimeConfig(
-            n_workers=lease.n_workers,
-            superstep_scale=int(options.get("superstep_scale")
-                                or self.config.superstep_scale),
-            max_instructions=int(options.get("max_instructions")
-                                 or self.config.max_instructions),
-            inflight_wait_bias=float(options.get("inflight_wait_bias", 1.0)),
+    def _job_configs(self, job, lease, degraded):
+        """The one place submit options become configs: the job's
+        ``(options, EngineConfig, RuntimeConfig, VerifyConfig or
+        None)``. An option left unset falls through to the daemon's
+        default for it, then to ``RuntimeConfig``'s own."""
+        options = self._options(job)
+        runtime = RuntimeConfig(
+            # Degraded: zero workers put the engine on its null backend.
+            n_workers=0 if degraded else lease.n_workers,
             task_timeout_seconds=self.config.task_timeout_seconds,
-            autoscale=self.config.autoscale,
-            autoscale_max_workers=lease.n_workers)
-
-    @staticmethod
-    def _engine_config(job):
-        overrides = dict(job.options.get("engine") or {})
-        if "logistic_learning_rates" in overrides:
-            overrides["logistic_learning_rates"] = tuple(
-                overrides["logistic_learning_rates"])
-        return EngineConfig(**overrides)
-
-    @staticmethod
-    def _verify_config(job):
-        from repro.verify import VerifyConfig
-        if job.options.get("strict_verify"):
-            return VerifyConfig(strict=True)
-        rate = job.options.get("verify_rate")
-        if rate is not None:
-            return VerifyConfig(rate=float(rate))
-        return None
+            max_instructions=(options.max_instructions
+                              or self.config.max_instructions))
+        if not degraded:
+            # The lease width is the autoscaler's ceiling: a job may
+            # shrink its pool (returning budget to other namespaces)
+            # but never grow past what the resource manager admitted
+            # it at.
+            runtime = runtime.replace(
+                superstep_scale=options.superstep_scale,
+                inflight_wait_bias=options.inflight_wait_bias,
+                autoscale=self.config.autoscale,
+                autoscale_max_workers=lease.n_workers)
+        return (options, EngineConfig.from_options(options.engine or {}),
+                runtime, VerifyConfig.from_options(options.verify_rate,
+                                                   options.strict_verify))
 
     def _run_job(self, job, lease):
         pool_poisoned = False
         self._journal("record_state", job.job_id, JOB_RUNNING)
-        self.watchdog.watch(
-            job, lease,
-            deadline_seconds=job.options.get("deadline_seconds"))
         try:
             # Degraded mode: no pool, no shm rings, no speculation, no
             # cache write-through — zero workers put the same engine on
@@ -1019,25 +998,27 @@ class SpeculationDaemon:
             # with heartbeats and cancel checks between plain-run
             # chunks so the watchdog still supervises it.
             degraded = self.degraded
-            engine_config = self._engine_config(job)
+            options, engine_config, runtime_config, verify = \
+                self._job_configs(job, lease, degraded)
+            self.watchdog.watch(job, lease,
+                                deadline_seconds=options.deadline_seconds)
             recognition_id = recognition_key(engine_config, job.hints)
             recognized = None
             if degraded:
                 self.jobs_degraded += 1
                 pool = warm = None
-                runtime_config = RuntimeConfig(
-                    n_workers=0,
-                    max_instructions=int(job.options.get("max_instructions")
-                                         or self.config.max_instructions))
             else:
                 if lease.pool is None:
-                    lease.pool = WorkerPool(job.program,
-                                            self._pool_runtime_config(lease))
+                    # A pool outlives the job that made it: it takes
+                    # the service's settings, not this job's options.
+                    timeout = self.config.task_timeout_seconds
+                    lease.pool = WorkerPool(job.program, RuntimeConfig(
+                        n_workers=lease.n_workers,
+                        task_timeout_seconds=timeout))
                     self.pools_created += 1
                 pool = lease.pool
                 warm = self.store.snapshot(job.namespace)
                 runtime_snapshot = pool.stats.snapshot()
-                runtime_config = self._job_runtime_config(job, lease)
                 with self._lock:
                     recognized = self.images.recognition(job.namespace,
                                                          recognition_id)
@@ -1063,8 +1044,7 @@ class SpeculationDaemon:
                  else job.as_submitted()),
                 config=engine_config, runtime_config=runtime_config,
                 recognized=recognized, pool=pool, initial_cache=warm,
-                boundary_hook=boundary_hook,
-                verify=self._verify_config(job))
+                boundary_hook=boundary_hook, verify=verify)
             result = engine.run()
             merged, runtime_delta = 0, {}
             recognition = "none"  # degraded, or nothing recognizable

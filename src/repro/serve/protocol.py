@@ -31,6 +31,26 @@ Verbs
 ``status``   -> health probe: journal, watchdog, degraded-mode state
 ``shutdown`` -> drain and stop the daemon
 
+Submit options
+--------------
+
+``submit``'s ``options`` object carries only these (the table is
+``repro.serve.config.SubmitOptions``). Each value is coerced to its
+type where it enters the daemon — the request, or a journal record at
+replay — and a name or value the table cannot take is refused with
+``bad-request`` naming it; nothing is queued or journaled. ``null``
+reads as "not given".
+
+``workers``             int    pool width if one is created for this
+                               image (default ``--workers-per-job``)
+``max_instructions``    int    default: the daemon's own
+``superstep_scale``     int    multiply the recognized superstep
+``inflight_wait_bias``  float  readiness to wait on an in-flight task
+``verify_rate``         float  in [0, 1]: share of splices audited
+``strict_verify``       bool   audit every splice, synchronously
+``engine``              object ``EngineConfig.overrides()`` of the tuning
+``deadline_seconds``    float  default: ``--job-deadline``
+
 Error codes split into two classes the client acts on differently:
 **retryable** — ``busy`` (per-client admission bound), ``overloaded``
 (the resource governor shed the request at admission because a

@@ -82,6 +82,16 @@ class VerifyConfig:
         return cls(rate=min(rate, 1.0))
 
     @classmethod
+    def from_options(cls, verify_rate=None, strict_verify=False):
+        """Build from the ``--verify-rate`` / ``--strict-verify`` pair
+        (flags or submit options): ``None`` when neither was given, so
+        the engine falls back to ``REPRO_VERIFY``, while an explicit
+        rate of 0 is a disabled config that overrides it."""
+        if strict_verify:
+            return cls(strict=True)
+        return None if verify_rate is None else cls(rate=verify_rate)
+
+    @classmethod
     def from_env(cls, environ=None):
         value = (environ or os.environ).get(ENV_VAR)
         if value is None:

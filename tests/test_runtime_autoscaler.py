@@ -15,7 +15,6 @@ from repro.cli import build_parser
 from repro.runtime.autoscaler import (
     AutoscaleSignals,
     Autoscaler,
-    check_autoscale,
     resolve_autoscaler,
 )
 from repro.runtime.config import RuntimeConfig
@@ -106,7 +105,7 @@ class TestReactivePolicy:
 class TestConstruction:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
-            check_autoscale("bogus")
+            RuntimeConfig(autoscale="bogus")
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):

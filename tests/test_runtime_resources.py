@@ -86,12 +86,12 @@ class TestProbes:
 class TestEnvDefaults:
     def test_worker_rlimit_default_unlimited(self, monkeypatch):
         monkeypatch.delenv(resources.ENV_WORKER_RLIMIT_AS, raising=False)
-        assert resources.default_worker_rlimit_as() is None
+        assert RuntimeConfig().worker_rlimit_as_bytes is None
         for unset in ("0", "", "not-a-number"):
             monkeypatch.setenv(resources.ENV_WORKER_RLIMIT_AS, unset)
-            assert resources.default_worker_rlimit_as() is None
+            assert RuntimeConfig().worker_rlimit_as_bytes is None
         monkeypatch.setenv(resources.ENV_WORKER_RLIMIT_AS, str(1 << 30))
-        assert resources.default_worker_rlimit_as() == 1 << 30
+        assert RuntimeConfig().worker_rlimit_as_bytes == 1 << 30
 
     def test_config_flows_env_rlimit_to_workers(self, monkeypatch):
         monkeypatch.setenv(resources.ENV_WORKER_RLIMIT_AS, str(1 << 31))

@@ -243,11 +243,10 @@ class TestMultiTenant:
 class TestFailureContainment:
     def test_failed_job_does_not_poison_daemon(self, daemon, collatz,
                                                monkeypatch):
-        def explode(job):
+        def explode(self, job, lease, degraded):
             raise RuntimeError("synthetic engine failure")
 
-        monkeypatch.setattr(SpeculationDaemon, "_engine_config",
-                            staticmethod(explode))
+        monkeypatch.setattr(SpeculationDaemon, "_job_configs", explode)
         with ServeClient(daemon.config.socket_path, client="victim") as c:
             job_id = c.submit(collatz.program)["job_id"]
             job = c.wait(job_id)
@@ -267,9 +266,8 @@ class TestFailureContainment:
     def test_result_of_failed_job_reports_error_code(self, daemon, collatz,
                                                      monkeypatch):
         monkeypatch.setattr(
-            SpeculationDaemon, "_engine_config",
-            staticmethod(lambda job: (_ for _ in ()).throw(
-                RuntimeError("nope"))))
+            SpeculationDaemon, "_job_configs",
+            lambda *args: (_ for _ in ()).throw(RuntimeError("nope")))
         with ServeClient(daemon.config.socket_path, client="v") as client:
             job_id = client.submit(collatz.program)["job_id"]
             client.wait(job_id)
@@ -302,6 +300,39 @@ class TestFailureContainment:
             assert info.value.code == "not-found"
             # The connection survives all of it.
             assert client.ping()["pong"]
+
+    @pytest.mark.parametrize("option, value", [
+        ("workers", "abc"),
+        ("max_instructions", "x"),
+        ("superstep_scale", []),
+        ("inflight_wait_bias", "soon"),
+        ("verify_rate", "all"),
+        ("deadline_seconds", "soon"),
+        ("engine", {"recognizer_window": "wide"}),
+        ("engine", "tuned"),
+    ])
+    def test_malformed_option_value_is_refused_at_the_door(
+            self, daemon, collatz, option, value):
+        """A value its option cannot coerce answers ``bad-request``
+        naming the option and is neither queued nor journaled — it
+        used to be accepted and raise later on whichever thread read
+        it (``workers`` on the scheduler thread, which died for every
+        client, and again at each replay)."""
+        journaled = daemon.journal.stats_dict()["records_appended"]
+        with ServeClient(daemon.config.socket_path, client="t") as client:
+            with pytest.raises(ServeClientError) as info:
+                client.submit(collatz.program, **{option: value})
+        assert info.value.code == "bad-request"
+        assert option in str(info.value)
+        assert daemon.queue.queued_count() == 0
+        assert daemon.journal.stats_dict()["records_appended"] == journaled
+        assert daemon._scheduler_thread.is_alive()
+        with ServeClient(daemon.config.socket_path, client="other") as c:
+            job_id = c.submit(collatz.program,
+                              **submit_options(collatz))["job_id"]
+            assert c.wait(job_id, timeout=60)["state"] == "done"
+        assert daemon._scheduler_thread.is_alive()
+        assert daemon.watchdog.step() == []  # steps, and raises nothing
 
     def test_backpressure_rejects_over_backlog(self, tmp_path, collatz):
         config = ServeConfig(socket_path=str(tmp_path / "bp.sock"),

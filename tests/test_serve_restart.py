@@ -297,6 +297,37 @@ class TestCrashOnly:
         assert base64.b64decode(result["final_state"]) \
             == sequential_state(collatz.program)
 
+    def test_journaled_malformed_option_fails_its_job_not_the_scheduler(
+            self, tmp_path, collatz):
+        """A journal written before options were coerced at the door
+        may hold ``"workers": "abc"``. Replay lands that job ``failed``
+        the way it lands a full backlog; it used to re-queue it, and
+        ``int("abc")`` then killed the scheduler thread of every
+        generation that replayed the journal."""
+        config = ServeConfig(socket_path=str(tmp_path / "g.sock"),
+                             cache_dir=str(tmp_path / "cache"))
+        crashed = SpeculationDaemon(config)  # never started: nothing runs
+        crashed.journal.record_submit(
+            Job("j1", "A", collatz.program, collatz.program.image_hash(),
+                dict(submit_options(collatz), workers="abc"),
+                token="bad"), "bad")
+        crashed.journal.close()  # all a SIGKILL leaves behind
+
+        with SpeculationDaemon(config) as replayed:
+            assert replayed.jobs_requeued == 0
+            replayed.start()
+            with ServeClient(config.socket_path, client="B") as client:
+                job = client.wait(token="bad", timeout=10)
+                assert job["state"] == "failed"
+                assert "bad options at replay" in job["error"]
+                assert "workers" in job["error"]
+                fresh = client.run(collatz.program, timeout=60,
+                                   **submit_options(collatz))
+            assert replayed._scheduler_thread.is_alive()
+        assert fresh["halted"]
+        assert base64.b64decode(fresh["final_state"]) \
+            == sequential_state(collatz.program)
+
     def test_result_survives_restart_via_result_store(self, tmp_path,
                                                       collatz):
         socket_path = str(tmp_path / "proc.sock")
