@@ -17,9 +17,10 @@ import tempfile
 
 from repro import build_collatz
 from repro.cluster import CostModel, laptop1
-from repro.core.cache_io import load_cache, save_cache
+from repro.core.cache_io import load_cache, serialize_cache
 from repro.core.engine import MemoizingEngine
 from repro.core.recognizer import Recognizer
+from repro.durable import write_atomic
 
 
 def main():
@@ -40,7 +41,7 @@ def main():
              cold.cache.total_bytes))
 
     path = os.path.join(tempfile.gettempdir(), "collatz.ascc")
-    save_cache(cold.cache, path)
+    write_atomic(path, serialize_cache(cold.cache))
     print("  cache saved to %s" % path)
 
     print("\nsecond invocation (cache preloaded from disk)...")

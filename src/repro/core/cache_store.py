@@ -18,18 +18,20 @@ instruction byte land in different shards and can never cross-pollinate.
 
 Persistence rides the existing CRC'd :mod:`repro.core.cache_io` format:
 each shard serializes to ``<namespace>.tcache`` in the store directory,
-written atomically (tmp + rename) on a cadence the daemon controls plus
-always at shutdown, and reloaded on daemon start (the warm-start story).
-A shard whose blob fails structural validation on load — truncation,
-bad magic, framing damage — is **quarantined**: renamed to
+written atomically (:func:`repro.durable.write_atomic`) on a cadence the
+daemon controls plus always at shutdown, and reloaded on daemon start
+(the warm-start story). A shard whose blob fails structural validation
+on load — truncation, bad magic, an unsupported version, framing
+damage — is **quarantined**: renamed to
 ``*.tcache.quarantined`` and replaced by an empty shard, never parsed
 into live entries. Per-entry CRC failures inside an intact blob are
 quarantined entry-by-entry by ``cache_io`` itself and surface in
 ``entries_quarantined``.
 
 Disk exhaustion degrades durability, never correctness: a flush that
-hits ``ENOSPC`` removes its temp file, prunes the oldest shard files to
-make room, and retries; if the disk is still full, the store **suspends
+hits ``ENOSPC`` goes down the :class:`repro.durable.DiskPressure`
+ladder (no temp file left, prune the oldest shard files to make room,
+one retry); if the disk is still full, the store **suspends
 write-through** — shards stay dirty in memory, served results remain
 exact, and the next flush that succeeds (space came back) clears the
 flag and resumes persistence. See :meth:`flush`.
@@ -39,22 +41,14 @@ out by :meth:`snapshot` are immutable entry lists, so engine threads
 never touch a live shard concurrently.
 """
 
-import errno
 import os
 import re
 import threading
 
+from repro import durable
 from repro.core import cache_io
 from repro.core.trajectory_cache import TrajectoryCache
 from repro.errors import EngineError
-
-
-# ENOSPC classification lives in repro.runtime.resources (the unified
-# governor); imported lazily so this core module never drags the whole
-# runtime package in at import time.
-def _is_enospc(exc):
-    from repro.runtime.resources import is_enospc
-    return is_enospc(exc)
 
 #: Shard filename suffix (namespace is a hex digest).
 SHARD_SUFFIX = ".tcache"
@@ -126,11 +120,10 @@ class SharedCacheStore:
         self.entries_deduped = 0
         self.flushes = 0
         # -- disk-pressure state (see flush) ---------------------------
-        self.enospc_events = 0
+        self._disk = durable.DiskPressure()
         self.shards_pruned = 0
         self.write_through_suspended = False
         self.write_through_resumes = 0
-        self._pending_enospc = 0  # injected faults (tests / repro chaos)
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
             self._load_all()
@@ -227,21 +220,17 @@ class SharedCacheStore:
 
     # -- persistence ---------------------------------------------------------
 
+    @property
+    def enospc_events(self):
+        return self._disk.enospc_events
+
     def inject_enospc(self, n=1):
         """Arm ``n`` deterministic disk-full faults: the next ``n``
         shard writes raise ``ENOSPC`` before touching the filesystem.
         The hook behind the ``disk_full`` chaos fault kind and the
         satellite ENOSPC tests — it exercises exactly the code path a
         real full disk would, without needing one."""
-        with self._lock:
-            self._pending_enospc += int(n)
-
-    def _write_shard(self, path, blob):
-        with self._lock:
-            if self._pending_enospc > 0:
-                self._pending_enospc -= 1
-                raise OSError(errno.ENOSPC, "injected disk-full", path)
-        cache_io.write_atomic(path, blob)
+        self._disk.inject(n)
 
     def _prune_for_space(self, exclude, needed):
         """Oldest-first removal of shard artifacts to free ``needed``
@@ -250,42 +239,17 @@ class SharedCacheStore:
         we are trying to write). A pruned namespace whose shard is still
         in memory is re-marked dirty so its durability recovers once
         space returns. Returns the number of files removed."""
-        candidates = []
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            return 0
-        for name in names:
-            if not (name.endswith(SHARD_SUFFIX)
-                    or name.endswith(SHARD_SUFFIX + QUARANTINE_SUFFIX)):
-                continue
-            path = os.path.join(self.directory, name)
-            if path == exclude:
-                continue
-            try:
-                stat = os.stat(path)
-            except OSError:
-                continue
-            quarantined = name.endswith(QUARANTINE_SUFFIX)
-            candidates.append((not quarantined, stat.st_mtime, path,
-                               stat.st_size, quarantined))
-        candidates.sort()
-        pruned = freed = 0
-        for __, __, path, size, quarantined in candidates:
-            try:
-                os.unlink(path)
-            except OSError:
-                continue
-            pruned += 1
-            freed += size
-            if not quarantined:
-                namespace = os.path.basename(path)[:-len(SHARD_SUFFIX)]
-                if namespace in self._shards:
-                    self._dirty.add(namespace)
-            if freed >= needed:
-                break
-        self.shards_pruned += pruned
-        return pruned
+        files = [(path, size) for path, size in durable.oldest_first(
+            self.directory, (SHARD_SUFFIX, SHARD_SUFFIX + QUARANTINE_SUFFIX))
+            if path != exclude]
+        files.sort(key=lambda file: not file[0].endswith(QUARANTINE_SUFFIX))
+        removed = durable.remove_oldest(files, needed)
+        for path in removed:
+            namespace = os.path.basename(path)[:-len(SHARD_SUFFIX)]
+            if path.endswith(SHARD_SUFFIX) and namespace in self._shards:
+                self._dirty.add(namespace)
+        self.shards_pruned += len(removed)
+        return len(removed)
 
     def _flush_one(self, target):
         """Write one shard, degrading under disk pressure.
@@ -301,23 +265,16 @@ class SharedCacheStore:
             return False
         path = self._shard_path(target)
         blob = cache_io.serialize_cache(shard)
-        for attempt in (0, 1):
-            try:
-                self._write_shard(path, blob)
-            except OSError as exc:
-                if not _is_enospc(exc):
-                    raise
-                self.enospc_events += 1
-                if attempt == 0 and self._prune_for_space(path, len(blob)):
-                    continue  # freed something: one retry
-                self.write_through_suspended = True
-                return False
-            self._dirty.discard(target)
-            if self.write_through_suspended:
-                self.write_through_suspended = False
-                self.write_through_resumes += 1
-            return True
-        return False
+        if not self._disk.write(
+                lambda: durable.write_atomic(path, blob),
+                lambda: self._prune_for_space(path, len(blob))):
+            self.write_through_suspended = True
+            return False
+        self._dirty.discard(target)
+        if self.write_through_suspended:
+            self.write_through_suspended = False
+            self.write_through_resumes += 1
+        return True
 
     def flush(self, namespace=None, force=False):
         """Persist dirty shards (or one, or all with ``force``).

@@ -17,21 +17,22 @@ File format (``ckpt-<seq>.ascp``)::
 Sections: ``META`` (JSON: program name, instruction count, sequence),
 ``STAT`` (raw machine state bytes), ``CACH`` (a
 :mod:`repro.core.cache_io` blob, optional). Every section carries its
-own CRC32 so a torn or bit-rotted file is rejected loudly instead of
-resuming from garbage.
+own CRC32 (the :mod:`repro.durable` frame) so a torn or bit-rotted file
+is rejected loudly instead of resuming from garbage.
 
-Durability discipline: write to ``<name>.tmp``, flush, ``fsync``,
-``os.replace`` into place, then fsync the directory. A crash mid-write
-leaves only a ``.tmp`` file, which readers ignore — the previous
-checkpoint remains the latest valid one. :func:`load_latest` walks
-newest-to-oldest past corrupt files.
+Durability discipline: :func:`repro.durable.write_atomic` with
+``fsync`` (``<name>.tmp``, flush, ``fsync``, ``os.replace``), then fsync
+the directory. A crash mid-write leaves only a ``.tmp`` file, which
+readers ignore; a write that *fails* (a full disk) removes it. Either
+way the previous checkpoint remains the latest valid one.
+:func:`load_latest` walks newest-to-oldest past corrupt files.
 """
 
 import json
 import os
 import struct
-import zlib
 
+from repro import durable
 from repro.core import cache_io
 from repro.errors import EngineError
 
@@ -97,24 +98,19 @@ def encode_checkpoint(state, instruction_count, cache=None, meta=None):
         sections.append((SECTION_CACHE, cache_io.serialize_cache(cache)))
     out = bytearray(_HEADER.pack(_MAGIC, _VERSION, len(sections)))
     for tag, payload in sections:
-        out += cache_io.encode_section(tag, payload)
+        out += durable.encode_section(tag, payload)
     return bytes(out)
 
 
 def decode_checkpoint(data):
     """Inverse of :func:`encode_checkpoint`; raises :class:`EngineError`
     on any structural damage or CRC mismatch."""
-    if len(data) < _HEADER.size:
-        raise EngineError("checkpoint too short for header")
-    magic, version, n_sections = _HEADER.unpack_from(data, 0)
-    if magic != _MAGIC:
-        raise EngineError("not a checkpoint file (bad magic)")
-    if version != _VERSION:
-        raise EngineError("unsupported checkpoint version %d" % version)
+    (n_sections,) = durable.read_header(data, _HEADER, _MAGIC, _VERSION,
+                                        "checkpoint")
     pos = _HEADER.size
     sections = {}
     for __ in range(n_sections):
-        tag, payload, pos = cache_io.decode_section(data, pos)
+        tag, payload, pos = durable.decode_section(data, pos)
         sections[tag] = payload
     if pos != len(data):
         raise EngineError("trailing bytes in checkpoint")
@@ -149,16 +145,11 @@ def restore_state(blob):
 # -- files -------------------------------------------------------------------
 
 def write_checkpoint(path, state, instruction_count, cache=None, meta=None):
-    """Atomically write a checkpoint: tmp + fsync + rename."""
+    """Atomically write a checkpoint: tmp + fsync + rename, then fsync
+    the directory."""
     path = os.fspath(path)
-    blob = encode_checkpoint(state, instruction_count, cache=cache,
-                             meta=meta)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as handle:
-        handle.write(blob)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    durable.write_atomic(path, encode_checkpoint(
+        state, instruction_count, cache=cache, meta=meta), fsync=True)
     try:
         dir_fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
         try:

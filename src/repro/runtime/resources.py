@@ -14,25 +14,26 @@ for the four things this system can run out of:
   *not* always ``/dev/shm``) holds the transport rings; exhaustion
   leaves a worker ringless (every blob inline) rather than failing
   the spawn;
-* **disk** — cache shards and the job journal treat ``ENOSPC``
-  (:func:`is_enospc`) as a pressure event: prune oldest, retry, and
-  suspend write-through if still starved (results stay correct,
-  durability recovers with the space);
+* **disk** — cache shards and the job journal treat ``ENOSPC`` as a
+  pressure event (:class:`repro.durable.DiskPressure`): prune oldest,
+  retry, and suspend write-through if still starved (results stay
+  correct, durability recovers with the space);
 * **file descriptors** — the daemon sheds load at admission when fd
   headroom runs out, instead of dying mid-``accept``.
 
-:class:`ResourceGovernor` combines the probes into one admission
-verdict the serve daemon consults before accepting a job; a verdict of
-"no" becomes the retryable ``overloaded`` protocol error. Each floor
-is a ``ServeConfig`` field and ``repro serve`` flag defaulting to the
-``DEFAULT_*`` constants below; ``0`` disables a floor entirely.
+:class:`ResourceGovernor` combines the queue, fd and disk probes into
+one admission verdict the serve daemon consults before accepting a
+job; a verdict of "no" becomes the retryable ``overloaded`` protocol
+error. Each floor is a ``ServeConfig`` field and ``repro serve`` flag
+defaulting to the ``DEFAULT_*`` constants below; ``0`` disables a
+floor entirely. Shm headroom is deliberately not an admission floor:
+the daemon's self-check owns it (a gentler rung — degraded mode).
 
 The probes are injectable (and :meth:`ResourceGovernor.force_pressure`
 lets the chaos tier deterministically fake exhaustion), so every
 degradation path is exercisable without actually filling a disk.
 """
 
-import errno
 import os
 
 try:
@@ -48,13 +49,6 @@ DEFAULT_SHM_HEADROOM_BYTES = 64 * 1024 * 1024
 DEFAULT_DISK_FLOOR_BYTES = 32 * 1024 * 1024
 DEFAULT_FD_HEADROOM = 64
 DEFAULT_MAX_QUEUED_JOBS = 64
-
-
-def is_enospc(exc):
-    """Whether an ``OSError`` means "out of space" (ENOSPC or the
-    quota-flavored EDQUOT — both degrade the same way)."""
-    return isinstance(exc, OSError) and exc.errno in (
-        errno.ENOSPC, getattr(errno, "EDQUOT", errno.ENOSPC))
 
 
 # -- probes ------------------------------------------------------------------
@@ -209,11 +203,11 @@ def restore_rlimit_as(saved):
 
 #: Pressure kinds the governor tracks (also the ``force_pressure``
 #: vocabulary the chaos tier uses).
-PRESSURE_KINDS = ("queue", "shm", "disk", "fd")
+PRESSURE_KINDS = ("queue", "disk", "fd")
 
 
 class ResourceGovernor:
-    """Admission control over the four exhaustible budgets.
+    """Admission control over the queue, fd and disk budgets.
 
     ``admission_reason`` returns ``None`` (admit) or a short reason
     string (shed — the daemon maps it to the retryable ``overloaded``
@@ -223,17 +217,12 @@ class ResourceGovernor:
     ``fd_exhaust`` chaos fault is delivered deterministically.
     """
 
-    def __init__(self, shm_headroom_floor, disk_floor_bytes,
-                 fd_headroom_floor, max_queued_jobs,
-                 shm_path=None, disk_path=None,
-                 shm_probe=None, disk_probe=None, fd_probe=None):
-        self.shm_headroom_floor = shm_headroom_floor
+    def __init__(self, disk_floor_bytes, fd_headroom_floor, max_queued_jobs,
+                 disk_path=None, disk_probe=None, fd_probe=None):
         self.disk_floor_bytes = disk_floor_bytes
         self.fd_headroom_floor = fd_headroom_floor
         self.max_queued_jobs = max_queued_jobs
-        self.shm_path = shm_path
         self.disk_path = disk_path
-        self._shm_probe = shm_probe or shm_headroom_bytes
         self._disk_probe = disk_probe or disk_free_bytes
         self._fd_probe = fd_probe or fd_headroom
         self._forced = {kind: 0 for kind in PRESSURE_KINDS}
@@ -271,9 +260,6 @@ class ResourceGovernor:
         elif self.fd_headroom_floor and self._check_fd():
             reason = "fd-headroom"
             self.pressure_events["fd"] += 1
-        elif self.shm_headroom_floor and self._check_shm():
-            reason = "shm-headroom"
-            self.pressure_events["shm"] += 1
         elif self.disk_floor_bytes and self._check_disk():
             reason = "disk-floor"
             self.pressure_events["disk"] += 1
@@ -289,13 +275,6 @@ class ResourceGovernor:
         headroom = self._fd_probe()
         return headroom is not None and headroom < self.fd_headroom_floor
 
-    def _check_shm(self):
-        if self._take_forced("shm"):
-            return True
-        headroom = self._shm_probe(self.shm_path) if self.shm_path \
-            else self._shm_probe()
-        return headroom is not None and headroom < self.shm_headroom_floor
-
     def _check_disk(self):
         if self._take_forced("disk"):
             return True
@@ -309,9 +288,8 @@ class ResourceGovernor:
     def snapshot(self):
         """Current probe readings (for status endpoints; never raises)."""
         return {
-            "shm_backing_dir": self.shm_path or shm_backing_dir(),
-            "shm_headroom_bytes": (self._shm_probe(self.shm_path)
-                                   if self.shm_path else self._shm_probe()),
+            "shm_backing_dir": shm_backing_dir(),
+            "shm_headroom_bytes": shm_headroom_bytes(),
             "disk_free_bytes": (self._disk_probe(self.disk_path)
                                 if self.disk_path else None),
             "fd_headroom": self._fd_probe(),
@@ -320,7 +298,6 @@ class ResourceGovernor:
     def stats_dict(self):
         return {
             "floors": {
-                "shm_headroom_bytes": self.shm_headroom_floor,
                 "disk_floor_bytes": self.disk_floor_bytes,
                 "fd_headroom": self.fd_headroom_floor,
                 "max_queued_jobs": self.max_queued_jobs,

@@ -225,7 +225,6 @@ class SpeculationDaemon:
         # watches the durability directory (journal beats cache:
         # losing WAL appends is the worse failure).
         self.governor = ResourceGovernor(
-            shm_headroom_floor=0,
             disk_floor_bytes=self.config.min_disk_free_bytes,
             fd_headroom_floor=self.config.min_fd_headroom,
             max_queued_jobs=self.config.max_queued_jobs,

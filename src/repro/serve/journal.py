@@ -24,7 +24,7 @@ Format (``journal.ascj``)::
     [4B magic "ASCJ" | u16 version]
     repeat: [4B tag "JREC" | u64 length | JSON payload | u32 CRC32]
 
-Records reuse :func:`repro.core.cache_io.encode_section` — the exact
+Records are :func:`repro.durable.encode_section` frames — the exact
 frame shape checkpoints use — so a torn or bit-rotted tail is detected
 the same way everywhere: replay stops at the first record that fails
 structurally or on CRC, truncates the file back to the last good
@@ -37,18 +37,18 @@ would be rewritten on every replay); finished payloads live in a
 bounded on-disk result store (``results/<job_id>.json``, atomic
 tmp+rename writes, pruned oldest-first) so a client's token poll can
 fetch a result across a daemon restart without re-running the job.
+Both go down the one :class:`repro.durable.DiskPressure` ladder when
+the disk is full.
 """
 
-import errno
 import json
 import os
 import struct
 import threading
 import time
 
-from repro.core import cache_io
+from repro import durable
 from repro.errors import EngineError, ReproError
-from repro.runtime.resources import is_enospc
 
 _MAGIC = b"ASCJ"
 _VERSION = 1
@@ -126,13 +126,12 @@ class JobJournal:
         self.records_replayed = 0
         self.truncated_bytes = 0
         # -- disk-pressure state (see _append / store_result) ----------
-        self.enospc_events = 0
+        self._disk = durable.DiskPressure()
         self.results_pruned_for_space = 0
         self.records_dropped = 0
         self.results_dropped = 0
         self.journal_suspended = False
         self.journal_resumes = 0
-        self._pending_enospc = 0  # injected faults (tests / repro chaos)
         self.mode = "normal"  # last journaled degraded-mode state
         self.jobs = {}  # job_id -> ReplayedJob, insertion-ordered
         self._replay()
@@ -157,8 +156,9 @@ class JobJournal:
             self.truncated_bytes += len(data)
             os.truncate(self.path, 0)
             return
-        magic, version = _HEADER.unpack_from(data, 0)
-        if magic != _MAGIC or version != _VERSION:
+        try:
+            durable.read_header(data, _HEADER, _MAGIC, _VERSION, "journal")
+        except EngineError:
             # Not our file (or a future format): move it aside and
             # start fresh — crash-only means we never refuse to boot.
             os.replace(self.path, self.path + ".corrupt")
@@ -166,7 +166,7 @@ class JobJournal:
         pos = _HEADER.size
         while pos < len(data):
             try:
-                tag, payload, end = cache_io.decode_section(
+                tag, payload, end = durable.decode_section(
                     data, pos, max_payload=MAX_RECORD_BYTES)
                 if tag != RECORD_TAG:
                     raise EngineError("unknown journal record tag %r" % tag)
@@ -230,19 +230,16 @@ class JobJournal:
 
     # -- appends -------------------------------------------------------------
 
+    @property
+    def enospc_events(self):
+        return self._disk.enospc_events
+
     def inject_enospc(self, n=1):
         """Arm ``n`` deterministic disk-full faults: the next ``n``
         journal/result writes raise ``ENOSPC`` before touching the
         filesystem — the hook behind the ``disk_full`` chaos fault kind
         and the satellite ENOSPC tests."""
-        with self._lock:
-            self._pending_enospc += int(n)
-
-    def _take_injected_locked(self):
-        """Consume one armed fault (caller holds the lock)."""
-        if self._pending_enospc > 0:
-            self._pending_enospc -= 1
-            raise OSError(errno.ENOSPC, "injected disk-full", self.path)
+        self._disk.inject(n)
 
     def _recover_tail(self, good_end):
         """After a write failed partway: drop any half-flushed buffer
@@ -259,43 +256,29 @@ class JobJournal:
             pass
         self._handle = open(self.path, "ab")
 
+    def _results(self):
+        """Stored results as ``(path, size)``, oldest first."""
+        return durable.oldest_first(self.results_dir, ".json")
+
     def _prune_for_space(self, needed):
         """Free at least ``needed`` bytes by dropping the oldest stored
         results (a pruned result means a post-restart fetch re-runs the
         job — correct, just slower). Returns the number removed."""
-        entries = []
-        try:
-            names = os.listdir(self.results_dir)
-        except OSError:
-            return 0
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            path = os.path.join(self.results_dir, name)
-            try:
-                stat = os.stat(path)
-            except OSError:
-                continue
-            entries.append((stat.st_mtime, stat.st_size, path))
-        entries.sort()
-        pruned = freed = 0
-        for __, size, path in entries:
-            try:
-                os.unlink(path)
-            except OSError:
-                continue
-            pruned += 1
-            freed += size
-            if freed >= needed:
-                break
+        pruned = len(durable.remove_oldest(self._results(), needed))
         self.results_pruned_for_space += pruned
         return pruned
+
+    def _write_frame(self, frame):
+        self._handle.write(frame)
+        self._handle.flush()
+        if self.fsync:
+            os.fsync(self._handle.fileno())
 
     def _append(self, record):
         """Append one record, degrading under disk pressure.
 
-        The ladder mirrors the cache store: on ``ENOSPC`` rewind the
-        torn tail (the log stays structurally clean), prune the oldest
+        The ladder is the cache store's: on ``ENOSPC`` rewind the torn
+        tail (the log stays structurally clean), prune the oldest
         stored results to make room, retry once; if the disk is still
         full, drop the record and mark the journal **suspended** —
         served results stay correct, only crash-replay fidelity
@@ -311,30 +294,19 @@ class JobJournal:
                 raise JournalError("journal record of %d bytes exceeds the "
                                    "%d-byte cap"
                                    % (len(payload), MAX_RECORD_BYTES))
-            frame = cache_io.encode_section(RECORD_TAG, payload)
-            for attempt in (0, 1):
-                good_end = self._handle.tell()
-                try:
-                    self._take_injected_locked()
-                    self._handle.write(frame)
-                    self._handle.flush()
-                    if self.fsync:
-                        os.fsync(self._handle.fileno())
-                except OSError as exc:
-                    if not is_enospc(exc):
-                        raise
-                    self.enospc_events += 1
-                    self._recover_tail(good_end)
-                    if attempt == 0 and self._prune_for_space(len(frame)):
-                        continue
-                    self.journal_suspended = True
-                    self.records_dropped += 1
-                    return
-                self.records_appended += 1
-                if self.journal_suspended:
-                    self.journal_suspended = False
-                    self.journal_resumes += 1
+            frame = durable.encode_section(RECORD_TAG, payload)
+            good_end = self._handle.tell()
+            if not self._disk.write(
+                    lambda: self._write_frame(frame),
+                    lambda: self._prune_for_space(len(frame)),
+                    rewind=lambda: self._recover_tail(good_end)):
+                self.journal_suspended = True
+                self.records_dropped += 1
                 return
+            self.records_appended += 1
+            if self.journal_suspended:
+                self.journal_suspended = False
+                self.journal_resumes += 1
 
     def record_submit(self, job, token):
         """Durably log an accepted submission (before the client ack)."""
@@ -383,22 +355,13 @@ class JobJournal:
         path = self._result_path(job_id)
         blob = json.dumps(payload, separators=(",", ":"),
                           sort_keys=True).encode("utf-8")
-        for attempt in (0, 1):
-            try:
-                with self._lock:
-                    self._take_injected_locked()
-                cache_io.write_atomic(path, blob, fsync=self.fsync)
-            except OSError as exc:
-                if not is_enospc(exc):
-                    raise
-                self.enospc_events += 1
-                if attempt == 0 and self._prune_for_space(len(blob)):
-                    continue
-                self.results_dropped += 1
-                return False
-            self._prune_results()
-            return True
-        return False
+        if not self._disk.write(
+                lambda: durable.write_atomic(path, blob, fsync=self.fsync),
+                lambda: self._prune_for_space(len(blob))):
+            self.results_dropped += 1
+            return False
+        self._prune_results()
+        return True
 
     def load_result(self, job_id):
         """A stored payload, or ``None`` (missing, pruned, or torn —
@@ -412,31 +375,9 @@ class JobJournal:
     def _prune_results(self):
         if self.result_store_bytes is None:
             return
-        entries = []
-        total = 0
-        try:
-            names = os.listdir(self.results_dir)
-        except OSError:
-            return
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            path = os.path.join(self.results_dir, name)
-            try:
-                stat = os.stat(path)
-            except OSError:
-                continue
-            entries.append((stat.st_mtime, stat.st_size, path))
-            total += stat.st_size
-        entries.sort()
-        for __, size, path in entries:
-            if total <= self.result_store_bytes:
-                break
-            try:
-                os.unlink(path)
-                total -= size
-            except OSError:
-                pass
+        results = self._results()
+        total = sum(size for __, size in results)
+        durable.remove_oldest(results, total - self.result_store_bytes)
 
     # -- lifecycle / reporting -----------------------------------------------
 
@@ -454,19 +395,7 @@ class JobJournal:
         self.close()
 
     def stats_dict(self):
-        result_files = 0
-        result_bytes = 0
-        try:
-            for name in os.listdir(self.results_dir):
-                if name.endswith(".json"):
-                    result_files += 1
-                    try:
-                        result_bytes += os.stat(
-                            os.path.join(self.results_dir, name)).st_size
-                    except OSError:
-                        pass
-        except OSError:
-            pass
+        results = self._results()
         return {
             "path": self.path,
             "mode": self.mode,
@@ -474,8 +403,8 @@ class JobJournal:
             "records_replayed": self.records_replayed,
             "truncated_bytes": self.truncated_bytes,
             "jobs_replayed": len(self.jobs),
-            "result_files": result_files,
-            "result_bytes": result_bytes,
+            "result_files": len(results),
+            "result_bytes": sum(size for __, size in results),
             "enospc_events": self.enospc_events,
             "results_pruned_for_space": self.results_pruned_for_space,
             "records_dropped": self.records_dropped,

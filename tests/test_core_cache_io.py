@@ -8,12 +8,12 @@ from repro.cluster import CostModel, laptop1
 from repro.core.cache_io import (
     deserialize_cache,
     load_cache,
-    save_cache,
     serialize_cache,
 )
 from repro.core.engine import MemoizingEngine
 from repro.core.recognizer import Recognizer
 from repro.core.trajectory_cache import CacheEntry, TrajectoryCache
+from repro.durable import write_atomic
 from repro.errors import EngineError
 
 
@@ -36,7 +36,7 @@ class TestSerialization:
             cache.insert(make_entry(rip=0x40 + 8 * (seed % 3), seed=seed,
                                     length=100 + seed))
         path = tmp_path / "cache.ascc"
-        save_cache(cache, path)
+        write_atomic(str(path), serialize_cache(cache))
         loaded = load_cache(path)
         assert len(loaded) == len(cache)
         originals = {(e.rip, e.length): e for e in cache.entries()}
@@ -125,7 +125,7 @@ class TestSerialization:
         for seed in range(20):
             cache.insert(make_entry(seed=seed, length=seed + 1))
         path = tmp_path / "cache.ascc"
-        save_cache(cache, path)
+        write_atomic(str(path), serialize_cache(cache))
         tiny = load_cache(path, capacity_bytes=make_entry().size_bytes() * 4)
         assert len(tiny) <= 4
 

@@ -154,6 +154,24 @@ class TestPersistence:
         third = SharedCacheStore(directory)
         assert third.entry_count(NS_A) == 1
 
+    def test_version1_shard_quarantined(self, tmp_path):
+        """A version-1 shard (entries with no CRC) is not read as
+        trusted facts: it fails the header check like any foreign
+        blob, and the namespace starts empty."""
+        import struct
+        from repro.core.cache_io import encode_entry
+        directory = str(tmp_path / "cache")
+        os.makedirs(directory)
+        path = os.path.join(directory, NS_A + SHARD_SUFFIX)
+        with open(path, "wb") as handle:
+            handle.write(struct.pack("<4sHI", b"ASCC", 1, 1)
+                         + encode_entry(make_entry(seed=1)))
+        store = SharedCacheStore(directory)
+        assert store.shards_quarantined == 1
+        assert store.entry_count(NS_A) == 0
+        assert store.namespaces() == []
+        assert os.path.exists(path + QUARANTINE_SUFFIX)
+
     def test_atomic_flush_leaves_no_tmp_files(self, tmp_path):
         directory = str(tmp_path / "cache")
         store = SharedCacheStore(directory)

@@ -2,6 +2,7 @@
 property — a killed-and-resumed run is byte-identical to an
 uninterrupted one."""
 
+import errno
 import os
 import signal
 import subprocess
@@ -91,10 +92,29 @@ class TestFiles:
         good = tmp_path / "ckpt-00000001.ascp"
         ck.write_checkpoint(good, b"GOOD", 10)
         # Simulate a crash mid-write of the next checkpoint.
-        (tmp_path / "ckpt-00000002.ascp.tmp").write_bytes(b"torn garbage")
+        torn = tmp_path / "ckpt-00000002.ascp.tmp"
+        torn.write_bytes(b"torn garbage")
         assert ck.checkpoint_paths(tmp_path) == [str(good)]
         loaded = ck.load_latest(tmp_path)
         assert loaded.state == b"GOOD"
+        # The planted file is this test's, not litter a write left: the
+        # CI gate that runs this suite fails on any *.tmp it finds.
+        torn.unlink()
+
+    def test_failed_write_leaves_no_tmp(self, tmp_path, monkeypatch):
+        """A checkpoint write that hits a full disk removes its temp
+        file: each retry takes a new sequence number, so litter would
+        pile up on the disk that is already full."""
+        good = tmp_path / "ckpt-00000001.ascp"
+        ck.write_checkpoint(good, b"GOOD", 10)
+
+        def full(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        monkeypatch.setattr(os, "fsync", full)
+        with pytest.raises(OSError):
+            ck.write_checkpoint(tmp_path / "ckpt-00000002.ascp", b"NEW", 20)
+        assert sorted(os.listdir(tmp_path)) == ["ckpt-00000001.ascp"]
+        assert ck.load_latest(tmp_path).state == b"GOOD"
 
     def test_load_latest_walks_past_corrupt(self, tmp_path):
         ck.write_checkpoint(tmp_path / "ckpt-00000001.ascp", b"OLD", 1)

@@ -2,9 +2,9 @@
 degradation ladder's runtime rungs.
 
 Three layers under test. The :mod:`repro.runtime.resources` unit layer
-(is_enospc, the shm-backing-dir probe, the worker rlimit's environment
-default, rlimit plumbing, the :class:`ResourceGovernor` verdicts). The
-pool layer: a
+(is_enospc, now :mod:`repro.durable`'s, the shm-backing-dir probe, the
+worker rlimit's environment default, rlimit plumbing, the
+:class:`ResourceGovernor` verdicts). The pool layer: a
 ``worker_oom`` chaos fault is *contained* — the worker survives, the
 task fails with a structured ``oom:`` fault and an incident record.
 And the ledger layer (satellite audit): the transport's physical
@@ -19,6 +19,7 @@ import os
 
 import pytest
 
+from repro import durable
 from repro.bench import build_collatz
 from repro.runtime import FaultPlan, RealParallelEngine, RuntimeConfig, wire
 from repro.runtime import resources
@@ -30,13 +31,13 @@ from repro.runtime.stats import RuntimeStats
 
 class TestEnospc:
     def test_enospc_and_edquot_count(self):
-        assert resources.is_enospc(OSError(errno.ENOSPC, "full"))
+        assert durable.is_enospc(OSError(errno.ENOSPC, "full"))
         if hasattr(errno, "EDQUOT"):
-            assert resources.is_enospc(OSError(errno.EDQUOT, "quota"))
+            assert durable.is_enospc(OSError(errno.EDQUOT, "quota"))
 
     def test_other_errors_do_not(self):
-        assert not resources.is_enospc(OSError(errno.EACCES, "denied"))
-        assert not resources.is_enospc(ValueError("not even an OSError"))
+        assert not durable.is_enospc(OSError(errno.EACCES, "denied"))
+        assert not durable.is_enospc(ValueError("not even an OSError"))
 
 
 class TestProbes:
@@ -143,10 +144,9 @@ class TestRlimitPlumbing:
 
 def _quiet_governor(**kwargs):
     """A governor whose probes all report plenty, unless overridden."""
-    defaults = dict(shm_headroom_floor=1 << 20, disk_floor_bytes=1 << 20,
+    defaults = dict(disk_floor_bytes=1 << 20,
                     fd_headroom_floor=16, max_queued_jobs=8,
                     disk_path="/tmp",
-                    shm_probe=lambda path=None: 1 << 40,
                     disk_probe=lambda path: 1 << 40,
                     fd_probe=lambda: 10_000)
     defaults.update(kwargs)
@@ -171,11 +171,6 @@ class TestResourceGovernor:
         assert governor.admission_reason() == "fd-headroom"
         assert governor.pressure_events["fd"] == 1
 
-    def test_sheds_on_shm_headroom(self):
-        governor = _quiet_governor(shm_probe=lambda path=None: 100)
-        assert governor.admission_reason() == "shm-headroom"
-        assert governor.pressure_events["shm"] == 1
-
     def test_sheds_on_disk_floor(self):
         governor = _quiet_governor(disk_probe=lambda path: 100)
         assert governor.admission_reason() == "disk-floor"
@@ -183,16 +178,13 @@ class TestResourceGovernor:
 
     def test_zero_floor_disables_check(self):
         governor = _quiet_governor(fd_headroom_floor=0,
-                                   shm_headroom_floor=0,
                                    disk_floor_bytes=0, max_queued_jobs=0,
-                                   shm_probe=lambda path=None: 0,
                                    disk_probe=lambda path: 0,
                                    fd_probe=lambda: 0)
         assert governor.admission_reason(queued_jobs=10 ** 6) is None
 
     def test_probe_failure_is_not_pressure(self):
-        governor = _quiet_governor(shm_probe=lambda path=None: None,
-                                   disk_probe=lambda path: None,
+        governor = _quiet_governor(disk_probe=lambda path: None,
                                    fd_probe=lambda: None)
         assert governor.admission_reason() is None
 
