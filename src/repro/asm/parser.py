@@ -111,10 +111,6 @@ class _TokenCursor:
             return True
         return False
 
-    def expect_punct(self, char):
-        if not self.accept_punct(char):
-            raise AssemblerError("expected %r" % char, line=self.line)
-
     def at_end(self):
         return self.pos >= len(self.tokens)
 

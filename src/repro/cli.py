@@ -49,10 +49,11 @@ from repro.loader.image import Program
 from repro.machine.state import StateVector
 from repro.minic import compile_source
 from repro.runtime import FaultPlan, RealParallelEngine, RuntimeConfig
-from repro.runtime.faults import resolve_fault_plan
+from repro.runtime.faults import FaultSpec, resolve_fault_plan
 from repro.serve import (ServeClient, ServeClientError, ServeConfig,
                          ServeError, SpeculationDaemon)
 from repro.serve.config import SubmitOptions
+from repro.settings import SettingsError
 from repro.verify import VerifyConfig
 from repro.verify.incidents import format_incident
 
@@ -207,6 +208,7 @@ def _wire_line(runtime):
 def _run_real_backend(program, args, checkpointer, resume_from):
     """Execute on the multiprocess runtime; returns (machine, payload)."""
     runtime_config = RuntimeConfig.from_args(args)
+    runtime_config.resolve_fault_plan()  # a bad spec is refused up front
     engine = RealParallelEngine(program, config=EngineConfig.from_args(args),
                                 runtime_config=runtime_config,
                                 checkpointer=checkpointer,
@@ -439,11 +441,8 @@ def _chaos_serve(args):
     tracked purely by its idempotency token — the thing the journal
     guarantees survives any restart."""
     program, config = _chaos_workload(args)
-    plan = FaultPlan(seed=args.seed,
-                     daemon_kills=args.daemon_kills,
-                     conn_drops=args.conn_drops,
-                     journal_truncs=args.journal_truncs,
-                     start_after=1, spacing=args.spacing)
+    spec = FaultSpec.from_args(args, seed=args.seed)
+    plan = FaultPlan(spec.only("client"), start=1)
     # Resource faults run daemon-side: the daemon consumes its own
     # seeded plan (REPRO_SERVE_FAULT_PLAN semantics) at its journal/
     # cache/admission seams, so ENOSPC and fd pressure hit the real
@@ -451,12 +450,11 @@ def _chaos_serve(args):
     # restarted by a daemon_kill re-arms the same spec — deliberate:
     # every incarnation faces the same adversary.
     serve_plan_spec = None
-    if args.disk_fulls or args.fd_exhausts:
+    daemon_spec = spec.only("daemon")
+    if any(daemon_spec.scheduled().values()):
         # start=1: the initial submit lands clean, then every admission
         # event (the token resubmits below) consumes one fault.
-        serve_plan_spec = ("seed=%d,disk_full=%d,fd_exhaust=%d,"
-                          "start=1,spacing=1"
-                          % (args.seed, args.disk_fulls, args.fd_exhausts))
+        serve_plan_spec = str(daemon_spec.replace(start=1, spacing=1))
     expected = _reference_state(program, args.max_instructions)
 
     workdir = tempfile.mkdtemp(prefix="repro-chaos-serve-")
@@ -514,7 +512,7 @@ def _chaos_serve(args):
         # fault has been spent — a daemon_kill after completion still
         # proves the result store survives a restart.
         while time.monotonic() < deadline:
-            kind = plan.next_serve_fault()
+            kind = plan.next("serve")
             if kind == "daemon_kill":
                 proc.kill()
                 proc.wait(timeout=30)
@@ -661,13 +659,7 @@ def cmd_chaos(args):
     if args.serve:
         return _chaos_serve(args)
 
-    plan = FaultPlan(seed=args.seed, kills=args.kills,
-                     timeouts=args.timeouts, corruptions=args.corrupts,
-                     slows=args.slows, drops=args.drops,
-                     shm_fulls=args.shm_fulls,
-                     worker_ooms=args.worker_ooms,
-                     slow_seconds=args.slow_ms / 1000.0,
-                     spacing=args.spacing)
+    plan = FaultPlan(FaultSpec.from_args(args, seed=args.seed).only("pool"))
     program, result, payload = _run_beside_reference(args, plan)
     identical = payload["identical"]
     if args.json:
@@ -695,10 +687,9 @@ def cmd_audit(args):
     the machine-checkable form of the paper's correctness argument."""
     if args.fault_plan:
         plan = resolve_fault_plan(args.fault_plan)
-    elif args.taints:
-        plan = FaultPlan(seed=args.seed, taints=args.taints)
     else:
-        plan = None
+        spec = FaultSpec.from_args(args, seed=args.seed)
+        plan = FaultPlan(spec) if spec.taint else None
     # The wait bias makes every on-trajectory speculation a hit, so the
     # audit sweep covers the same splices on every run of a given seed.
     program, result, payload = _run_beside_reference(
@@ -948,33 +939,13 @@ def build_parser():
         help="run under seeded fault injection; assert the final state "
              "is byte-identical to a sequential run")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--kills", type=int, default=2,
-                   help="workers to SIGKILL mid-task")
-    p.add_argument("--timeouts", type=int, default=2,
-                   help="tasks to push past their deadline")
-    p.add_argument("--corrupts", type=int, default=1,
-                   help="result frames to corrupt on the wire")
-    p.add_argument("--slows", type=int, default=1,
-                   help="results to delay before ingest")
-    p.add_argument("--drops", type=int, default=1,
-                   help="results to drop entirely")
-    p.add_argument("--slow-ms", dest="slow_ms", type=float, default=50.0,
-                   help="delay per slow fault, milliseconds")
-    p.add_argument("--spacing", type=int, default=1,
-                   help="inject at most one fault every N pool events")
-    p.add_argument("--shm-fulls", dest="shm_fulls", type=int, default=0,
-                   help="dispatches forced off the shm ring onto the "
-                        "inline pipe fallback (resource tier)")
-    p.add_argument("--worker-ooms", dest="worker_ooms", type=int, default=0,
-                   help="workers whose memory limit is tightened "
-                        "mid-task so the speculation OOMs as a "
-                        "contained failure (resource tier)")
-    p.add_argument("--disk-fulls", dest="disk_fulls", type=int, default=0,
-                   help="with --serve: journal/cache writes hit an "
-                        "injected ENOSPC this many times")
-    p.add_argument("--fd-exhausts", dest="fd_exhausts", type=int, default=0,
-                   help="with --serve: admissions shed for fd pressure "
-                        "this many times (retryable 'overloaded')")
+    # Every kind but taint (an audit fault), each process's rows:
+    # the pool's, the daemon's (disk_full, fd_exhaust) and the --serve
+    # client's (daemon_kill, conn_drop, journal_trunc).
+    FaultSpec.add_flags(p, "shm_full", "disk_full", "worker_oom",
+                        "fd_exhaust", "slow_ms", kill=2, timeout=2,
+                        corrupt=1, slow=1, drop=1, daemon_kill=1,
+                        conn_drop=1, journal_trunc=1, spacing=1)
     RuntimeConfig.add_flags(p, "task_timeout_seconds", n_workers=3,
                             max_instructions=_MAX_INSTRUCTIONS)
     p.add_argument("--json", action="store_true")
@@ -983,16 +954,6 @@ def build_parser():
                         "subprocess, injecting --daemon-kills/"
                         "--conn-drops/--journal-truncs instead of "
                         "worker faults")
-    p.add_argument("--daemon-kills", dest="daemon_kills", type=int,
-                   default=1, help="with --serve: SIGKILL the daemon "
-                                   "mid-job this many times")
-    p.add_argument("--conn-drops", dest="conn_drops", type=int, default=1,
-                   help="with --serve: drop the client connection "
-                        "mid-poll this many times")
-    p.add_argument("--journal-truncs", dest="journal_truncs", type=int,
-                   default=1,
-                   help="with --serve: tear the journal tail before a "
-                        "restart this many times")
     p.add_argument("--timeout", type=float, default=180.0,
                    help="with --serve: overall scenario deadline")
     p.set_defaults(func=cmd_chaos)
@@ -1003,9 +964,7 @@ def build_parser():
              "interpreter; nonzero exit on any semantic divergence")
     p.add_argument("--seed", type=int, default=42,
                    help="seeds the audit sampler and any --taints plan")
-    p.add_argument("--taints", type=int, default=0,
-                   help="inject N semantically-corrupt cache entries; "
-                        "the audit must catch every one (exit nonzero)")
+    FaultSpec.add_flags(p, "taint")
     p.add_argument("--fault-plan", dest="fault_plan", metavar="SPEC",
                    help="full fault-plan spec, e.g. 'seed=7,taint=3'; "
                         "overrides --taints")
@@ -1068,6 +1027,11 @@ def main(argv=None):
         # No daemon, a refused request, a socket another daemon owns.
         print(str(exc), file=sys.stderr)
         return 1
+    except SettingsError as exc:
+        # A malformed setting or fault plan: a usage error, as argparse
+        # reports its own.
+        print("repro: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

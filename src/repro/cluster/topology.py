@@ -31,10 +31,6 @@ class Platform:
         return Platform(self.name, n_cores, self.cost_model,
                         self.memory_bytes_per_core)
 
-    def with_cost_model(self, cost_model):
-        return Platform(self.name, self.n_cores, cost_model,
-                        self.memory_bytes_per_core)
-
     def __repr__(self):
         return "Platform(%r, n_cores=%d)" % (self.name, self.n_cores)
 

@@ -85,10 +85,6 @@ class CacheEntry:
     # -- sizes ---------------------------------------------------------------------
 
     @property
-    def start_bits(self):
-        return 8 * len(self.start_indices)
-
-    @property
     def end_bits(self):
         return 8 * len(self.end_indices)
 

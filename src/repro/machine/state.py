@@ -115,10 +115,6 @@ class StateVector:
         self.layout.check_access(addr, 1)
         return self.buf[MEM_OFF + addr]
 
-    def write_u8(self, addr, value):
-        self.layout.check_access(addr, 1)
-        self.buf[MEM_OFF + addr] = value & 0xFF
-
     def read_bytes(self, addr, length):
         self.layout.check_access(addr, length)
         off = MEM_OFF + addr

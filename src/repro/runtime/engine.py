@@ -195,7 +195,7 @@ class _PoolBackend(SpeculationBackend):
             # main-thread trajectory, whereas arrival order varies with
             # OS scheduling and could spend a taint on an entry that is
             # never used — an unobservable fault.
-            if faults is not None and faults.next_entry_fault() == "taint":
+            if faults is not None and faults.next("entry") == "taint":
                 self.runtime.faults_injected += 1
                 return faults.taint_entry(entry)
         return entry

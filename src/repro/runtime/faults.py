@@ -3,41 +3,17 @@
 The paper's correctness argument makes speculation disposable: a cache
 entry either matches a future state on its dependency bytes or sits
 idle, so the runtime must keep making byte-identical progress no matter
-how badly the speculative tier misbehaves. This module turns that claim
-into something testable. A :class:`FaultPlan` is a *seeded schedule* of
-failures injected at the seams the pool already has to survive:
+how badly the speculative tier misbehaves. A :class:`FaultPlan` makes
+that testable: a *seeded schedule* of failures injected at the seams
+the runtime already has to survive. Each kind is one :class:`Fault` row
+of :class:`FaultSpec` (DESIGN.md §9 says what each exercises), spent on
+one event stream by one process; its row name is its spec key, keyword
+and ``scheduled`` / ``injected`` key. The seed fixes every stream's
+decision sequence up front, so a chaos run replays modulo OS scheduling.
 
-* ``kill`` — SIGKILL a worker right after a task is dispatched to it
-  (mid-task crash; exercises EOF detection and respawn);
-* ``timeout`` — backdate a task's dispatch time past the deadline so
-  the reaper kills the worker (deadline-overrun path);
-* ``corrupt`` — flip or truncate bytes of a received result frame
-  (exercises wire checksum rejection and the crash-equivalent path);
-* ``slow`` — stall ingestion of a result (latency spike; feeds the
-  EWMA and the inflight-wait ledger);
-* ``drop`` — discard a received result outright (the worker answered,
-  the answer is lost; the target must be re-speculated);
-* ``taint`` — semantically corrupt a worker-shipped cache entry as it
-  is spliced into the main state (wrong end byte, dropped dependency,
-  inflated length). Unlike ``corrupt`` this damage is *CRC-valid*: no
-  transport check can see it, only the verify subsystem's shadow audit
-  (`repro audit`, ``--verify-rate``) catches it;
-* resource tier (:data:`RESOURCE_KINDS`) — deterministic exhaustion:
-  ``shm_full`` (ring pressure → inline pipe fallback), ``worker_oom``
-  (tightened ``RLIMIT_AS`` → contained ``MemoryError``), ``disk_full``
-  (injected ``ENOSPC`` into cache/journal writes → prune/suspend), and
-  ``fd_exhaust`` (admission probe reports no fd headroom → the daemon
-  sheds with the retryable ``overloaded`` code).
-
-The plan is deterministic given its seed: the *decision sequence* (which
-dispatch/receive event gets which fault) is fixed up front, so a chaos
-run is reproducible modulo OS scheduling. `repro chaos` and the CI
-chaos job run benchmarks under seeded plans and assert the final state
-stays byte-identical to sequential execution.
-
-Configure via ``RuntimeConfig(fault_plan=FaultPlan(...))``, a spec
-string (``RuntimeConfig(fault_plan="seed=42,kill=2,corrupt=1")``), or
-the ``REPRO_FAULT_PLAN`` environment variable with the same syntax.
+Configure via ``RuntimeConfig(fault_plan=FaultPlan(kill=2, corrupt=1))``,
+a spec string (``RuntimeConfig(fault_plan="seed=42,kill=2,corrupt=1")``)
+or the ``REPRO_FAULT_PLAN`` environment variable with the same syntax.
 """
 
 import random
@@ -46,112 +22,149 @@ from collections import Counter, deque
 import numpy as np
 
 from repro.core.trajectory_cache import CacheEntry
-from repro.errors import ReproError
+from repro.settings import Setting, Settings, SettingsError, table
 
-#: Fault kinds injected when a task is dispatched to a worker.
-DISPATCH_KINDS = ("kill", "timeout")
-#: Fault kinds injected when a result frame is received from a worker.
-RECEIVE_KINDS = ("corrupt", "slow", "drop")
-#: Fault kinds injected on a decoded cache entry (post-CRC).
-ENTRY_KINDS = ("taint",)
-#: Fault kinds injected at the service tier (`repro chaos --serve`):
-#: SIGKILL the daemon mid-job, drop the client connection mid-poll,
-#: truncate the job journal's tail before a restart.
-SERVE_KINDS = ("daemon_kill", "conn_drop", "journal_trunc")
-#: Resource-exhaustion faults. ``shm_full`` forces a task blob past the
-#: ring onto the pipe (inline fallback); ``worker_oom`` tightens a live
-#: worker's ``RLIMIT_AS`` so its speculation hits a contained
-#: ``MemoryError``; ``disk_full`` injects ``ENOSPC`` into the next
-#: cache/journal write; ``fd_exhaust`` makes the daemon's admission
-#: probe report zero fd headroom (shed as ``overloaded``). The first
-#: two are spent at the pool's dispatch seam, the last two at the
-#: daemon's write/admission seams.
-RESOURCE_KINDS = ("shm_full", "disk_full", "worker_oom", "fd_exhaust")
-ALL_KINDS = (DISPATCH_KINDS + RECEIVE_KINDS + ENTRY_KINDS + SERVE_KINDS
-             + RESOURCE_KINDS)
+#: Event streams, in queue-shuffle order (``entry`` is never shuffled).
+STREAMS = ("dispatch", "receive", "entry", "serve", "resource")
 
 
-class FaultPlanError(ReproError):
-    """A fault-plan spec string could not be parsed."""
+class FaultPlanError(SettingsError):
+    """A fault-plan spec string or quota is malformed."""
+
+
+class Fault(Setting):
+    """One fault kind: a quota, the stream whose events spend it and the
+    process that spends them: ``pool``, ``daemon`` or ``client`` (the
+    ``repro chaos --serve`` loop that drives a daemon)."""
+
+    def __init__(self, name, stream, spent_by, flag, help):
+        super().__init__(name, 0, int, flag=flag, help=help)
+        self.stream, self.spent_by = stream, spent_by
+
+
+class FaultSpec(Settings):
+    """What a plan schedules. The first ``start`` events of each stream
+    are left clean (so the run establishes a healthy baseline), after
+    which every ``spacing``-th event consumes the next fault from a
+    seeded shuffle of that stream's quota."""
+
+    KIND = "fault-plan"
+    FIELDS = table(
+        Setting("seed", 0, int),
+        Fault("kill", "dispatch", "pool", "--kills",
+              "workers to SIGKILL mid-task"),
+        Fault("timeout", "dispatch", "pool", "--timeouts",
+              "tasks to push past their deadline"),
+        Fault("corrupt", "receive", "pool", "--corrupts",
+              "result frames to corrupt on the wire"),
+        Fault("slow", "receive", "pool", "--slows",
+              "results to delay before ingest"),
+        Fault("drop", "receive", "pool", "--drops",
+              "results to drop entirely"),
+        Fault("taint", "entry", "pool", "--taints",
+              "inject N semantically-corrupt cache entries; the audit "
+              "must catch every one (exit nonzero)"),
+        Fault("daemon_kill", "serve", "client", "--daemon-kills",
+              "with --serve: SIGKILL the daemon mid-job this many times"),
+        Fault("conn_drop", "serve", "client", "--conn-drops",
+              "with --serve: drop the client connection mid-poll N times"),
+        Fault("journal_trunc", "serve", "client", "--journal-truncs",
+              "with --serve: tear the journal tail before a restart N times"),
+        Fault("shm_full", "resource", "pool", "--shm-fulls",
+              "dispatches forced off the shm ring onto the inline pipe "
+              "fallback (resource tier)"),
+        Fault("disk_full", "resource", "daemon", "--disk-fulls",
+              "with --serve: journal/cache writes hit an injected ENOSPC "
+              "this many times"),
+        Fault("worker_oom", "resource", "pool", "--worker-ooms",
+              "workers whose memory limit is tightened mid-task so the "
+              "speculation OOMs as a contained failure (resource tier)"),
+        Fault("fd_exhaust", "resource", "daemon", "--fd-exhausts",
+              "with --serve: shed N admissions for fd pressure (retryable)"),
+        Setting("slow_ms", 50.0, float, flag="--slow-ms",
+                help="delay per slow fault, milliseconds"),
+        Setting("start", 2, int),
+        Setting("spacing", 2, int, flag="--spacing",
+                help="inject at most one fault every N pool events"),
+    )
+
+    def _finish(self):
+        if min(self.scheduled().values()) < 0:
+            raise FaultPlanError("fault quotas must be >= 0")
+        if not self.slow_ms >= 0:  # NaN too
+            raise FaultPlanError("slow_ms must be >= 0")
+        if self.spacing < 1:
+            raise FaultPlanError("spacing must be >= 1")
+
+    def scheduled(self):
+        """Quota by kind, in table order."""
+        return {row.name: getattr(self, row.name) for row in KINDS}
+
+    def only(self, spent_by):
+        """This spec with the quotas another process spends zeroed."""
+        return self.replace(**{row.name: 0 for row in KINDS
+                               if row.spent_by != spent_by})
+
+    def __str__(self):
+        """The spec string :meth:`FaultPlan.parse` reads back."""
+        return ",".join("%s=%s" % (name, getattr(self, name))
+                        for name, row in self.FIELDS.items()
+                        if getattr(self, name) != row.default)
+
+
+KINDS = [row for row in FaultSpec.FIELDS.values() if isinstance(row, Fault)]
 
 
 class FaultPlan:
-    """A seeded, finite schedule of runtime faults.
+    """A seeded, finite schedule of runtime faults: a :class:`FaultSpec`
+    (given, or built from the keywords) and the queues spending it.
+    ``injected`` counts what was actually spent — tests assert against
+    it."""
 
-    ``kills``/``timeouts`` are spent on dispatch events and
-    ``corruptions``/``slows``/``drops`` on receive events, one fault per
-    eligible event. The first ``start_after`` events of each side are
-    left clean (so the run establishes some healthy baseline), after
-    which every ``spacing``-th event consumes the next fault from a
-    seeded shuffle of the remaining quota. ``injected`` counts what was
-    actually spent — tests assert against it.
-    """
-
-    def __init__(self, seed=0, kills=0, timeouts=0, corruptions=0,
-                 slows=0, drops=0, taints=0, daemon_kills=0, conn_drops=0,
-                 journal_truncs=0, shm_fulls=0, disk_fulls=0,
-                 worker_ooms=0, fd_exhausts=0, slow_seconds=0.05,
-                 start_after=2, spacing=2):
-        if min(kills, timeouts, corruptions, slows, drops, taints,
-               daemon_kills, conn_drops, journal_truncs, shm_fulls,
-               disk_fulls, worker_ooms, fd_exhausts) < 0:
-            raise FaultPlanError("fault quotas must be >= 0")
-        if spacing < 1:
-            raise FaultPlanError("spacing must be >= 1")
-        self.seed = seed
-        self.kills = kills
-        self.timeouts = timeouts
-        self.corruptions = corruptions
-        self.slows = slows
-        self.drops = drops
-        self.taints = taints
-        self.daemon_kills = daemon_kills
-        self.conn_drops = conn_drops
-        self.journal_truncs = journal_truncs
-        self.shm_fulls = shm_fulls
-        self.disk_fulls = disk_fulls
-        self.worker_ooms = worker_ooms
-        self.fd_exhausts = fd_exhausts
-        self.slow_seconds = slow_seconds
-        self.start_after = start_after
-        self.spacing = spacing
-        rng = random.Random(seed)
-        dispatch = ["kill"] * kills + ["timeout"] * timeouts
-        receive = (["corrupt"] * corruptions + ["slow"] * slows
-                   + ["drop"] * drops)
-        serve = (["daemon_kill"] * daemon_kills + ["conn_drop"] * conn_drops
-                 + ["journal_trunc"] * journal_truncs)
-        res = (["shm_full"] * shm_fulls + ["disk_full"] * disk_fulls
-               + ["worker_oom"] * worker_ooms + ["fd_exhaust"] * fd_exhausts)
-        rng.shuffle(dispatch)
-        rng.shuffle(receive)
-        rng.shuffle(serve)
-        rng.shuffle(res)
-        self._dispatch_queue = deque(dispatch)
-        self._receive_queue = deque(receive)
-        self._entry_queue = deque(["taint"] * taints)
-        self._serve_queue = deque(serve)
-        self._resource_queue = deque(res)
+    def __init__(self, spec=None, **given):
+        self.spec = (spec or FaultSpec()).replace(**given)
+        rng = random.Random(self.spec.seed)
+        self._queues = {}
+        for stream in STREAMS:
+            queue = [row.name for row in KINDS if row.stream == stream
+                     for __ in range(getattr(self.spec, row.name))]
+            if stream != "entry":
+                rng.shuffle(queue)
+            self._queues[stream] = deque(queue)
+        self._events = dict.fromkeys(STREAMS, 0)
         self._rng = rng  # drives corruption shapes, deterministically
-        self._dispatch_events = 0
-        self._receive_events = 0
-        self._entry_events = 0
-        self._serve_events = 0
-        self._resource_events = 0
         self.injected = Counter()
+
+    @classmethod
+    def parse(cls, spec):
+        """Build a plan from ``"seed=42,kill=2,timeout=1,corrupt=1"``."""
+        options = {}
+        for item in filter(None, map(str.strip, str(spec).split(","))):
+            key, eq, value = item.partition("=")
+            if not eq:
+                raise FaultPlanError("bad fault-plan item %r (want key=value)"
+                                     % item)
+            options[key.strip()] = value.strip()
+        try:
+            return cls(FaultSpec.from_options(options))
+        except SettingsError as exc:
+            raise FaultPlanError(str(exc)) from None
 
     # -- scheduling ----------------------------------------------------------
 
-    def _next(self, queue, event_index, allowed):
-        if not queue:
+    def next(self, stream, allowed=None):
+        """The fault to apply to this event of ``stream`` (or ``None``).
+
+        A checkpoint passes the kinds it can spend as ``allowed``; an
+        unallowed head (e.g. a timeout fault when deadlines are
+        disabled) is skipped for this event but stays queued for one
+        that can spend it.
+        """
+        queue, index = self._queues[stream], self._events[stream]
+        self._events[stream] += 1
+        start, spacing = self.spec.start, self.spec.spacing
+        if not queue or index < start or (index - start) % spacing:
             return None
-        if event_index < self.start_after:
-            return None
-        if (event_index - self.start_after) % self.spacing != 0:
-            return None
-        # Pop the first allowed kind; an unallowed head (e.g. a timeout
-        # fault when deadlines are disabled) is skipped for this event
-        # but stays queued.
         for __ in range(len(queue)):
             kind = queue.popleft()
             if allowed is None or kind in allowed:
@@ -159,62 +172,6 @@ class FaultPlan:
                 return kind
             queue.append(kind)
         return None
-
-    def next_dispatch_fault(self, allowed=None):
-        """Fault to apply to this dispatch event (or ``None``)."""
-        kind = self._next(self._dispatch_queue, self._dispatch_events,
-                          allowed)
-        self._dispatch_events += 1
-        return kind
-
-    def next_receive_fault(self, allowed=None):
-        """Fault to apply to this received result frame (or ``None``)."""
-        kind = self._next(self._receive_queue, self._receive_events,
-                          allowed)
-        self._receive_events += 1
-        return kind
-
-    def next_entry_fault(self):
-        """Fault to apply to this spliced cache entry (or ``None``).
-
-        Counted on its own event stream — an event is one *splice* of a
-        worker-shipped entry into the main state. Splices follow the
-        deterministic main-thread trajectory (arrival order does not:
-        OS scheduling perturbs it, and a taint spent on an entry that
-        never splices is an unobservable fault), so a ``taint`` quota
-        always lands where the verify subsystem can catch it.
-        """
-        kind = self._next(self._entry_queue, self._entry_events, None)
-        self._entry_events += 1
-        return kind
-
-    def next_serve_fault(self, allowed=None):
-        """Fault to apply to this service-tier event (or ``None``).
-
-        An event is one observable checkpoint of the serve chaos
-        driver — a client poll round, typically — so a plan like
-        ``daemon_kill=1,journal_trunc=1`` interleaves its faults at
-        seeded, reproducible points of a run, the same contract the
-        worker-tier streams have.
-        """
-        kind = self._next(self._serve_queue, self._serve_events, allowed)
-        self._serve_events += 1
-        return kind
-
-    def next_resource_fault(self, allowed=None):
-        """Fault to apply to this resource checkpoint (or ``None``).
-
-        An event is one observable budget decision: a pool dispatch
-        (``shm_full``/``worker_oom`` eligible), a daemon durability
-        write (``disk_full``), or a daemon admission probe
-        (``fd_exhaust``). Each checkpoint passes its own ``allowed``
-        set; an ineligible head stays queued for a checkpoint that can
-        spend it, the same contract the other streams keep.
-        """
-        kind = self._next(self._resource_queue, self._resource_events,
-                          allowed)
-        self._resource_events += 1
-        return kind
 
     def truncate_tail_bytes(self, size):
         """How many bytes a ``journal_trunc`` fault shears off a file
@@ -276,99 +233,27 @@ class FaultPlan:
     @property
     def exhausted(self):
         """Every scheduled fault has been injected."""
-        return (not self._dispatch_queue and not self._receive_queue
-                and not self._entry_queue and not self._serve_queue
-                and not self._resource_queue)
+        return not any(self._queues.values())
 
     @property
     def pending(self):
         """Faults scheduled but not yet injected, by kind."""
-        return (Counter(self._dispatch_queue)
-                + Counter(self._receive_queue)
-                + Counter(self._entry_queue)
-                + Counter(self._serve_queue)
-                + Counter(self._resource_queue))
+        return sum(map(Counter, self._queues.values()), Counter())
 
     def as_dict(self):
-        return {
-            "seed": self.seed,
-            "scheduled": {"kill": self.kills, "timeout": self.timeouts,
-                          "corrupt": self.corruptions, "slow": self.slows,
-                          "drop": self.drops, "taint": self.taints,
-                          "daemon_kill": self.daemon_kills,
-                          "conn_drop": self.conn_drops,
-                          "journal_trunc": self.journal_truncs,
-                          "shm_full": self.shm_fulls,
-                          "disk_full": self.disk_fulls,
-                          "worker_oom": self.worker_ooms,
-                          "fd_exhaust": self.fd_exhausts},
-            "injected": dict(self.injected),
-            "pending": dict(self.pending),
-        }
-
-    # -- spec strings --------------------------------------------------------
-
-    _SPEC_KEYS = {
-        "seed": ("seed", int),
-        "kill": ("kills", int),
-        "timeout": ("timeouts", int),
-        "corrupt": ("corruptions", int),
-        "slow": ("slows", int),
-        "drop": ("drops", int),
-        "taint": ("taints", int),
-        "daemon_kill": ("daemon_kills", int),
-        "conn_drop": ("conn_drops", int),
-        "journal_trunc": ("journal_truncs", int),
-        "shm_full": ("shm_fulls", int),
-        "disk_full": ("disk_fulls", int),
-        "worker_oom": ("worker_ooms", int),
-        "fd_exhaust": ("fd_exhausts", int),
-        "slow_ms": ("slow_seconds", lambda v: int(v) / 1000.0),
-        "start": ("start_after", int),
-        "spacing": ("spacing", int),
-    }
-
-    @classmethod
-    def parse(cls, spec):
-        """Build a plan from ``"seed=42,kill=2,timeout=1,corrupt=1"``."""
-        kwargs = {}
-        for item in str(spec).split(","):
-            item = item.strip()
-            if not item:
-                continue
-            if "=" not in item:
-                raise FaultPlanError("bad fault-plan item %r (want key=value)"
-                                     % item)
-            key, __, value = item.partition("=")
-            entry = cls._SPEC_KEYS.get(key.strip())
-            if entry is None:
-                raise FaultPlanError(
-                    "unknown fault-plan key %r (known: %s)"
-                    % (key.strip(), ", ".join(sorted(cls._SPEC_KEYS))))
-            name, convert = entry
-            try:
-                kwargs[name] = convert(value.strip())
-            except ValueError:
-                raise FaultPlanError("bad value %r for fault-plan key %r"
-                                     % (value.strip(), key.strip()))
-        return cls(**kwargs)
+        return {"seed": self.spec.seed, "scheduled": self.spec.scheduled(),
+                "injected": dict(self.injected),
+                "pending": dict(self.pending)}
 
     def __repr__(self):
-        return ("FaultPlan(seed=%d, kill=%d, timeout=%d, corrupt=%d, "
-                "slow=%d, drop=%d, taint=%d, daemon_kill=%d, conn_drop=%d, "
-                "journal_trunc=%d, shm_full=%d, disk_full=%d, "
-                "worker_oom=%d, fd_exhaust=%d, injected=%s)"
-                % (self.seed, self.kills, self.timeouts, self.corruptions,
-                   self.slows, self.drops, self.taints, self.daemon_kills,
-                   self.conn_drops, self.journal_truncs, self.shm_fulls,
-                   self.disk_fulls, self.worker_ooms, self.fd_exhausts,
-                   dict(self.injected)))
+        fields = {"seed": self.spec.seed, **self.spec.scheduled()}
+        return "FaultPlan(%s, injected=%s)" % (
+            ", ".join("%s=%d" % kv for kv in fields.items()),
+            dict(self.injected))
 
 
 def resolve_fault_plan(value):
     """Normalize a config value: plan, spec string, or ``None``."""
-    if value is None:
-        return None
-    if isinstance(value, FaultPlan):
+    if value is None or isinstance(value, FaultPlan):
         return value
     return FaultPlan.parse(value)

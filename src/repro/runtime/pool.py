@@ -588,7 +588,7 @@ class WorkerPool:
         allowed = ["kill"]
         if self.config.task_timeout_seconds is not None:
             allowed.append("timeout")
-        kind = self.faults.next_dispatch_fault(allowed)
+        kind = self.faults.next("dispatch", allowed)
         if kind is None:
             return
         self.stats.faults_injected += 1
@@ -611,7 +611,7 @@ class WorkerPool:
         allowed = ["worker_oom"]
         if worker.task_ring is not None:
             allowed.append("shm_full")
-        kind = self.faults.next_resource_fault(allowed)
+        kind = self.faults.next("resource", allowed)
         if kind is None:
             return False
         self.stats.faults_injected += 1
@@ -711,14 +711,14 @@ class WorkerPool:
         crashed so the engine re-speculates)."""
         if self.faults is None:
             return data, False
-        kind = self.faults.next_receive_fault()
+        kind = self.faults.next("receive")
         if kind is None:
             return data, False
         self.stats.faults_injected += 1
         if kind == "corrupt":
             return self.faults.corrupt_bytes(data), False
         if kind == "slow":
-            time.sleep(self.faults.slow_seconds)
+            time.sleep(self.faults.spec.slow_ms / 1000.0)
             return data, False
         # drop: the worker answered its FIFO head; discard the answer.
         if worker.inflight:

@@ -707,7 +707,7 @@ class SpeculationDaemon:
         plan = self.serve_fault_plan
         if plan is None:
             return
-        kind = plan.next_resource_fault(allowed=("disk_full", "fd_exhaust"))
+        kind = plan.next("resource", allowed=("disk_full", "fd_exhaust"))
         if kind is None:
             return
         self.serve_faults_injected += 1

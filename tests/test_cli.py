@@ -63,6 +63,20 @@ def test_run_unknown_global(c_file, capsys):
     assert main(["run", c_file, "--global", "missing"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["chaos", "collatz", "--kills", "-1"],
+    ["audit", "collatz", "--taints", "-2"],
+    ["run", "<c>", "--backend", "real", "--fault-plan", "bogus=1"],
+    ["run", "<c>", "--backend", "real", "--workers", "1", "--fault-plan",
+     "seed=1,slow=3,slow_ms=-5,start=0,spacing=1"],
+])
+def test_malformed_fault_plan_is_a_usage_error(argv, c_file, capsys):
+    assert main([c_file if arg == "<c>" else arg for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "fault" in err or "slow_ms" in err
+
+
 def test_disasm(c_file, capsys):
     assert main(["disasm", c_file]) == 0
     text = capsys.readouterr().out

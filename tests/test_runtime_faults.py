@@ -2,12 +2,20 @@
 property under them — the final state stays byte-identical to a plain
 sequential run no matter what happens to the speculative tier."""
 
+import json
+import os
+
+import numpy as np
 import pytest
 
 from repro.bench import build_collatz, build_ising, build_mm2
+from repro.core.trajectory_cache import CacheEntry
 from repro.runtime import FaultPlan, FaultPlanError, RealParallelEngine, \
     RuntimeConfig, wire
 from repro.runtime.pool import TASK_CRASHED, WorkerPool
+
+SCHEDULES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         "data", "fault_schedules.json")
 
 
 class TestFaultPlan:
@@ -15,12 +23,13 @@ class TestFaultPlan:
         plan = FaultPlan.parse(
             "seed=7,kill=2,timeout=3,corrupt=1,slow=4,drop=5,"
             "slow_ms=10,start=0,spacing=3")
-        assert plan.seed == 7
-        assert (plan.kills, plan.timeouts, plan.corruptions,
-                plan.slows, plan.drops) == (2, 3, 1, 4, 5)
-        assert plan.slow_seconds == pytest.approx(0.01)
-        assert plan.start_after == 0
-        assert plan.spacing == 3
+        spec = plan.spec
+        assert spec.seed == 7
+        assert (spec.kill, spec.timeout, spec.corrupt,
+                spec.slow, spec.drop) == (2, 3, 1, 4, 5)
+        assert spec.slow_ms == pytest.approx(10)
+        assert spec.start == 0
+        assert spec.spacing == 3
 
     @pytest.mark.parametrize("spec", ["kill", "bogus=1", "kill=x"])
     def test_parse_rejects_bad_specs(self, spec):
@@ -29,14 +38,14 @@ class TestFaultPlan:
 
     def test_negative_quota_rejected(self):
         with pytest.raises(FaultPlanError):
-            FaultPlan(kills=-1)
+            FaultPlan(kill=-1)
 
     def test_same_seed_same_schedule(self):
         def schedule(seed):
-            plan = FaultPlan(seed=seed, kills=2, timeouts=2, corruptions=1,
-                             slows=1, drops=1, start_after=0, spacing=1)
-            return ([plan.next_dispatch_fault() for __ in range(8)],
-                    [plan.next_receive_fault() for __ in range(8)])
+            plan = FaultPlan(seed=seed, kill=2, timeout=2, corrupt=1,
+                             slow=1, drop=1, start=0, spacing=1)
+            return ([plan.next("dispatch") for __ in range(8)],
+                    [plan.next("receive") for __ in range(8)])
 
         assert schedule(42) == schedule(42)
 
@@ -44,32 +53,32 @@ class TestFaultPlan:
         # Across many seeds the shuffles cannot all coincide.
         schedules = set()
         for seed in range(20):
-            plan = FaultPlan(seed=seed, kills=3, timeouts=3, start_after=0,
+            plan = FaultPlan(seed=seed, kill=3, timeout=3, start=0,
                              spacing=1)
-            schedules.add(tuple(plan.next_dispatch_fault()
+            schedules.add(tuple(plan.next("dispatch")
                                 for __ in range(6)))
         assert len(schedules) > 1
 
     def test_start_after_and_spacing(self):
-        plan = FaultPlan(seed=1, kills=10, start_after=2, spacing=3)
-        fired = [plan.next_dispatch_fault() is not None for __ in range(11)]
+        plan = FaultPlan(seed=1, kill=10, start=2, spacing=3)
+        fired = [plan.next("dispatch") is not None for __ in range(11)]
         # Eligible events: indices 2, 5, 8 (then every 3rd).
         assert fired == [False, False, True, False, False, True,
                          False, False, True, False, False]
 
     def test_disallowed_kind_stays_queued(self):
-        plan = FaultPlan(seed=3, timeouts=1, start_after=0, spacing=1)
+        plan = FaultPlan(seed=3, timeout=1, start=0, spacing=1)
         # Deadlines disabled: the timeout fault is skipped, not burned.
-        assert plan.next_dispatch_fault(allowed=["kill"]) is None
+        assert plan.next("dispatch", allowed=["kill"]) is None
         assert not plan.exhausted
-        assert plan.next_dispatch_fault(allowed=["kill", "timeout"]) \
+        assert plan.next("dispatch", allowed=["kill", "timeout"]) \
             == "timeout"
         assert plan.exhausted
 
     def test_injected_and_pending_accounting(self):
-        plan = FaultPlan(seed=0, kills=1, drops=1, start_after=0, spacing=1)
+        plan = FaultPlan(seed=0, kill=1, drop=1, start=0, spacing=1)
         assert plan.pending == {"kill": 1, "drop": 1}
-        plan.next_dispatch_fault()
+        plan.next("dispatch")
         assert plan.injected == {"kill": 1}
         assert plan.pending == {"drop": 1}
         assert plan.as_dict()["injected"] == {"kill": 1}
@@ -88,16 +97,78 @@ class TestFaultPlan:
                 wire.decode_message(damaged)
 
     def test_config_resolution(self, monkeypatch):
-        plan = FaultPlan(seed=5, kills=1)
+        plan = FaultPlan(seed=5, kill=1)
         assert RuntimeConfig(fault_plan=plan).resolve_fault_plan() is plan
         resolved = RuntimeConfig(
             fault_plan="seed=5,kill=1").resolve_fault_plan()
-        assert resolved.kills == 1
+        assert resolved.spec.kill == 1
         monkeypatch.setenv("REPRO_FAULT_PLAN", "seed=9,drop=2")
         from_env = RuntimeConfig().resolve_fault_plan()
-        assert from_env.seed == 9 and from_env.drops == 2
+        assert from_env.spec.seed == 9 and from_env.spec.drop == 2
         monkeypatch.delenv("REPRO_FAULT_PLAN")
         assert RuntimeConfig().resolve_fault_plan() is None
+
+
+def test_slow_ms_is_a_non_negative_float():
+    """``--slow-ms`` takes a float, so the spec key does too; a negative
+    delay is refused up front instead of killing ``time.sleep`` mid-run."""
+    assert FaultPlan.parse("slow=1,slow_ms=2.5").spec.slow_ms == 2.5
+    for spec in ("slow=3,slow_ms=-5", "slow_ms=nan"):
+        with pytest.raises(FaultPlanError, match="slow_ms"):
+            FaultPlan.parse(spec)
+    with pytest.raises(FaultPlanError, match="slow_ms"):
+        FaultPlan(slow_ms=-0.5)
+
+
+def test_spec_string_round_trips():
+    spec = FaultPlan.parse("seed=9,drop=2,slow_ms=2.5,spacing=1").spec
+    assert str(spec) == "seed=9,drop=2,slow_ms=2.5,spacing=1"
+    assert vars(FaultPlan.parse(str(spec)).spec) == vars(spec)
+
+
+# -- schedules pinned before the kinds became table rows ----------------------
+
+with open(SCHEDULES) as _handle:
+    GOLDEN = json.load(_handle)
+
+FRAME = bytes(range(24))
+
+
+def _entry():
+    return CacheEntry(0x40, np.array([3, 9, 17, 40], dtype=np.int64),
+                      np.array([1, 2, 3, 4], dtype=np.uint8),
+                      np.array([5, 9, 60], dtype=np.int64),
+                      np.array([7, 8, 9], dtype=np.uint8), 100)
+
+
+def _replay(spec):
+    """Everything a plan decides, in the order the golden was drawn."""
+    plan = FaultPlan.parse(spec)
+    got = {"spec": spec, "initial": plan.as_dict(), "streams": {
+        stream: [plan.next(stream, choices[i % len(choices)])
+                 for i in range(GOLDEN["events"])]
+        for stream, choices in GOLDEN["allowed"].items()}}
+    got["corrupt_bytes"] = [plan.corrupt_bytes(FRAME).hex()
+                            for __ in range(6)]
+    got["truncate_tail_bytes"] = [plan.truncate_tail_bytes(n)
+                                  for n in (0, 1, 2, 100, 5000, 1 << 20)]
+    got["taint_entry"] = [
+        [entry.start_indices.tolist(), entry.start_values.tolist(),
+         entry.end_indices.tolist(), entry.end_values.tolist(),
+         entry.length]
+        for entry in (plan.taint_entry(_entry()) for __ in range(6))]
+    got["final"] = plan.as_dict()
+    got["exhausted"] = plan.exhausted
+    return got
+
+
+@pytest.mark.parametrize("case", GOLDEN["cases"],
+                         ids=lambda case: case["spec"] or "empty")
+def test_schedule_matches_the_golden(case):
+    """``tests/data/fault_schedules.json`` was recorded from the
+    hand-spelled plan that preceded the table; it is never re-recorded:
+    a seed must keep meaning the same run."""
+    assert _replay(case["spec"]) == case
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +201,7 @@ def boundary_state(program):
 class TestPoolInjection:
     def test_dispatch_kill_surfaces_as_crash(self, loop_program):
         rip, start = boundary_state(loop_program)
-        plan = FaultPlan(seed=1, kills=1, start_after=0, spacing=1)
+        plan = FaultPlan(seed=1, kill=1, start=0, spacing=1)
         config = RuntimeConfig(n_workers=1, fault_plan=plan)
         with WorkerPool(loop_program, config) as pool:
             task = pool.submit(rip, 1, 10_000, start, meta="victim")
@@ -148,7 +219,7 @@ class TestPoolInjection:
 
     def test_drop_loses_result_but_not_worker(self, loop_program):
         rip, start = boundary_state(loop_program)
-        plan = FaultPlan(seed=1, drops=1, start_after=0, spacing=1)
+        plan = FaultPlan(seed=1, drop=1, start=0, spacing=1)
         config = RuntimeConfig(n_workers=1, fault_plan=plan)
         with WorkerPool(loop_program, config) as pool:
             pool.submit(rip, 1, 10_000, start, meta="dropped")
@@ -173,9 +244,8 @@ class TestPoolInjection:
 
 #: The ISSUE's acceptance schedule: >=2 kills, >=2 timeouts, >=1
 #: corruption, plus a slow and a drop, all during one run.
-ACCEPTANCE_PLAN = dict(kills=2, timeouts=2, corruptions=1, slows=1,
-                       drops=1, slow_seconds=0.01, start_after=2,
-                       spacing=1)
+ACCEPTANCE_PLAN = dict(kill=2, timeout=2, corrupt=1, slow=1, drop=1,
+                       slow_ms=10, start=2, spacing=1)
 
 
 @pytest.fixture(scope="module", params=["collatz", "ising", "2mm"])

@@ -263,7 +263,7 @@ def _drain_one(pool, deadline_seconds=20.0):
 class TestWorkerOomContainment:
     def test_oom_fault_is_contained_not_fatal(self, loop_program):
         rip, start = _boundary_state(loop_program)
-        plan = FaultPlan(seed=3, worker_ooms=1, start_after=0, spacing=1)
+        plan = FaultPlan(seed=3, worker_oom=1, start=0, spacing=1)
         config = RuntimeConfig(n_workers=1, fault_plan=plan)
         with WorkerPool(loop_program, config) as pool:
             pool.submit(rip, 1, 10_000, start, meta="squeezed")
@@ -290,7 +290,7 @@ class TestWorkerOomContainment:
     @pytest.mark.skipif(not shm_available(), reason="no shared_memory")
     def test_shm_full_fault_degrades_to_inline(self, loop_program):
         rip, start = _boundary_state(loop_program)
-        plan = FaultPlan(seed=5, shm_fulls=1, start_after=0, spacing=1)
+        plan = FaultPlan(seed=5, shm_full=1, start=0, spacing=1)
         config = RuntimeConfig(n_workers=1, fault_plan=plan)
         with WorkerPool(loop_program, config) as pool:
             pool.submit(rip, 1, 10_000, start, meta="inline")
@@ -401,7 +401,7 @@ class TestShmLedgerProperty:
 
 #: The resource-tier acceptance schedule: ring pressure plus contained
 #: OOMs during one run, all while the answer stays byte-identical.
-RESOURCE_PLAN = dict(shm_fulls=2, worker_ooms=1, start_after=1, spacing=1)
+RESOURCE_PLAN = dict(shm_full=2, worker_oom=1, start=1, spacing=1)
 
 
 class TestResourceChaosDifferential:

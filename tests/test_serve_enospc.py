@@ -329,7 +329,7 @@ class TestServeFaultPlan:
                            "seed=9,disk_full=2,start=0,spacing=1")
         plan = ServeConfig(
             socket_path=str(tmp_path / "s.sock")).resolve_fault_plan()
-        assert plan.disk_fulls == 2 and plan.seed == 9
+        assert plan.spec.disk_full == 2 and plan.spec.seed == 9
         monkeypatch.delenv("REPRO_SERVE_FAULT_PLAN")
         assert ServeConfig(
             socket_path=str(tmp_path / "s.sock")).resolve_fault_plan() \

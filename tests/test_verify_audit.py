@@ -146,7 +146,7 @@ def test_taint_entry_modes_are_all_detected(segment):
     context, pre_state, entry = segment
     truth = run_audit(context, pre_state, entry.rip, entry.length)
     for seed in range(12):
-        plan = FaultPlan(seed=seed, taints=1)
+        plan = FaultPlan(seed=seed, taint=1)
         tainted = plan.taint_entry(entry)
         mismatches = compare_audit(tainted, truth, pre_state)
         assert mismatches, "taint seed %d escaped the audit" % seed
@@ -280,7 +280,7 @@ def test_auditor_sync_clean(segment):
 
 def test_auditor_sync_divergence_rolls_back(segment):
     context, pre_state, entry = segment
-    plan = FaultPlan(seed=3, taints=1)
+    plan = FaultPlan(seed=3, taint=1)
     tainted = plan.taint_entry(entry)
     cache = TrajectoryCache()
     auditor = SpliceAuditor(VerifyConfig(rate=1.0), cache, context=context)
