@@ -23,10 +23,18 @@ per-block work done once:
   once per block instead of once per instruction.
 * Dependency tracking is a second variant of each block (a third when
   instruction fetches count as reads), compiled only if it is ever
-  run, whose per-instruction byte loops collapse into precomputed
-  per-register (offset, width) touch lists applied once per block, with
-  memory and EFLAGS marks inlined range-wise at their reference
-  positions.
+  run, that pays for marks per block and per distinct address rather
+  than per byte: a mark is an inline guarded ``bytes.translate`` of
+  ``g`` through the FSM tables of :mod:`repro.machine.depvec` (a
+  single-byte op at width 1); marks an earlier mark of the block made
+  no-ops are not emitted at all (:func:`_redundant_marks`, whose
+  docstring carries the soundness argument); and every register and
+  EIP mark of the block is one update of the header ``g[0:36]`` at
+  block exit, ``old | READ_FIRST & ~(old >> 1) | WRITTEN`` through
+  ``int.from_bytes`` with both masks literals, skipped while the
+  header still equals the fixed point the variant last produced. That
+  update includes the block-entry EIP read, so :meth:`Block.recover`
+  applies the EIP read itself on the fault path.
 
 Soundness invariants (see DESIGN.md "Two-tier interpreter"):
 
@@ -43,8 +51,10 @@ Soundness invariants (see DESIGN.md "Two-tier interpreter"):
   so every translated instruction that can fault (memory access,
   division) carries recovery metadata; on a
   :class:`repro.errors.MachineError` the block flushes the registers,
-  EFLAGS, EIP, and dependency marks to the byte-identical state the
-  reference interpreter would have left, then re-raises.
+  EFLAGS, EIP, and register/EIP dependency marks to the byte-identical
+  state the reference interpreter would have left (memory and EFLAGS
+  marks are inline, so those before the fault have already run), then
+  re-raises.
 * **Conservative refusal** — instructions the translator cannot prove
   equivalent (register operands >= 8 that would alias the header,
   addressing modes outside the five defined ones, undecodable bytes,
@@ -67,6 +77,7 @@ from repro.errors import (
 )
 from repro.isa.encoding import INSTRUCTION_SIZE, decode
 from repro.isa.opcodes import Op
+from repro.machine.depvec import ON_READ, ON_WRITE, mark
 from repro.machine.layout import (
     EFLAGS_OFF,
     EIP_OFF,
@@ -97,39 +108,6 @@ def fast_path_env_enabled():
     if value is None:
         return True
     return value.strip().lower() not in ("0", "false", "off", "no", "")
-
-
-# -- dependency-mark helpers ---------------------------------------------------
-# The FSM (repro.machine.depvec): a read promotes NULL(0)->READ(1); a
-# write promotes NULL->WRITTEN(2) and READ->WAR(3), i.e. write == OR 2.
-# The `0 in <slice>` / all-marked guards make re-marking (the steady
-# state inside hot loops) a single C-level containment check.
-
-def _mark_read(g, off, width):
-    end = off + width
-    if 0 in g[off:end]:
-        for i in range(off, end):
-            if not g[i]:
-                g[i] = 1
-
-
-def _mark_write(g, off, width):
-    end = off + width
-    for i in range(off, end):
-        s = g[i]
-        if s < 2:
-            g[i] = s | 2
-
-
-def _mark_code_read(g, off, width):
-    # Not a bulk overwrite: the store-protection check tests only a
-    # store's start address, so a word store starting just below
-    # code_lo can leave WRITTEN/WAR states on the first code bytes.
-    end = off + width
-    if 0 in g[off:end]:
-        for i in range(off, end):
-            if not g[i]:
-                g[i] = 1
 
 
 # -- static access metadata ----------------------------------------------------
@@ -170,8 +148,9 @@ _WRITES_FLAGS = frozenset((Op.ADD_RR, Op.ADD_RI, Op.SUB_RR, Op.SUB_RI,
                            Op.AND_RI, Op.OR_RR, Op.OR_RI, Op.XOR_RR,
                            Op.XOR_RI, Op.CMP_RR, Op.CMP_RI, Op.TEST_RR,
                            Op.TEST_RI))
-_MAYBE_WRITES_FLAGS = frozenset((Op.SHL_RR, Op.SHR_RR, Op.SAR_RR,
-                                 Op.SHL_RI, Op.SHR_RI, Op.SAR_RI))
+_RI_SHIFTS = frozenset((Op.SHL_RI, Op.SHR_RI, Op.SAR_RI))
+_MAYBE_WRITES_FLAGS = frozenset((Op.SHL_RR, Op.SHR_RR, Op.SAR_RR)) \
+    | _RI_SHIFTS
 _TOUCHES_FLAGS = _READS_FLAGS | _WRITES_FLAGS | _MAYBE_WRITES_FLAGS
 
 # Source-level condition expressions over the flags byte `fl`
@@ -262,6 +241,10 @@ def _reg_accesses(op, mode, ra, rb):
     raise MachineError("no access metadata for opcode %s" % (op,))
 
 
+#: Stack-pointer moves of the stack ops (the value of ESP keeps its root).
+_STACK_MOVES = {Op.PUSH_R: -4, Op.PUSH_I: -4, Op.CALL: -4, Op.CALL_R: -4,
+                Op.POP_R: 4, Op.RET: 4}
+
 _FAULTABLE = _LOADS | _STORES | frozenset((
     Op.PUSH_R, Op.PUSH_I, Op.POP_R, Op.CALL, Op.CALL_R, Op.RET,
     Op.IDIV_R, Op.UDIV_R))
@@ -348,19 +331,14 @@ class Block:
             buf[EFLAGS_OFF] = fl
         _p32(buf, EIP_OFF, self.addrs[pc])
         if g is not None:
-            for i in range(pc):
-                for kind, reg in self.reg_marks[i]:
-                    if kind == "r":
-                        _mark_read(g, reg * 4, 4)
-                    else:
-                        _mark_write(g, reg * 4, 4)
-            for kind, reg in self.prefault_marks[pc]:
-                if kind == "r":
-                    _mark_read(g, reg * 4, 4)
-                else:
-                    _mark_write(g, reg * 4, 4)
+            for acc in self.reg_marks[:pc] + (self.prefault_marks[pc],):
+                for kind, reg in acc:
+                    mark(g, reg * 4, 4, ON_READ if kind == "r" else ON_WRITE)
+            # Every instruction reads EIP; all but the faulting one
+            # wrote it.
+            mark(g, EIP_OFF, 4, ON_READ)
             if pc > 0:
-                _mark_write(g, EIP_OFF, 4)
+                mark(g, EIP_OFF, 4, ON_WRITE)
         exc._fp_block_index = pc
         return exc
 
@@ -374,13 +352,112 @@ class _Emitter:
         self.dep = dep
         self.code_reads = code_reads
         self.lines = []
+        #: Marks of the current instruction that :func:`_redundant_marks`
+        #: proved no-ops ("mem", "flags_read", "flags_write").
+        self.dropped = ()
 
     def emit(self, line):
         self.lines.append(line)
 
-    def mark(self, call):
-        if self.dep:
-            self.lines.append(call)
+    def mark(self, line, kind=None):
+        if self.dep and kind not in self.dropped:
+            self.lines.append(line)
+
+    def mem_mark(self, width, write):
+        """Mark the access of ``width`` (1 or 4) bytes at ``g[_o]``."""
+        if width == 1:
+            line = "g[_o] |= 2" if write else "if not g[_o]: g[_o] = 1"
+        elif write:  # guard: some byte below WRITTEN (bit 1 clear)
+            line = ("if ~u32(g, _o)[0] & 0x2020202: "
+                    "g[_o:_o + 4] = g[_o:_o + 4].translate(_WR)")
+        else:
+            line = ("if 0 in g[_o:_o + 4]: "
+                    "g[_o:_o + 4] = g[_o:_o + 4].translate(_RD)")
+        self.mark("        " + line, "mem")
+
+
+def _ea_value(values, mode, rb, imm):
+    """The symbolic ``(root, offset)`` of an effective address."""
+    if mode == 0:
+        return None, imm & _M
+    root, off = values[(rb >> 4) & 0x0F]
+    if mode >= 2:
+        scale = 1 if mode == 2 else (2 if mode == 3 else 4)
+        index_root, index_off = values[rb & 0x0F]
+        root = (root, index_root, scale)
+        off += index_off * scale
+    return root, (off + imm) & _M
+
+
+def _redundant_marks(instrs):
+    """Per instruction, the dependency marks a tracking variant may drop.
+
+    Each register's value is named ``(root, offset mod 2**32)``: the
+    entry value of register k is root ``k``; ``ADD_RI`` / ``SUB_RI``,
+    ``MOV_RR``, ``LEA`` and the stack-pointer moves of push / pop / call
+    / ret keep a root; any other write makes a fresh one. Equal names are
+    equal values, so two accesses with the same ``(address, width)`` name
+    touch the same bytes. A memory read is dropped when an earlier mark
+    of the block hit its ``(address, width)``, a write when an earlier
+    write did; an EFLAGS read after any flag mark, a write after an
+    unconditional one (shifts by a register count write conditionally
+    and license nothing). Sound for any ``g`` at block entry: the FSM
+    never returns a byte to NULL nor a written byte below WRITTEN, and
+    the mark that makes a dropped one a no-op ran earlier in the same
+    straight-line execution — if a fault came first, nothing after it
+    runs.
+    """
+    values = {r: (r, 0) for r in range(8)}
+    marked, written = set(), set()
+    flags_marked = flags_written = False
+    plan = []
+    for __, op, mode, ra, rb, imm in instrs:
+        dropped = set()
+        access = None
+        move = _STACK_MOVES.get(op)
+        if op in _LOADS or op in _STORES:
+            width = 4 if op in (Op.LOAD, Op.STORE) else 1
+            access = (_ea_value(values, mode, rb, imm), width), op in _STORES
+        elif move:
+            root, off = values[_ESP]
+            values[_ESP] = (root, (off + move) & _M)
+            # push / call store at the new top, pop / ret load the old.
+            access = (values[_ESP] if move < 0 else (root, off), 4), move < 0
+        if access:
+            key, write = access
+            if key in (written if write else marked):
+                dropped.add("mem")
+            marked.add(key)
+            if write:
+                written.add(key)
+        if op in _READS_FLAGS:
+            if flags_marked:
+                dropped.add("flags_read")
+            flags_marked = True
+        if op in _WRITES_FLAGS or (op in _RI_SHIFTS and imm & 31):
+            if flags_written:
+                dropped.add("flags_write")
+            flags_marked = flags_written = True
+        if op is Op.MOV_RR:
+            values[ra] = values[rb]
+        elif op is Op.MOV_RI:
+            values[ra] = (None, imm & _M)
+        elif op is Op.LEA:
+            values[ra] = _ea_value(values, mode, rb, imm)
+        elif op in (Op.ADD_RI, Op.SUB_RI):
+            root, off = values[ra]
+            delta = imm if op is Op.ADD_RI else -imm
+            values[ra] = (root, (off + delta) & _M)
+        elif op is Op.XCHG:
+            values[ra], values[rb] = values[rb], values[ra]
+        else:
+            for kind, reg in _reg_accesses(op, mode, ra, rb)[0]:
+                if kind == "w" and not (move and reg == _ESP):
+                    values[reg] = (object(), 0)
+            if op is Op.POP_R:
+                values[ra] = (object(), 0)
+        plan.append(dropped)
+    return plan
 
 
 class BlockTranslator:
@@ -414,7 +491,7 @@ class BlockTranslator:
         #: Shared globals for every generated function of this image.
         self.namespace = {
             "u32": _u32, "p32": _p32,
-            "_mr": _mark_read, "_mw": _mark_write, "_mc": _mark_code_read,
+            "_RD": ON_READ, "_WR": ON_WRITE, "_fb": int.from_bytes,
             "_sv": _segv, "_cw": _codew,
             "_dzs": _div0s, "_dzu": _div0u, "_ovf": _divovf,
             "MachineError": MachineError,
@@ -476,10 +553,11 @@ class BlockTranslator:
         return "(%s + %s + %d) & %d" % (base, term, imm, _M)
 
     def _emit_flags_read(self, w):
-        w.mark("        if not g[%d]: g[%d] = 1" % (EFLAGS_OFF, EFLAGS_OFF))
+        w.mark("        if not g[%d]: g[%d] = 1" % (EFLAGS_OFF, EFLAGS_OFF),
+               "flags_read")
 
     def _emit_flags_write(self, w):
-        w.mark("        g[%d] |= 2" % EFLAGS_OFF)
+        w.mark("        g[%d] |= 2" % EFLAGS_OFF, "flags_write")
 
     def _emit_mem_check(self, w, ea, width, store):
         w.emit("        if %s < %d or %s > %d: _sv(%s, %d)"
@@ -511,7 +589,9 @@ class BlockTranslator:
         A = "r%d" % ra
         B = "r%d" % rb
         if w.code_reads:
-            w.mark("        _mc(g, %d, 8)" % (MEM_OFF + addr))
+            code = "g[%d:%d]" % (MEM_OFF + addr, MEM_OFF + addr + 8)
+            w.mark("        if 0 in %s: %s = %s.translate(_RD)"
+                   % (code, code, code))
         if faultable:
             w.emit("        _pc = %d" % index)
 
@@ -526,7 +606,7 @@ class BlockTranslator:
             w.emit("        _ea = %s" % self._ea_src(mode, rb, imm))
             self._emit_mem_check(w, "_ea", width, store=False)
             w.emit("        _o = _ea + %d" % MEM_OFF)
-            w.mark("        _mr(g, _o, %d)" % width)
+            w.mem_mark(width, write=False)
             if op is Op.LOAD:
                 w.emit("        %s, = u32(buf, _o)" % A)
             elif op is Op.LOAD8U:
@@ -543,7 +623,7 @@ class BlockTranslator:
                 w.emit("        p32(buf, _o, %s)" % A)
             else:
                 w.emit("        buf[_o] = %s & 255" % A)
-            w.mark("        _mw(g, _o, %d)" % width)
+            w.mem_mark(width, write=True)
         elif op is Op.LEA:
             w.emit("        %s = %s" % (A, self._ea_src(mode, rb, imm)))
         elif op in (Op.PUSH_R, Op.PUSH_I):
@@ -555,11 +635,11 @@ class BlockTranslator:
             self._emit_mem_check(w, "r4", 4, store=True)
             w.emit("        _o = r4 + %d" % MEM_OFF)
             w.emit("        p32(buf, _o, %s)" % value)
-            w.mark("        _mw(g, _o, 4)")
+            w.mem_mark(4, write=True)
         elif op is Op.POP_R:
             self._emit_mem_check(w, "r4", 4, store=False)
             w.emit("        _o = r4 + %d" % MEM_OFF)
-            w.mark("        _mr(g, _o, 4)")
+            w.mem_mark(4, write=False)
             w.emit("        _v, = u32(buf, _o)")
             w.emit("        r4 = (r4 + 4) & %d" % _M)
             w.emit("        %s = _v" % A)
@@ -702,13 +782,13 @@ class BlockTranslator:
             self._emit_mem_check(w, "r4", 4, store=True)
             w.emit("        _o = r4 + %d" % MEM_OFF)
             w.emit("        p32(buf, _o, %d)" % ((addr + 8) & _M))
-            w.mark("        _mw(g, _o, 4)")
+            w.mem_mark(4, write=True)
             w.emit("        _nx = %s"
                    % (repr(imm & _M) if op is Op.CALL else "_tg"))
         elif op is Op.RET:
             self._emit_mem_check(w, "r4", 4, store=False)
             w.emit("        _o = r4 + %d" % MEM_OFF)
-            w.mark("        _mr(g, _o, 4)")
+            w.mem_mark(4, write=False)
             w.emit("        _nx, = u32(buf, _o)")
             w.emit("        r4 = (r4 + 4) & %d" % _M)
         else:
@@ -767,23 +847,16 @@ class BlockTranslator:
                                for kind, r in acc if kind == "w"})
         faultable = [instr[1] in _FAULTABLE for instr in instrs]
 
-        # Collapsed per-register touch list: the FSM net effect of the
-        # whole block on a register is determined by its first access
-        # kind and whether it is ever written.
-        first_kind = {}
-        for acc in accesses:
-            for kind, reg in acc:
-                first_kind.setdefault(reg, kind)
-
         w = _Emitter(dep)
         w.emit("def _block(%s):" % ("buf, g" if dep else "buf"))
-        w.mark("    _mr(g, %d, 4)" % EIP_OFF)
         for r in used_regs:
             w.emit("    r%d, = u32(buf, %d)" % (r, r * 4))
         if flags_used:
             w.emit("    fl = buf[%d]" % EFLAGS_OFF)
         body = _Emitter(dep, code_reads=variant == "dep_code")
+        plan = _redundant_marks(instrs)
         for i, instr in enumerate(instrs):
+            body.dropped = plan[i]
             self._emit_instr(body, i, instr, faultable[i])
         if instrs[-1][1] not in _TERMINATORS:
             body.emit("        _nx = %d" % block.end)
@@ -806,17 +879,34 @@ class BlockTranslator:
             w.emit("    buf[%d] = fl" % EFLAGS_OFF)
         w.emit("    p32(buf, %d, _nx)" % EIP_OFF)
         if dep:
-            for reg in used_regs:
-                if first_kind[reg] == "r":
-                    w.emit("    _mr(g, %d, 4)" % (reg * 4))
-            for reg in used_regs:
-                if reg in written_regs:
-                    w.emit("    _mw(g, %d, 4)" % (reg * 4))
-            w.emit("    _mw(g, %d, 4)" % EIP_OFF)
+            # One update of the register/EIP header. The FSM net effect
+            # of the block on a register is its first access kind and
+            # whether it is ever written; EIP is read first and written.
+            # Per byte, ``old | RD & ~(old >> 1) | WR`` applies ON_READ
+            # where RD has bit 0 (a set bit 1 blocks NULL -> READ), then
+            # ON_WRITE (OR 2) where WR has bit 1. The update is
+            # idempotent, so a header equal to the last one it produced
+            # (``_fp[0]``, whichever thread produced it) is already its
+            # fixed point.
+            first_kind = {}
+            for acc in accesses:
+                for kind, reg in acc:
+                    first_kind.setdefault(reg, kind)
+            eip = [EIP_OFF // 4]
+            rd = sum(0x01010101 << 32 * reg for reg in eip + [
+                reg for reg in used_regs if first_kind[reg] == "r"])
+            wr = sum(0x02020202 << 32 * reg for reg in eip + written_regs)
+            end = EIP_OFF + 4
+            w.emit("    _h = g[:%d]" % end)
+            w.emit("    if _h != _fp[0]:")
+            w.emit("        _v = _fb(_h, 'little')")
+            w.emit("        _fp[0] = g[:%d] = (_v | 0x%x & ~(_v >> 1) | 0x%x)"
+                   ".to_bytes(%d, 'little')" % (end, rd, wr, end))
         w.emit("    return _nx")
 
         namespace = dict(self.namespace)
         namespace["_rec"] = block.recover
+        namespace["_fp"] = [None]  # the header it last produced
         exec(compile("\n".join(w.lines) + "\n",
                      "<block 0x%x+%d/%s>" % (block.entry, block.n, variant),
                      "exec"), namespace)

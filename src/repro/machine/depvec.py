@@ -13,7 +13,19 @@ function. The four statuses and their transitions:
 
 FSM: a read promotes NULL -> READ and leaves everything else alone; a
 write promotes NULL -> WRITTEN and READ -> WAR and leaves WRITTEN/WAR
-alone. Consequently:
+alone. As a transition list (status, access -> status)::
+
+    NULL    read  -> READ        NULL    write -> WRITTEN
+    READ    read  -> READ        READ    write -> WAR
+    WRITTEN read  -> WRITTEN     WRITTEN write -> WRITTEN
+    WAR     read  -> WAR         WAR     write -> WAR
+
+Each access is therefore a byte -> byte map, held here once as the
+``bytes.translate`` tables :data:`ON_READ` and :data:`ON_WRITE`: marking
+``width`` bytes is one C-level slice translation, whoever marks
+(:class:`DepVector`, the translated blocks of
+:mod:`repro.machine.blockcache`). A write is ``| DEP_WRITTEN`` on every
+status. Consequently:
 
 * bytes with status READ or WAR are exactly the bytes a speculative
   execution *depends on* (its cache-entry start state), and
@@ -26,6 +38,18 @@ DEP_READ = 1
 DEP_WRITTEN = 2
 DEP_WAR = 3
 
+#: ``bytes.translate`` tables of the FSM (statuses above ``DEP_WAR`` never
+#: occur and map to themselves).
+ON_READ = bytes((DEP_READ, DEP_READ, DEP_WRITTEN, DEP_WAR)
+                + tuple(range(4, 256)))
+ON_WRITE = bytes((DEP_WRITTEN, DEP_WAR, DEP_WRITTEN, DEP_WAR)
+                 + tuple(range(4, 256)))
+
+
+def mark(g, index, length, table):
+    """Apply one access (``ON_READ`` / ``ON_WRITE``) to ``length`` bytes."""
+    g[index:index + length] = g[index:index + length].translate(table)
+
 
 class DepVector:
     """Dependency status for every byte of a state vector."""
@@ -33,10 +57,7 @@ class DepVector:
     __slots__ = ("buf",)
 
     def __init__(self, size_or_buf):
-        if isinstance(size_or_buf, int):
-            self.buf = bytearray(size_or_buf)
-        else:
-            self.buf = bytearray(size_or_buf)
+        self.buf = bytearray(size_or_buf)  # zeros for a size, else a copy
 
     def __len__(self):
         return len(self.buf)
@@ -46,23 +67,14 @@ class DepVector:
         # In place: translated blocks hold this bytearray as ``g``.
         self.buf[:] = bytes(len(self.buf))
 
-    # The transition function inlines these updates on its hot path; the
-    # methods exist for tests and non-critical callers.
+    # The transition functions inline these updates on their hot paths;
+    # the methods exist for tests and non-critical callers.
 
     def mark_read(self, index, length=1):
-        buf = self.buf
-        for i in range(index, index + length):
-            if buf[i] == DEP_NULL:
-                buf[i] = DEP_READ
+        mark(self.buf, index, length, ON_READ)
 
     def mark_write(self, index, length=1):
-        buf = self.buf
-        for i in range(index, index + length):
-            s = buf[i]
-            if s == DEP_NULL:
-                buf[i] = DEP_WRITTEN
-            elif s == DEP_READ:
-                buf[i] = DEP_WAR
+        mark(self.buf, index, length, ON_WRITE)
 
     # -- summaries -----------------------------------------------------------
 

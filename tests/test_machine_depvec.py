@@ -1,5 +1,7 @@
 """Dependency-vector FSM invariants."""
 
+import re
+
 from hypothesis import given, strategies as st
 
 from repro.machine import (
@@ -8,6 +10,7 @@ from repro.machine import (
     DEP_WAR,
     DEP_WRITTEN,
     DepVector,
+    depvec,
 )
 
 
@@ -110,3 +113,22 @@ def test_semantics_first_access_determines_dependency(ops):
     assert is_dependency == (ops[0] == "r")
     is_output = 0 in dep.written_indices()
     assert is_output == ("w" in ops)
+
+
+def test_tables_match_the_documented_transition_list():
+    # The module docstring's transition list is the specification; the
+    # two translate tables every marker uses must be exactly it.
+    transitions = re.findall(r"(\w+)\s+(read|write)\s+->\s+(\w+)",
+                             depvec.__doc__)
+    assert len(transitions) == 8
+    status = {name: getattr(depvec, "DEP_" + name)
+              for name in ("NULL", "READ", "WRITTEN", "WAR")}
+    tables = {"read": depvec.ON_READ, "write": depvec.ON_WRITE}
+    assert {(before, access) for before, access, __ in transitions} == {
+        (name, access) for name in status for access in tables}
+    for before, access, after in transitions:
+        assert tables[access][status[before]] == status[after]
+        assert _FSM_EXPECTED[(status[before], access[0])] == status[after]
+    for table in tables.values():
+        assert len(table) == 256
+        assert table[4:] == bytes(range(4, 256))
