@@ -15,7 +15,7 @@ from conftest import publish
 
 from repro.analysis.training import train_on_boundaries
 from repro.core.speculation import run_speculation
-from repro.machine.executor import STOP_BREAKPOINT
+from repro.machine.layout import STOP_BREAKPOINT
 
 
 def _boundary_entries(context, n_entries=24, track_code_reads=False):

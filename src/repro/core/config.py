@@ -57,10 +57,6 @@ class EngineConfig(Settings):
         Setting("memo_block", 8, int),
         # -- cache ------------------------------------------------------
         Setting("cache_capacity_bytes", None, int),
-        # -- interpreter tier -------------------------------------------
-        # None follows REPRO_FAST_PATH (on by default); False forces the
-        # reference interpreter everywhere.
-        Setting("fast_path", None, as_bool),
     )
 
     def _finish(self):

@@ -33,7 +33,9 @@ from repro.errors import EngineError
 from repro.core.excitation import ExcitationTracker
 from repro.core.predictors.ensemble import default_ensemble
 from repro.core.speculation import run_speculation
-from repro.machine.executor import STOP_BREAKPOINT
+from repro.machine.executor import Machine
+from repro.machine.layout import STOP_BREAKPOINT
+from repro.machine.state import StateVector
 
 #: Candidate IPs the shortlist passes on to validation.
 _MAX_CANDIDATES = 8
@@ -135,13 +137,10 @@ class Recognizer:
     # -- phase 1: occurrence statistics --------------------------------------
 
     def _machine_from(self, program, start_state):
-        fast_path = self.config.fast_path
         if start_state is None:
-            return program.make_machine(fast_path=fast_path)
-        from repro.machine.executor import Machine
-        from repro.machine.state import StateVector
+            return program.make_machine()
         state = StateVector(program.layout, bytearray(start_state))
-        return Machine(state, program.make_context(fast_path=fast_path))
+        return Machine(state, program.make_context())
 
     def _collect_positions(self, program, start_state=None):
         machine = self._machine_from(program, start_state)
@@ -292,8 +291,7 @@ class Recognizer:
         """Target-bit indices read by one real superstep, or None."""
         budget = self._candidate_budget(candidate)
         probe = run_speculation(
-            program.make_context(fast_path=self.config.fast_path),
-            states[len(states) // 2], candidate.ip,
+            program.make_context(), states[len(states) // 2], candidate.ip,
             candidate.stride, budget)
         if probe.entry is None:
             return None
@@ -468,7 +466,7 @@ class Recognizer:
         if len(states) < 6:
             return 0.0
         budget = self._candidate_budget(candidate)
-        context = program.make_context(fast_path=self.config.fast_path)
+        context = program.make_context()
         # Probe a few states; keep the tightest dependency set (probes
         # that straddle a loop exit drag in unrelated outer state).
         best_indices = None

@@ -18,12 +18,10 @@ Two properties make this sound even under misprediction:
 from repro.errors import MachineError
 from repro.machine.depvec import DepVector
 from repro.machine.layout import (
-    EIP_OFF,
     STATUS_OFF,
     STATUS_HALTED,
     STOP_BREAKPOINT,
     STOP_HALTED,
-    read_word,
 )
 from repro.core.trajectory_cache import CacheEntry
 
@@ -65,47 +63,27 @@ def run_speculation(context, start_buf, rip, occurrences, max_instructions):
     work = bytearray(start_buf)
     dep = DepVector(len(work))
     g = dep.buf
-    step = context.step
+    run = context.tier.run
+    rip_set = frozenset((rip,))
     executed = 0
     crossings = 0
     fault = None
     halted = bool(work[STATUS_OFF] & STATUS_HALTED)
-
-    fast_path = context.fast_path
-    if fast_path is not None:
-        rip_set = frozenset((rip,))
-        while not halted and crossings < occurrences \
-                and executed < max_instructions:
-            try:
-                n, reason = fast_path.run(work, g,
-                                          max_instructions - executed,
-                                          rip_set)
-            except MachineError as exc:
-                executed += getattr(exc, "_fp_executed", 0)
-                fault = str(exc)
-                break
-            executed += n
-            if reason == STOP_HALTED:
-                halted = True
-            elif reason == STOP_BREAKPOINT:
-                crossings += 1
-            else:
-                break  # budget exhausted inside the block cache
-    else:
-        while not halted and crossings < occurrences \
-                and executed < max_instructions:
-            try:
-                step(work, g)
-            except MachineError as exc:
-                fault = str(exc)
-                break
-            executed += 1
-            if work[STATUS_OFF] & STATUS_HALTED:
-                halted = True
-                break
-            eip = read_word(work, EIP_OFF)
-            if eip == rip:
-                crossings += 1
+    while not halted and crossings < occurrences \
+            and executed < max_instructions:
+        try:
+            n, reason = run(work, g, max_instructions - executed, rip_set)
+        except MachineError as exc:
+            executed += getattr(exc, "_fp_executed", 0)
+            fault = str(exc)
+            break
+        executed += n
+        if reason == STOP_HALTED:
+            halted = True
+        elif reason == STOP_BREAKPOINT:
+            crossings += 1
+        else:
+            break  # budget exhausted
 
     if fault is not None or executed == 0:
         return SpeculationResult(None, executed, halted, fault)

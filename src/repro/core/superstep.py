@@ -188,7 +188,7 @@ class SuperstepLoop:
         self.collect_prediction_stats = collect_prediction_stats
         self.stats = RunStats()
         self.prediction_stats = None
-        main = self.main = program.make_machine(fast_path=config.fast_path)
+        main = self.main = program.make_machine()
         self.cache = TrajectoryCache(
             capacity_bytes=cache_capacity_bytes or config.cache_capacity_bytes)
         self._preload(initial_cache)

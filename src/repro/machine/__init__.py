@@ -17,8 +17,9 @@ from repro.machine.depvec import (
     DEP_WAR,
     DepVector,
 )
-from repro.machine.blockcache import BlockCache, fast_path_env_enabled
-from repro.machine.transition import TransitionContext, transition
+from repro.machine.blockcache import BlockCache
+from repro.machine.transition import (TransitionContext,
+                                      fast_path_env_enabled, transition)
 from repro.machine.executor import Machine, RunResult
 from repro.machine.diff import encode_delta, apply_delta, delta_size_bits
 

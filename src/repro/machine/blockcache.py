@@ -61,12 +61,13 @@ Soundness invariants (see DESIGN.md "Two-tier interpreter"):
   EIPs outside the code region) simply end the block; execution falls
   back to the reference ``TransitionContext.step`` for them.
 
-The fast path is on by default whenever a context has a code range; set
-``REPRO_FAST_PATH=0`` (or pass ``fast_path=False`` to the context) to
-fall back to the reference interpreter end to end.
+A :class:`BlockCache` is a context's ``tier`` whenever the context has a
+code range and the fast path is on. Per process, ``REPRO_FAST_PATH=0``
+selects the reference tier (:class:`repro.machine.transition.ReferenceTier`)
+instead, in the main thread and in pool workers alike; per context,
+``make_context(fast_path=False)`` / ``make_machine(fast_path=False)`` does.
 """
 
-import os
 import struct
 import threading
 
@@ -98,17 +99,6 @@ _p32 = _U32.pack_into
 #: Upper bound on instructions per translated block (straight-line runs
 #: are usually ended far earlier by a control-flow op).
 MAX_BLOCK_INSTRUCTIONS = 128
-
-_ENV_VAR = "REPRO_FAST_PATH"
-
-
-def fast_path_env_enabled():
-    """The process-wide default for the fast path (``REPRO_FAST_PATH``)."""
-    value = os.environ.get(_ENV_VAR)
-    if value is None:
-        return True
-    return value.strip().lower() not in ("0", "false", "off", "no", "")
-
 
 # -- static access metadata ----------------------------------------------------
 # Per-instruction ordered register access lists ('r'/'w', reg index), in
@@ -1029,7 +1019,7 @@ class BlockCache:
     def run(self, buf, g, max_instructions, break_ips):
         """Run until halt, breakpoint arrival, or budget exhaustion.
 
-        Mirrors the reference loop of :meth:`Machine.run` exactly
+        Mirrors :meth:`repro.machine.transition.ReferenceTier.run` exactly
         (including its stop-reason priorities and its behavior of
         executing at least one instruction when starting *on* a break
         IP). Returns ``(executed, reason)``. On a fault the propagating
@@ -1092,7 +1082,8 @@ class BlockCache:
                     return executed, STOP_LIMIT
 
     def ip_trace(self, buf, max_instructions):
-        """Fast-path twin of :meth:`Machine.ip_trace`.
+        """Fast-path twin of
+        :meth:`repro.machine.transition.ReferenceTier.ip_trace`.
 
         Returns ``(trace, executed)``; a block contributes its
         precomputed address tuple without re-reading EIP per

@@ -1,22 +1,15 @@
-"""Run loops over the transition function.
+"""Run primitives over the transition function.
 
 :class:`Machine` owns a state vector plus a transition context and
 provides the run primitives every higher layer is built from: run for a
 bounded number of instructions, run until a set of instruction-pointer
 breakpoints (how the recognizer samples RIP states), or run to the halt
-fixed point.
+fixed point. The loops themselves belong to the context's interpreter
+tier (``context.tier``); a machine keeps the instruction count.
 """
 
 from repro.errors import MachineError
-from repro.machine.layout import (
-    EIP_OFF,
-    STATUS_OFF,
-    STATUS_HALTED,
-    STOP_BREAKPOINT,
-    STOP_HALTED,
-    STOP_LIMIT,
-    read_word,
-)
+from repro.machine.layout import STATUS_OFF, STATUS_HALTED, STOP_HALTED
 from repro.machine.state import StateVector
 from repro.machine.transition import TransitionContext
 
@@ -70,38 +63,11 @@ class Machine:
         :class:`RunResult`.
         """
         buf = self.state.buf
-        g = dep.buf if dep is not None else None
-        step = self.context.step
-        remaining = max_instructions
-        executed = 0
-
         if buf[STATUS_OFF] & STATUS_HALTED:
             return RunResult(0, STOP_HALTED, self.state.eip)
-
-        fast_path = self.context.fast_path
-        if fast_path is not None:
-            executed, reason = fast_path.run(buf, g, max_instructions,
-                                             break_ips)
-            self.instruction_count += executed
-            return RunResult(executed, reason, self.state.eip)
-
-        reason = STOP_LIMIT
-        while True:
-            if remaining is not None:
-                if remaining <= 0:
-                    reason = STOP_LIMIT
-                    break
-                remaining -= 1
-            step(buf, g)
-            executed += 1
-            if buf[STATUS_OFF] & STATUS_HALTED:
-                reason = STOP_HALTED
-                break
-            if break_ips is not None:
-                eip = read_word(buf, EIP_OFF)
-                if eip in break_ips:
-                    reason = STOP_BREAKPOINT
-                    break
+        g = dep.buf if dep is not None else None
+        executed, reason = self.context.tier.run(buf, g, max_instructions,
+                                                 break_ips)
         self.instruction_count += executed
         return RunResult(executed, reason, self.state.eip)
 
@@ -121,23 +87,11 @@ class Machine:
         executed — the sequence of points at which the trajectory crossed
         instruction-boundary hyperplanes.
         """
-        buf = self.state.buf
-        fast_path = self.context.fast_path
-        if fast_path is not None:
-            try:
-                trace, executed = fast_path.ip_trace(buf, max_instructions)
-            except MachineError as exc:
-                self.instruction_count += getattr(exc, "_fp_executed", 0)
-                raise
-            self.instruction_count += executed
-            return trace
-
-        trace = []
-        step = self.context.step
-        for __ in range(max_instructions):
-            if buf[STATUS_OFF] & STATUS_HALTED:
-                break
-            trace.append(read_word(buf, EIP_OFF))
-            step(buf, None)
-            self.instruction_count += 1
+        try:
+            trace, executed = self.context.tier.ip_trace(self.state.buf,
+                                                         max_instructions)
+        except MachineError as exc:
+            self.instruction_count += getattr(exc, "_fp_executed", 0)
+            raise
+        self.instruction_count += executed
         return trace

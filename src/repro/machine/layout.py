@@ -35,10 +35,9 @@ RESERVED_LOW = 16
 #: STATUS register bit set by HLT.
 STATUS_HALTED = 1
 
-#: Stop reasons reported by every run loop (:meth:`Machine.run`, the
-#: block-cache fast path, speculative workers). Defined here — the
-#: lowest layer both interpreters already import — and re-exported by
-#: ``machine.executor`` and ``machine.blockcache`` for compatibility.
+#: Stop reasons reported by every run loop (both interpreter tiers,
+#: :meth:`Machine.run`, speculative workers). Defined here — the lowest
+#: layer both tiers already import.
 STOP_HALTED = "halted"
 STOP_LIMIT = "limit"
 STOP_BREAKPOINT = "breakpoint"

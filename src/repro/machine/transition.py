@@ -10,8 +10,12 @@ updates the byte-granularity read/write FSM described in
 For speed the hot path works on raw ``bytearray`` buffers and dispatches
 through a handler table indexed by opcode. :class:`TransitionContext`
 carries the per-program constants (layout, write-protected code range, and
-a decode cache that is sound because the code region is immutable).
+a decode cache that is sound because the code region is immutable) and
+picks, once, the interpreter tier that runs it: :class:`ReferenceTier`
+or the block cache of :mod:`repro.machine.blockcache`.
 """
+
+import os
 
 from repro.errors import (
     CodeWriteError,
@@ -22,7 +26,7 @@ from repro.errors import (
 from repro.isa.encoding import INSTRUCTION_SIZE, decode
 from repro.isa.opcodes import Op
 from repro.isa.registers import Reg
-from repro.machine.blockcache import BlockCache, fast_path_env_enabled
+from repro.machine.blockcache import BlockCache
 from repro.machine.layout import (
     EFLAGS_OFF,
     EIP_OFF,
@@ -30,6 +34,9 @@ from repro.machine.layout import (
     RESERVED_LOW,
     STATUS_OFF,
     STATUS_HALTED,
+    STOP_BREAKPOINT,
+    STOP_HALTED,
+    STOP_LIMIT,
     read_word,
     write_word,
 )
@@ -109,6 +116,72 @@ def _arith_flags(res, cf, of):
     return f
 
 
+def fast_path_env_enabled():
+    """The per-process tier switch ``REPRO_FAST_PATH``; unset or empty
+    reads as on, like every other ``REPRO_*`` variable."""
+    value = os.environ.get("REPRO_FAST_PATH", "").strip().lower()
+    return value not in ("0", "false", "off", "no")
+
+
+class ReferenceTier:
+    """The reference run loops, one :meth:`TransitionContext.step` per
+    instruction: the oracle the block cache is held to and audits replay
+    on, so it shares no code with it. Same two loops as
+    :class:`BlockCache`; a fault carries ``_fp_executed``, the count of
+    instructions retired before it."""
+
+    def __init__(self, context):
+        self.context = context
+
+    def run(self, buf, g, max_instructions, break_ips):
+        """Run until halt, breakpoint arrival, or budget exhaustion;
+        returns ``(executed, reason)``. The caller rules out starting
+        halted."""
+        step = self.context.step
+        remaining = max_instructions
+        executed = 0
+        reason = STOP_LIMIT
+        while True:
+            if remaining is not None:
+                if remaining <= 0:
+                    reason = STOP_LIMIT
+                    break
+                remaining -= 1
+            try:
+                step(buf, g)
+            except MachineError as exc:
+                exc._fp_executed = executed
+                raise
+            executed += 1
+            if buf[STATUS_OFF] & STATUS_HALTED:
+                reason = STOP_HALTED
+                break
+            if break_ips is not None:
+                eip = read_word(buf, EIP_OFF)
+                if eip in break_ips:
+                    reason = STOP_BREAKPOINT
+                    break
+        return executed, reason
+
+    def ip_trace(self, buf, max_instructions):
+        """Up to ``max_instructions`` untracked; returns ``(trace,
+        executed)``, the EIP of each instruction before it ran."""
+        trace = []
+        step = self.context.step
+        executed = 0
+        for __ in range(max_instructions):
+            if buf[STATUS_OFF] & STATUS_HALTED:
+                break
+            trace.append(read_word(buf, EIP_OFF))
+            try:
+                step(buf, None)
+            except MachineError as exc:
+                exc._fp_executed = executed
+                raise
+            executed += 1
+        return trace, executed
+
+
 class TransitionContext:
     """Per-program execution context for the transition function.
 
@@ -128,19 +201,20 @@ class TransitionContext:
         keeps cache entries sparse; it is sound because the code region is
         write-protected and therefore trivially matches on every lookup.
     fast_path:
-        Tri-state switch for the basic-block translation cache
-        (:mod:`repro.machine.blockcache`). ``None`` (the default) follows
-        the ``REPRO_FAST_PATH`` environment variable (on unless set to a
-        falsy value); ``False`` forces the reference interpreter;
-        ``True`` requests the fast path. Either way the fast path only
-        activates when a ``code_range`` is given — block translation is
-        sound only over write-protected code.
+        This context's interpreter tier: ``None`` (the default) follows
+        ``REPRO_FAST_PATH``, ``False`` selects the reference tier,
+        ``True`` the block cache — which needs a ``code_range``: block
+        translation is sound only over write-protected code.
     translations:
         The :class:`repro.machine.blockcache.TranslationStore` of the
         program image this context executes, so that every context of
         the image shares one set of translated blocks
         (:meth:`repro.loader.image.Program.make_context` passes the
         program's). Without one the context keeps a store of its own.
+
+    The tier is decided once, here: ``reference`` is the
+    :class:`ReferenceTier`; ``tier``, what run loops call, is the
+    :class:`BlockCache` when the fast path is on, else ``reference``.
     """
 
     def __init__(self, layout, code_range=None, track_code_reads=False,
@@ -156,12 +230,13 @@ class TransitionContext:
         self.track_code_reads = bool(track_code_reads)
         self._decode_cache = {}
         self._handlers = _build_handlers()
+        self.reference = ReferenceTier(self)
         if fast_path is None:
             fast_path = fast_path_env_enabled()
         if fast_path and self.code_lo is not None:
-            self.fast_path = BlockCache(self, translations)
+            self.tier = BlockCache(self, translations)
         else:
-            self.fast_path = None
+            self.tier = self.reference
 
     # -- memory helpers ------------------------------------------------------
 

@@ -180,7 +180,6 @@ class WorkerPool:
         self.supervisor = Supervisor(self.config, self.stats)
         self.faults = self.config.resolve_fault_plan()
         self._program_payload = program.to_dict()
-        self._fast_path = None  # workers follow REPRO_FAST_PATH by default
         self._ctx = multiprocessing.get_context(default_start_method())
         self._task_ids = itertools.count(1)
         self._deferred = []  # outcomes produced outside poll (submit-time)
@@ -211,7 +210,7 @@ class WorkerPool:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=worker_main,
-            args=(child_conn, self._program_payload, self._fast_path,
+            args=(child_conn, self._program_payload,
                   self.config.max_frame_bytes, shm_names, os.getpid(),
                   self.config.worker_rlimit_as_bytes),
             name="repro-spec-%d" % index, daemon=True)

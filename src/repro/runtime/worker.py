@@ -95,13 +95,13 @@ def _take_blob(msg, task_ring, max_frame_bytes):
     return wire.check_blob(blob, msg.blob_crc)
 
 
-def worker_main(conn, program_payload, fast_path, max_frame_bytes=None,
+def worker_main(conn, program_payload, max_frame_bytes=None,
                 shm_names=None, parent_pid=None, rlimit_as_bytes=None):
     """Entry point for a pool worker (``multiprocessing.Process`` target).
 
     ``conn`` is the worker end of a duplex pipe; ``program_payload`` the
-    :meth:`Program.to_dict` form of the image; ``fast_path`` the
-    interpreter-tier override (None follows ``REPRO_FAST_PATH``);
+    :meth:`Program.to_dict` form of the image, run on the interpreter
+    tier ``REPRO_FAST_PATH`` selects, as the engine's own machine is;
     ``max_frame_bytes`` bounds how large a frame the worker will read —
     and how large a blob it will dereference — so an oversized or
     checksum-failing frame ends the process, which the parent observes
@@ -126,7 +126,7 @@ def worker_main(conn, program_payload, fast_path, max_frame_bytes=None,
     if max_frame_bytes is None:
         max_frame_bytes = wire.DEFAULT_MAX_FRAME_BYTES
     program = Program.from_dict(program_payload)
-    context = program.make_context(fast_path=fast_path)
+    context = program.make_context()
     task_ring = result_ring = None
     if shm_names is not None:
         # The pool owns both segments; attach_ring suppresses resource

@@ -2,10 +2,9 @@
 
 :func:`run_audit` replays exactly the number of instructions a cache
 entry claims to fast-forward over, from the retained pre-splice state,
-with full dependency tracking on the *reference* interpreter tier
-(``TransitionContext.step`` dispatches the plain decode-execute path
-regardless of any block-cache fast path the context carries — the
-audit deliberately does not trust the tier that may have produced the
+with full dependency tracking on the context's *reference* interpreter
+tier (``context.reference``, whatever ``context.tier`` is — the audit
+deliberately does not trust the tier that may have produced the
 entry). The replay's dependency vector and final state are packaged as
 a ground-truth :class:`CacheEntry` over the same segment.
 
@@ -26,7 +25,7 @@ from repro.core.speculation import SpeculationResult
 from repro.core.trajectory_cache import CacheEntry
 from repro.errors import MachineError
 from repro.machine.depvec import DepVector
-from repro.machine.layout import STATUS_HALTED, STATUS_OFF
+from repro.machine.layout import STATUS_HALTED, STATUS_OFF, STOP_HALTED
 
 
 def run_audit(context, start_buf, rip, length, occurrences=1):
@@ -42,20 +41,18 @@ def run_audit(context, start_buf, rip, length, occurrences=1):
     """
     work = bytearray(start_buf)
     dep = DepVector(len(work))
-    g = dep.buf
-    step = context.step
     executed = 0
     fault = None
     halted = bool(work[STATUS_OFF] & STATUS_HALTED)
-    while not halted and executed < length:
+    if not halted:
         try:
-            step(work, g)
+            executed, reason = context.reference.run(work, dep.buf, length,
+                                                     None)
         except MachineError as exc:
+            executed = exc._fp_executed
             fault = str(exc)
-            break
-        executed += 1
-        if work[STATUS_OFF] & STATUS_HALTED:
-            halted = True
+        else:
+            halted = reason == STOP_HALTED
     if fault is not None:
         return SpeculationResult(None, executed, halted, fault)
     entry = CacheEntry.from_execution(rip, dep, start_buf, work, executed,

@@ -35,14 +35,17 @@ def workload():
                          [(True, False), (False, True)],
                          ids=["fast-then-reference", "reference-then-fast"])
 def test_real_backend_checkpoint_crosses_tiers(workload, tmp_path,
-                                               first_tier, second_tier):
+                                               monkeypatch, first_tier,
+                                               second_tier):
+    """The tier switch is per process, set before each engine exists, so
+    the forked workers cross tiers along with the main thread."""
     expected = sequential_state(workload.program)
-    config = EngineConfig(fast_path=first_tier)
+    monkeypatch.setenv("REPRO_FAST_PATH", "1" if first_tier else "0")
     cp = ck.Checkpointer(tmp_path, every_instructions=20_000,
                          program=workload.program.name)
     first = RealParallelEngine(
-        workload.program, config=config, runtime_config=DETERMINISTIC,
-        checkpointer=cp).run()
+        workload.program, config=EngineConfig(),
+        runtime_config=DETERMINISTIC, checkpointer=cp).run()
     assert first.halted
     assert first.final_state == expected
     assert first.runtime.checkpoints_written >= 1
@@ -51,8 +54,9 @@ def test_real_backend_checkpoint_crosses_tiers(workload, tmp_path,
     assert snapshot is not None
     assert 0 < snapshot.instruction_count < first.total_instructions
 
+    monkeypatch.setenv("REPRO_FAST_PATH", "1" if second_tier else "0")
     resumed = RealParallelEngine(
-        workload.program, config=EngineConfig(fast_path=second_tier),
+        workload.program, config=EngineConfig(),
         runtime_config=DETERMINISTIC, resume_from=snapshot).run()
     assert resumed.halted
     assert resumed.final_state == expected

@@ -198,7 +198,6 @@ _ENGINE_VALUES = {
     "converge_supersteps_charge": st.none() | st.floats(0.0, 8.0),
     "max_rollout": st.none() | st.integers(1, 64),
     "cache_capacity_bytes": st.none() | st.integers(1, 1 << 30),
-    "fast_path": st.none() | st.booleans(),
 }
 
 

@@ -55,7 +55,7 @@ class TestCodeWriteProtection:
             store [ebx], eax
         """)
         machine = program.make_machine(fast_path=True)
-        cache = machine.context.fast_path
+        cache = machine.context.tier
         assert isinstance(cache, BlockCache)
         with pytest.raises(CodeWriteError):
             machine.run(max_instructions=100)
@@ -97,7 +97,7 @@ class TestBlockSplitting:
         """)
         lo, hi = program.code_range
         machine = program.make_machine(fast_path=True)
-        cache = machine.context.fast_path
+        cache = machine.context.tier
         # Break in the middle of what would otherwise be one superblock.
         break_ip = lo + 16
         machine.run(max_instructions=1000, break_ips=frozenset((break_ip,)))
@@ -185,24 +185,31 @@ class TestFastPathSwitch:
         monkeypatch.setenv("REPRO_FAST_PATH", "0")
         program = _assemble("mov eax, 1")
         machine = program.make_machine()
-        assert machine.context.fast_path is None
+        assert machine.context.tier is machine.context.reference
 
     def test_env_default_enables(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAST_PATH", raising=False)
         program = _assemble("mov eax, 1")
         machine = program.make_machine()
-        assert isinstance(machine.context.fast_path, BlockCache)
+        assert isinstance(machine.context.tier, BlockCache)
+
+    @pytest.mark.parametrize("value", ["", "  "])
+    def test_env_empty_reads_as_unset(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_FAST_PATH", value)
+        program = _assemble("mov eax, 1")
+        machine = program.make_machine()
+        assert isinstance(machine.context.tier, BlockCache)
 
     def test_kwarg_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAST_PATH", "1")
         program = _assemble("mov eax, 1")
         machine = program.make_machine(fast_path=False)
-        assert machine.context.fast_path is None
+        assert machine.context.tier is machine.context.reference
 
     def test_no_code_range_disables(self):
         from repro.machine import StateLayout, TransitionContext
         context = TransitionContext(StateLayout(256), fast_path=True)
-        assert context.fast_path is None
+        assert context.tier is context.reference
 
     def test_halted_machine_returns_immediately(self):
         program = _assemble("mov eax, 1")
@@ -220,7 +227,7 @@ class TestFastPathSwitch:
             jnz loop
         """)
         machine = program.make_machine(fast_path=True)
-        cache = machine.context.fast_path
+        cache = machine.context.tier
         machine.run(max_instructions=10_000)
         compiled = cache.compiled_block_count()
         assert compiled >= 2  # entry block + loop body at minimum
@@ -252,21 +259,21 @@ class TestCompiledOncePerProgram:
         return names
 
     def test_one_job_compiles_each_variant_once_and_a_second_nothing(
-            self, compiled):
+            self, compiled, monkeypatch):
         from repro.bench import build_collatz
         from repro.core.recognizer import Recognizer
         from repro.core.superstep import SpeculationBackend, SuperstepLoop
 
         workload = build_collatz(count=400)
         program, config = workload.program, workload.config
-        config.fast_path = True  # whatever REPRO_FAST_PATH says
+        monkeypatch.setenv("REPRO_FAST_PATH", "1")  # whatever the shell says
 
         def job():
             recognized = Recognizer(config).find(program)
             searched = len(compiled)
             loop = SuperstepLoop(program, config, SpeculationBackend(),
                                  [recognized], 10_000_000)
-            assert loop.main.context.fast_path.store is program.translations
+            assert loop.main.context.tier.store is program.translations
             loop.run()
             assert loop.main.halted
             return compiled[:searched], compiled[searched:]
@@ -295,7 +302,7 @@ class TestCompiledOncePerProgram:
         context = TransitionContext(program.layout,
                                     code_range=program.code_range,
                                     fast_path=True)
-        assert context.fast_path.store is not program.translations
+        assert context.tier.store is not program.translations
         Machine(StateVector(program.layout,
                             bytearray(program.initial_state().buf)),
                 context).run(max_instructions=1000)

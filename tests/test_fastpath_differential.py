@@ -272,7 +272,7 @@ def _walk_break_set_sequence(program, rng, stops):
     ips = list(range(lo, hi, 8))
     shared = [program.make_context(track_code_reads=track, fast_path=True)
               for track in (False, True, False)]
-    assert all(context.fast_path.store is program.translations
+    assert all(context.tier.store is program.translations
                for context in shared)
     reference = {track: program.make_context(track_code_reads=track,
                                              fast_path=False)

@@ -3,12 +3,8 @@
 import pytest
 
 from repro.errors import MachineError
-from repro.machine.executor import (
-    STOP_BREAKPOINT,
-    STOP_HALTED,
-    STOP_LIMIT,
-    Machine,
-)
+from repro.machine.executor import Machine
+from repro.machine.layout import STOP_BREAKPOINT, STOP_HALTED, STOP_LIMIT
 
 
 def test_run_to_halt(counting_program):

@@ -576,7 +576,9 @@ class TestImageTable:
     @pytest.fixture
     def compiled(self, monkeypatch):
         """Names the block translator hands ``compile()`` in this
-        process (forked workers count into their own copy)."""
+        process (forked workers count into their own copy). Only the
+        fast path translates, so this pins the process to it."""
+        monkeypatch.setenv("REPRO_FAST_PATH", "1")
         names = []
 
         def counting(source, filename, mode):

@@ -76,6 +76,30 @@ def test_run_audit_stops_at_halt(program):
     assert result.halted
 
 
+def test_run_audit_stays_on_the_reference_tier(program, segment,
+                                              monkeypatch):
+    """An audit never trusts the tier that may have produced the entry:
+    it replays on ``context.reference`` even where ``context.tier`` is
+    the block cache."""
+    from repro.machine.blockcache import BlockCache
+    __, pre_state, entry = segment
+    expected = run_audit(program.make_context(fast_path=False), pre_state,
+                         entry.rip, entry.length).entry
+    context = program.make_context(fast_path=True)
+    assert isinstance(context.tier, BlockCache)
+
+    def untrusted(*args):
+        raise AssertionError("the audit ran on the block cache")
+
+    monkeypatch.setattr(BlockCache, "run", untrusted)
+    monkeypatch.setattr(BlockCache, "ip_trace", untrusted)
+    replayed = run_audit(context, pre_state, entry.rip, entry.length).entry
+    assert replayed is not None
+    for field in CacheEntry.__slots__:
+        assert np.array_equal(getattr(replayed, field),
+                              getattr(expected, field)), field
+
+
 # -- compare_audit mismatch kinds ----------------------------------------------
 
 def _mutated(entry, **overrides):
