@@ -737,7 +737,7 @@ def cmd_serve(args):
 
     daemon = SpeculationDaemon(ServeConfig.from_args(args))
     # SIGTERM drains; a second SIGTERM escalates to an immediate
-    # cancel. Both land in the same idempotent close() path.
+    # interrupt. Both land in the same idempotent close() path.
     handler = lambda signum, frame: daemon.request_stop()  # noqa: E731
     signal.signal(signal.SIGTERM, handler)
     signal.signal(signal.SIGINT, handler)
@@ -985,8 +985,8 @@ def build_parser():
     p.add_argument("--ping", action="store_true",
                    help="exit 0 iff a daemon answers on --socket")
     p.add_argument("--no-drain", dest="no_drain", action="store_true",
-                   help="with --stop: cancel running jobs instead of "
-                        "draining them")
+                   help="with --stop: interrupt running jobs (the next "
+                        "start re-runs them) instead of draining them")
     ServeConfig.add_flags(p)
     p.set_defaults(func=cmd_serve)
 

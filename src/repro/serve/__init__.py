@@ -29,7 +29,7 @@ from repro.serve.config import ServeConfig
 from repro.serve.daemon import ServeError, SpeculationDaemon
 from repro.serve.journal import JobJournal, JournalError
 from repro.serve.protocol import PROTOCOL_VERSION, ProtocolError
-from repro.serve.watchdog import SelfCheck, Watchdog, WatchdogTimeout
+from repro.serve.watchdog import SelfCheck, Watchdog
 from repro.serve.queue import (
     JOB_CANCELLED,
     JOB_DONE,
@@ -63,5 +63,4 @@ __all__ = [
     "ServeError",
     "SpeculationDaemon",
     "Watchdog",
-    "WatchdogTimeout",
 ]

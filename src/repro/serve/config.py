@@ -119,9 +119,9 @@ class ServeConfig(Settings):
                      "own seams, e.g. 'seed=7,disk_full=2,fd_exhaust=1' "
                      "(default REPRO_SERVE_FAULT_PLAN)"),
         # Lifecycle: how long a drain waits for running jobs before
-        # cancelling them at their next boundary.
+        # interrupting them (the next start re-runs them).
         Setting("drain_seconds", 10.0, float, flag="--drain-seconds",
-                help="shutdown grace for running jobs before cancel"),
+                help="shutdown grace for running jobs before interrupt"),
         # What every job's RuntimeConfig takes from the service: the
         # instruction limit is a per-job default (the submit option
         # overrides). Autoscaling, when on, lets each job's engine

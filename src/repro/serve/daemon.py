@@ -42,12 +42,14 @@ retired (never handed to another job), its pool's in-flight stragglers
 are absorbed by :meth:`~repro.runtime.pool.WorkerPool.quiesce`, and
 the shared store is only ever touched through signature-deduplicated
 merges — a crashed job cannot poison the daemon, another client's
-namespace, or the queue. Lifecycle: SIGTERM requests a drain (running
-jobs finish, or are cancelled at their next boundary after
-``drain_seconds``), shards flush, pools shut down, shm segments are
-swept, and the socket is unlinked; every step is idempotent under a
-second SIGTERM racing the first (the second escalates the drain to an
-immediate cancel instead of re-running cleanup).
+namespace, or the queue. Lifecycle: a job changes state only in
+:meth:`SpeculationDaemon._transition`, and only its client's ``cancel``
+ends it ``cancelled``. SIGTERM requests a drain (running jobs finish,
+or are interrupted at their next boundary after ``drain_seconds`` and,
+like queued jobs, left to the next start), shards flush, pools shut
+down, shm segments are swept, and the socket is unlinked; every step
+is idempotent under a second SIGTERM racing the first (the second
+escalates the drain to an immediate interrupt).
 
 Crash-only operation (PR 8): when ``journal_dir`` is configured every
 accepted submission is WAL'd (:mod:`repro.serve.journal`) before the
@@ -89,7 +91,7 @@ from repro.serve import protocol
 from repro.serve.config import ServeConfig, SubmitOptions
 from repro.serve.images import ImageTable, recognition_key
 from repro.serve.journal import JobJournal
-from repro.serve.watchdog import SelfCheck, Watchdog, WatchdogTimeout
+from repro.serve.watchdog import SelfCheck, Watchdog
 from repro.settings import SettingsError
 from repro.verify import VerifyConfig
 from repro.serve.queue import (
@@ -106,6 +108,11 @@ from repro.serve.queue import (
 
 #: Terminal jobs retained for ``jobs``/``result`` queries.
 _JOB_HISTORY = 256
+
+#: The lifetime counter a terminal state bumps: the daemon's, and the
+#: same key in its client's totals.
+_COUNTERS = {JOB_DONE: "jobs_done", JOB_FAILED: "jobs_failed",
+             JOB_CANCELLED: "jobs_cancelled"}
 
 #: How long a finished job waits for its pool's straggler speculations
 #: before force-clearing them.
@@ -176,8 +183,7 @@ class SpeculationDaemon:
             max_queued_per_client=self.config.max_queued_per_client,
             max_running_per_client=self.config.max_running_per_client)
         self._lock = threading.RLock()
-        self._jobs = {}  # job_id -> Job (bounded history)
-        self._job_order = []  # insertion order, for pruning
+        self._jobs = {}  # job_id -> Job (bounded history, oldest first)
         self._pools = {}  # namespace -> _PoolLease
         self.images = ImageTable(_IMAGES_KEPT)
         self._clients = {}  # client name -> aggregate dict
@@ -268,40 +274,29 @@ class SpeculationDaemon:
                       replayed.options, token=replayed.token,
                       image=(self.images.intern(program)
                              if replayed.interrupted else None))
-            job.restored = True
-            if replayed.submitted_at:
-                job.submitted_at = replayed.submitted_at
-            job.incidents = list(replayed.incidents)
-            if replayed.interrupted:
-                try:
-                    # A record this table cannot coerce must not reach
-                    # the scheduler; a name it no longer knows is only
-                    # a key nobody reads.
-                    self._options(job)
-                    self.queue.submit(job)
-                except SettingsError as exc:
-                    job.state = JOB_FAILED
-                    job.error = "bad options at replay: %s" % exc
-                except BacklogFull:
-                    job.state = JOB_FAILED
-                    job.error = "backlog full at replay"
-                else:
-                    self.jobs_requeued += 1
-                    if replayed.state == JOB_RUNNING:
-                        # Journal the reset so a second crash replays
-                        # the same queued state, not a phantom run.
-                        self._journal("record_state", job.job_id,
-                                      JOB_QUEUED)
-            else:
-                job.state = replayed.state
-                job.error = replayed.error
-                job.finished_at = replayed.finished_at
-            if job.terminal:
-                job.release_image()
+            job.restore(replayed)
             self._remember_job(job)
-            if job.token:
-                self._tokens[job.token] = job.job_id
             self.jobs_replayed += 1
+            if job.state == JOB_RUNNING:
+                # Journal the reset so a second crash replays the same
+                # queued state, not a phantom run.
+                self._transition(job, JOB_QUEUED)
+            if job.terminal:
+                continue
+            try:
+                # A record this table cannot coerce must not reach the
+                # scheduler; a name it no longer knows is only a key
+                # nobody reads.
+                self._options(job)
+                self.queue.submit(job)
+            except SettingsError as exc:
+                self._transition(job, JOB_FAILED,
+                                 error="bad options at replay: %s" % exc)
+            except BacklogFull:
+                self._transition(job, JOB_FAILED,
+                                 error="backlog full at replay")
+            else:
+                self.jobs_requeued += 1
         if self.journal.mode == "degraded":
             # The previous incarnation died degraded; start optimistic
             # and let the first self-check re-demote if resources are
@@ -494,17 +489,24 @@ class SpeculationDaemon:
 
         The first request starts a drain (running jobs finish). A
         repeated request — or ``drain=False`` — escalates: every
-        running job is cancelled at its next superstep boundary. Never
-        raises, no matter how often it fires.
+        running job is interrupted at its next superstep boundary.
+        Never raises, no matter how often it fires.
         """
-        if self._stop.is_set() or not drain:
-            with self._lock:
-                running = [job for job in self._jobs.values()
-                           if job.state == JOB_RUNNING]
-            for job in running:
-                job.cancel_event.set()
+        escalate = self._stop.is_set() or not drain
         self._stop.set()
         self._work.set()
+        if escalate:
+            self._interrupt_running()
+
+    def _interrupt_running(self):
+        """Stop every job thread at its next boundary. Not a cancel: the
+        job goes back to the queue, journaled, for the next start to run
+        — as a SIGKILL would leave it (:meth:`_run_job`)."""
+        with self._lock:
+            jobs = [self._jobs[job_id] for job_id in self._job_threads
+                    if job_id in self._jobs]
+        for job in jobs:
+            job.cancel_event.set()
 
     def close(self):
         """Full teardown: drain, flush, shut pools down, unlink the
@@ -532,29 +534,17 @@ class SpeculationDaemon:
                 pass
         for thread in self._conn_threads:
             thread.join(timeout=2.0)
-        # Drain: give running jobs their window, then cancel the rest.
-        deadline = time.monotonic() + self.config.drain_seconds
-        while time.monotonic() < deadline:
-            with self._lock:
-                threads = [t for t in self._job_threads.values()
-                           if t.is_alive()]
-            if not threads:
-                break
-            time.sleep(0.05)
-        with self._lock:
-            running = [job for job in self._jobs.values()
-                       if job.state == JOB_RUNNING]
-        for job in running:
-            job.cancel_event.set()
+        # Drain: give running jobs their window, then interrupt the
+        # rest. Queued jobs stay queued, for the next start. (The
+        # scheduler has stopped: no job thread starts after this.)
         with self._lock:
             threads = list(self._job_threads.values())
+        deadline = time.monotonic() + self.config.drain_seconds
+        for thread in threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        self._interrupt_running()
         for thread in threads:
             thread.join(timeout=self.config.drain_seconds + 10.0)
-        # Queued jobs never ran; tell their owners why.
-        for job in self.queue.drain_queued():
-            if not job.terminal:
-                job.finish(JOB_CANCELLED, error="daemon shutdown")
-                self.jobs_cancelled += 1
         with self._lock:
             leases = list(self._pools.values())
             self._pools.clear()
@@ -579,8 +569,6 @@ class SpeculationDaemon:
             self._socket_bound = False
             try:
                 os.unlink(self.config.socket_path)
-            except FileNotFoundError:
-                pass
             except OSError:
                 pass
         if self.journal is not None:
@@ -691,7 +679,7 @@ class SpeculationDaemon:
             return protocol.ok_response(stats=self.stats_dict())
         if verb == protocol.VERB_JOBS:
             with self._lock:
-                rows = [self._jobs[jid].summary() for jid in self._job_order]
+                rows = [job.summary() for job in self._jobs.values()]
             return protocol.ok_response(jobs=rows)
         if verb == protocol.VERB_SHUTDOWN:
             return protocol.ok_response(stopping=True)
@@ -777,10 +765,7 @@ class SpeculationDaemon:
             except BacklogFull as exc:
                 return protocol.error_response(exc, "busy")
             self._remember_job(job)
-            if token is not None:
-                self._tokens[token] = job.job_id
-            aggregate = self._client_aggregate(client)
-            aggregate["jobs_submitted"] += 1
+            self._client_aggregate(client)["jobs_submitted"] += 1
         # WAL before the ack: once the client learns the job_id, the
         # submission survives any crash. (A crash in the window before
         # this append loses a job the client was never acked for — the
@@ -826,21 +811,27 @@ class SpeculationDaemon:
         if job is None:
             return protocol.error_response("unknown job", "not-found")
         with self._lock:
-            if job.terminal:
+            if job.terminal or job.client_cancelled:
+                # Over, or an earlier cancel is still ending it.
                 return protocol.ok_response(job_id=job.job_id,
                                             state=job.state,
-                                            cancelled=False)
+                                            cancelled=not job.terminal)
+            job.client_cancelled = True
             job.cancel_event.set()
-            if job.state == JOB_QUEUED and self.queue.cancel_queued(job):
-                job.finish(JOB_CANCELLED, error="cancelled while queued")
-                job.release_image()
-                self.jobs_cancelled += 1
-                self._client_aggregate(job.client)["jobs_cancelled"] += 1
-                return protocol.ok_response(job_id=job.job_id,
-                                            state=job.state, cancelled=True)
-        # Running: the boundary hook will raise at the next superstep.
-        return protocol.ok_response(job_id=job.job_id, state=JOB_RUNNING,
-                                    cancelled=True)
+            # A job no thread owns is queued: in its backlog, or put
+            # back by a drain's interrupt. This cancel ends it.
+            unowned = job.job_id not in self._job_threads
+            if unowned:
+                self.queue.cancel_queued(job)
+        if unowned:
+            # Journaled before the ack: a restart finds it cancelled.
+            self._transition(job, JOB_CANCELLED,
+                             error="cancelled while queued")
+        # Owned, its thread ends it: at the next superstep boundary, or
+        # in _release_lease if a drain got there first.
+        return protocol.ok_response(
+            job_id=job.job_id, cancelled=True,
+            state=JOB_CANCELLED if unowned else JOB_RUNNING)
 
     def _find_job(self, request):
         """Resolve a job by id or idempotency token. Token lookups are
@@ -856,24 +847,26 @@ class SpeculationDaemon:
             return job
 
     def _remember_job(self, job):
+        """Add a job and its idempotency token to history, then drop the
+        oldest *terminal* jobs beyond the cap, with their tokens: a
+        token whose job has left history acts as a fresh submit."""
         self._jobs[job.job_id] = job
-        self._job_order.append(job.job_id)
-        # Bound history: drop the oldest *terminal* jobs beyond the cap.
-        if len(self._job_order) > _JOB_HISTORY:
-            for job_id in list(self._job_order):
-                if len(self._job_order) <= _JOB_HISTORY:
-                    break
-                old = self._jobs[job_id]
-                if old.terminal:
-                    self._job_order.remove(job_id)
-                    del self._jobs[job_id]
+        if job.token is not None:
+            self._tokens[job.token] = job.job_id
+        excess = len(self._jobs) - _JOB_HISTORY
+        if excess > 0:
+            for old in list(itertools.islice(
+                    (old for old in self._jobs.values() if old.terminal),
+                    excess)):
+                del self._jobs[old.job_id]
+                if self._tokens.get(old.token) == old.job_id:
+                    del self._tokens[old.token]
 
     def _client_aggregate(self, client):
         aggregate = self._clients.get(client)
         if aggregate is None:
-            aggregate = {"jobs_submitted": 0, "jobs_done": 0,
-                         "jobs_failed": 0, "jobs_cancelled": 0,
-                         "runtime": {}, "stats": {}}
+            aggregate = dict(dict.fromkeys(_COUNTERS.values(), 0),
+                             jobs_submitted=0, runtime={}, stats={})
             self._clients[client] = aggregate
         return aggregate
 
@@ -989,8 +982,9 @@ class SpeculationDaemon:
 
     def _run_job(self, job, lease):
         pool_poisoned = False
-        self._journal("record_state", job.job_id, JOB_RUNNING)
+        outcome = None  # (state, details) for the one closing transition
         try:
+            self._transition(job, JOB_RUNNING)
             # Degraded mode: no pool, no shm rings, no speculation, no
             # cache write-through — zero workers put the same engine on
             # its null backend, a fraction of the resource footprint
@@ -1023,16 +1017,9 @@ class SpeculationDaemon:
                                                          recognition_id)
 
             def boundary_hook(engine, superstep):
-                # Heartbeat first, then the watchdog's verdict, then a
-                # client cancel — the watchdog also sets the cancel
-                # event (to unwedge cooperative paths), so the order
-                # decides which exception (and terminal state) wins.
+                # A client, the watchdog and a drain all stop a job by
+                # its cancel event; the except clause tells them apart.
                 self.watchdog.heartbeat(job.job_id, superstep)
-                reason = self.watchdog.timeout_reason(job.job_id)
-                if reason is not None:
-                    raise WatchdogTimeout(
-                        "job %s condemned by watchdog: %s"
-                        % (job.job_id, reason))
                 if job.cancel_event.is_set():
                     raise JobCancelled("job %s cancelled" % job.job_id)
 
@@ -1084,55 +1071,66 @@ class SpeculationDaemon:
             extra = {"state_sha256": payload["state_sha256"]}
             if degraded:
                 payload["degraded"] = extra["degraded"] = True
-            self._finish_job(job, lease, JOB_DONE, result=payload,
-                             extra=extra)
-        except WatchdogTimeout as exc:
-            # The pool may already have had its workers killed (or been
-            # shut down outright) by the escalation ladder: retire it,
-            # don't quiesce it — a condemned job's stragglers are not
-            # worth racing a dying pool for.
-            pool_poisoned = True
-            self._finish_job(job, lease, JOB_FAILED, error=str(exc))
+            outcome = JOB_DONE, {"result": payload, "extra": extra}
         except JobCancelled as exc:
-            if lease.pool is not None:
-                try:  # bank whatever its workers still finished
-                    self._bank_entries(job, lease.pool)
-                except Exception:
-                    pass  # cleanup must not mask the cancellation
-            self._finish_job(job, lease, JOB_CANCELLED, error=str(exc))
+            # What stopped the job decides its state. The watchdog sets
+            # its verdict before the event, so it is visible here.
+            reason = self.watchdog.timeout_reason(job.job_id)
+            if reason is not None:
+                # The pool may already have had its workers killed (or
+                # been shut down outright) by the escalation ladder:
+                # retire it, don't quiesce it — a condemned job's
+                # stragglers are not worth racing a dying pool for.
+                pool_poisoned = True
+                outcome = JOB_FAILED, {"error": "job %s condemned by "
+                                       "watchdog: %s" % (job.job_id, reason)}
+            else:
+                if lease.pool is not None:
+                    try:  # bank whatever its workers still finished
+                        self._bank_entries(job, lease.pool)
+                    except Exception:
+                        pass  # cleanup must not mask the cancellation
+                # Only its client cancels a job. Interrupted by a
+                # stopping daemon, it goes back to the queue — journaled,
+                # so the next start runs it, as after a SIGKILL (a cancel
+                # landing after this read is _release_lease's).
+                outcome = ((JOB_QUEUED, {})
+                           if self._stop.is_set() and not job.client_cancelled
+                           else (JOB_CANCELLED, {"error": str(exc)}))
         except Exception as exc:  # the job fails; the daemon must not
             pool_poisoned = True
-            self._finish_job(job, lease, JOB_FAILED,
-                             error="%s: %s" % (type(exc).__name__, exc))
+            outcome = JOB_FAILED, {"error": "%s: %s"
+                                   % (type(exc).__name__, exc)}
         finally:
             self.watchdog.unwatch(job.job_id)
+            if outcome is not None:
+                state, details = outcome
+                self._transition(job, state, **details)
             self._release_lease(job, lease, pool_poisoned)
 
-    def _finish_job(self, job, lease, state, result=None, error=None,
-                    extra=None):
-        """Every exit of :meth:`_run_job`. Durable first (the journal's
-        fsyncs, outside the lock): a client that saw the terminal state
-        finds it again after a crash. Then publish it and account for
-        it — daemon counter, per-client aggregate, lease and flush
-        bookkeeping — in *one* lock acquisition, so a reader that sees
-        the finished job sees counters that include it."""
+    def _transition(self, job, state, result=None, error=None, extra=None):
+        """The one place a job changes state. Durable first (the
+        journal's fsyncs, outside the lock): a client that saw the state
+        finds it again after a crash. Then, in *one* lock acquisition,
+        the move, the counters of ``_COUNTERS`` and a terminal job's
+        image let go — a reader that sees the new state sees counters
+        that include it."""
         self._journal("record_state", job.job_id, state, error=error,
                       extra=extra)
         if result is not None:
             self._journal("store_result", job.job_id, result)
-        counter = {JOB_DONE: "jobs_done", JOB_FAILED: "jobs_failed",
-                   JOB_CANCELLED: "jobs_cancelled"}[state]
         with self._lock:
-            if not job.terminal:
-                job.finish(state, result=result, error=error)
+            job.move(state, result=result, error=error)
+            counter = _COUNTERS.get(state)
+            if counter is None:
+                return
             setattr(self, counter, getattr(self, counter) + 1)
             aggregate = self._client_aggregate(job.client)
             aggregate[counter] += 1
             if result is not None:
                 self._accumulate(aggregate["runtime"], result["runtime"])
                 self._accumulate(aggregate["stats"], result["stats"])
-            lease.jobs_served += 1
-            self._jobs_since_flush += 1
+            job.release_image()
 
     def _bank_entries(self, job, pool, learned=()):
         """Merge what a job learned into the shared store, absorbing
@@ -1148,10 +1146,13 @@ class SpeculationDaemon:
         with self._lock:
             self.queue.note_finished(job)
             self._job_threads.pop(job.job_id, None)
-            if job.terminal:  # its thread is done with the image
-                job.release_image()
+            # A client cancel that landed after the drain's interrupt
+            # put the job back: past here _handle_cancel ends it itself.
+            cancelled_late = job.state == JOB_QUEUED and job.client_cancelled
             lease.busy = False
             lease.last_used = time.monotonic()
+            lease.jobs_served += 1
+            self._jobs_since_flush += 1
             if pool_poisoned and self._pools.get(job.namespace) is lease:
                 # A failed job's pool is never handed to another job:
                 # whatever broke it must not leak across tenants.
@@ -1161,6 +1162,9 @@ class SpeculationDaemon:
             flush_due = self._jobs_since_flush >= self.config.flush_every_jobs
             if flush_due:
                 self._jobs_since_flush = 0
+        if cancelled_late:
+            self._transition(job, JOB_CANCELLED,
+                             error="cancelled after a drain interrupted it")
         if retired is not None:
             retired.shutdown()
         if flush_due and not self.degraded:
@@ -1176,95 +1180,70 @@ class SpeculationDaemon:
 
     # -- reporting -----------------------------------------------------------
 
+    def _report(self):
+        """The sections ``status`` and ``stats`` share. Lock held."""
+        by_state = {}
+        for job in self._jobs.values():
+            by_state[job.state] = by_state.get(job.state, 0) + 1
+        return {
+            "socket": self.config.socket_path,
+            "uptime_seconds": (time.time() - self.started_at
+                               if self.started_at else 0.0),
+            "draining": self._stop.is_set(),
+            "degraded": self.degraded,
+            "degraded_reason": self.degraded_reason,
+            "jobs": dict(by_state, replayed=self.jobs_replayed,
+                         requeued=self.jobs_requeued, shed=self.jobs_shed),
+            "journal": (self.journal.stats_dict()
+                        if self.journal is not None else None),
+            "journal_errors": self.journal_errors,
+            "watchdog": self.watchdog.stats_dict(),
+            "selfcheck": self.selfcheck.stats_dict(),
+            "governor": self.governor.stats_dict(),
+            "cache": self.store.stats_dict(),
+            "images": self.images.stats_dict(),
+        }
+
     def stats_dict(self):
         """The ``stats`` verb: service, per-client, pool, queue, cache."""
         with self._lock:
-            by_state = {}
-            for job in self._jobs.values():
-                by_state[job.state] = by_state.get(job.state, 0) + 1
-            pools = [{
-                "namespace": lease.namespace,
-                "program": lease.program_name,
-                "workers": lease.n_workers,
-                "live_workers": self._lease_workers(lease),
-                "busy": lease.busy,
-                "jobs_served": lease.jobs_served,
-                "idle_seconds": (0.0 if lease.busy
-                                 else time.monotonic() - lease.last_used),
-            } for lease in sorted(self._pools.values(),
-                                  key=lambda l: l.namespace)]
-            clients = {name: {
-                "jobs_submitted": agg["jobs_submitted"],
-                "jobs_done": agg["jobs_done"],
-                "jobs_failed": agg["jobs_failed"],
-                "jobs_cancelled": agg["jobs_cancelled"],
-                "runtime": dict(agg["runtime"]),
-                "stats": dict(agg["stats"]),
-            } for name, agg in sorted(self._clients.items())}
-            return {
-                "socket": self.config.socket_path,
-                "uptime_seconds": (time.time() - self.started_at
-                                   if self.started_at else 0.0),
-                "draining": self._stop.is_set(),
-                "worker_budget": self.config.worker_budget,
-                "workers_committed": sum(self._lease_workers(l)
-                                         for l in self._pools.values()),
-                "connections_accepted": self.connections_accepted,
-                "requests_served": self.requests_served,
-                "protocol_errors": self.protocol_errors,
-                "jobs": dict(by_state, total=len(self._jobs),
-                             done=self.jobs_done, failed=self.jobs_failed,
-                             cancelled=self.jobs_cancelled,
-                             replayed=self.jobs_replayed,
-                             requeued=self.jobs_requeued,
-                             deduped=self.jobs_deduped,
-                             degraded=self.jobs_degraded,
-                             shed=self.jobs_shed),
-                "clients": clients,
-                "pools": pools,
-                "pools_created": self.pools_created,
-                "pools_retired": self.pools_retired,
-                "images": self.images.stats_dict(),
-                "queue": self.queue.stats_dict(),
-                "cache": self.store.stats_dict(),
-                "degraded": self.degraded,
-                "degraded_reason": self.degraded_reason,
-                "journal": (self.journal.stats_dict()
-                            if self.journal is not None else None),
-                "journal_errors": self.journal_errors,
-                "watchdog": self.watchdog.stats_dict(),
-                "selfcheck": self.selfcheck.stats_dict(),
-                "governor": self.governor.stats_dict(),
-                "serve_faults_injected": self.serve_faults_injected,
-            }
+            report = self._report()
+            # Lifetime counters, where ``status`` counts history rows.
+            report["jobs"].update(
+                {name[len("jobs_"):]: getattr(self, name)
+                 for name in _COUNTERS.values()},
+                total=len(self._jobs), deduped=self.jobs_deduped,
+                degraded=self.jobs_degraded)
+            report.update(
+                worker_budget=self.config.worker_budget,
+                workers_committed=sum(self._lease_workers(l)
+                                      for l in self._pools.values()),
+                connections_accepted=self.connections_accepted,
+                requests_served=self.requests_served,
+                protocol_errors=self.protocol_errors,
+                clients={name: dict(agg, runtime=dict(agg["runtime"]),
+                                    stats=dict(agg["stats"]))
+                         for name, agg in sorted(self._clients.items())},
+                pools=[{
+                    "namespace": lease.namespace,
+                    "program": lease.program_name,
+                    "workers": lease.n_workers,
+                    "live_workers": self._lease_workers(lease),
+                    "busy": lease.busy,
+                    "jobs_served": lease.jobs_served,
+                    "idle_seconds": (0.0 if lease.busy
+                                     else time.monotonic() - lease.last_used),
+                } for lease in sorted(self._pools.values(),
+                                      key=lambda l: l.namespace)],
+                pools_created=self.pools_created,
+                pools_retired=self.pools_retired,
+                queue=self.queue.stats_dict(),
+                serve_faults_injected=self.serve_faults_injected)
+            return report
 
     def status_dict(self):
         """The ``status`` verb: the health probe behind
         ``repro serve --status`` — journal, watchdog, degraded-mode
         state, compact enough to poll cheaply."""
         with self._lock:
-            by_state = {}
-            for job in self._jobs.values():
-                by_state[job.state] = by_state.get(job.state, 0) + 1
-            return {
-                "ok": True,
-                "pid": os.getpid(),
-                "socket": self.config.socket_path,
-                "uptime_seconds": (time.time() - self.started_at
-                                   if self.started_at else 0.0),
-                "draining": self._stop.is_set(),
-                "degraded": self.degraded,
-                "degraded_reason": self.degraded_reason,
-                "jobs": dict(by_state,
-                             replayed=self.jobs_replayed,
-                             requeued=self.jobs_requeued,
-                             shed=self.jobs_shed),
-                "journal": (self.journal.stats_dict()
-                            if self.journal is not None else None),
-                "journal_errors": self.journal_errors,
-                "watchdog": self.watchdog.stats_dict(),
-                "selfcheck": self.selfcheck.stats_dict(),
-                "governor": self.governor.stats_dict(),
-                "cache": self.store.stats_dict(),
-                "images": self.images.stats_dict(),
-            }
+            return dict(self._report(), ok=True, pid=os.getpid())

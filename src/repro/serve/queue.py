@@ -12,10 +12,12 @@ chatty client cannot starve the rest of a fixed worker budget.
 A :class:`Job` is the unit of work: one program image executed to halt
 under the byte-identical-to-sequential guarantee, against the shared
 trajectory-cache namespace of its image hash. Jobs move
-``QUEUED -> RUNNING -> DONE | FAILED | CANCELLED``; a queued job
-cancels by dequeue, a running one by a flag the engine's boundary hook
-checks (speculative work is disposable, so abandoning it at a superstep
-boundary is always safe).
+``QUEUED -> RUNNING -> DONE | FAILED | CANCELLED`` (:data:`MOVES`
+lists every legal step, the daemon takes each one in one place); a
+queued job cancels by dequeue, a running one by a flag the engine's
+boundary hook checks (speculative work is disposable, so abandoning it
+at a superstep boundary is always safe, and so is handing an
+interrupted job back to the queue).
 """
 
 import copy
@@ -33,6 +35,12 @@ JOB_CANCELLED = "cancelled"
 
 #: States a job can never leave.
 TERMINAL_STATES = (JOB_DONE, JOB_FAILED, JOB_CANCELLED)
+
+#: Every legal move: state -> the states it may go to. A queued job
+#: may end without running (cancelled, or refused at replay); a running
+#: one may go back to the queue (interrupted by a drain or a crash).
+MOVES = {JOB_QUEUED: (JOB_RUNNING, JOB_FAILED, JOB_CANCELLED),
+         JOB_RUNNING: (JOB_QUEUED,) + TERMINAL_STATES}
 
 
 class QueueError(ReproError):
@@ -53,8 +61,8 @@ class Job:
     __slots__ = ("job_id", "client", "program", "program_name", "hints",
                  "namespace", "options",
                  "state", "submitted_at", "started_at", "finished_at",
-                 "result", "error", "cancel_event", "wall_seconds",
-                 "token", "incidents", "restored")
+                 "result", "error", "cancel_event", "client_cancelled",
+                 "wall_seconds", "token", "incidents", "restored")
 
     def __init__(self, job_id, client, program, namespace, options=None,
                  token=None, image=None):
@@ -76,6 +84,9 @@ class Job:
         self.result = None  # full payload once DONE
         self.error = None
         self.cancel_event = threading.Event()
+        # Set with ``cancel_event`` by a client's cancel only: a job
+        # stopped without it (a drain) is interrupted, not cancelled.
+        self.client_cancelled = False
         self.wall_seconds = None
         # Client-supplied idempotency token: a resubmission carrying
         # the same token dedups onto this job, across daemon restarts.
@@ -85,23 +96,32 @@ class Job:
 
     # -- transitions (caller holds whatever lock guards the job) -------------
 
-    def mark_running(self):
-        if self.state != JOB_QUEUED:
-            raise QueueError("job %s cannot start from state %s"
-                             % (self.job_id, self.state))
-        self.state = JOB_RUNNING
-        self.started_at = time.time()
-
-    def finish(self, state, result=None, error=None):
-        if self.state in TERMINAL_STATES:
-            raise QueueError("job %s already terminal (%s)"
-                             % (self.job_id, self.state))
+    def move(self, state, result=None, error=None):
+        """Take one legal step of :data:`MOVES`."""
+        if state not in MOVES.get(self.state, ()):
+            raise QueueError("job %s cannot go from %s to %s"
+                             % (self.job_id, self.state, state))
         self.state = state
-        self.result = result
-        self.error = error
-        self.finished_at = time.time()
-        if self.started_at is not None:
-            self.wall_seconds = self.finished_at - self.started_at
+        if state == JOB_RUNNING:
+            self.started_at = time.time()
+        elif state in TERMINAL_STATES:
+            self.result = result
+            self.error = error
+            self.finished_at = time.time()
+            if self.started_at is not None:
+                self.wall_seconds = self.finished_at - self.started_at
+
+    def restore(self, replayed):
+        """Take back what a journal replay found for this job
+        (:class:`~repro.serve.journal.ReplayedJob`). A terminal job
+        comes back as a history row, without its image."""
+        self.state, self.error = replayed.state, replayed.error
+        self.submitted_at = replayed.submitted_at or self.submitted_at
+        self.finished_at = replayed.finished_at
+        self.incidents = list(replayed.incidents)
+        self.restored = True
+        if self.terminal:
+            self.release_image()
 
     @property
     def terminal(self):
@@ -191,6 +211,7 @@ class CentralQueue:
             backlog = self._backlogs.setdefault(job.client, deque())
             if len(backlog) >= self.max_queued_per_client:
                 self.jobs_rejected += 1
+                self._forget_if_idle(job.client)
                 raise BacklogFull(
                     "client %r already has %d queued jobs (bound %d)"
                     % (job.client, len(backlog), self.max_queued_per_client))
@@ -208,7 +229,8 @@ class CentralQueue:
         return clients
 
     def next_runnable(self, runnable=None):
-        """Pop and mark RUNNING the next fairly-chosen runnable job.
+        """Pop the next fairly-chosen runnable job (still QUEUED: the
+        daemon marks it RUNNING once that is journaled).
 
         ``runnable(job) -> bool`` is the resource manager's veto (pool
         busy for that image, worker budget exhausted). Within a client
@@ -227,23 +249,21 @@ class CentralQueue:
                     continue
                 for job in list(backlog):
                     if job.cancel_event.is_set():
-                        continue  # cancelled while queued; reaped below
+                        continue  # cancelled while queued
                     if runnable is not None and not runnable(job):
                         continue
                     backlog.remove(job)
-                    job.mark_running()
                     self._running[client] = self._running.get(client, 0) + 1
                     self._last_client = client
                     return job
             return None
 
     def note_finished(self, job):
-        """A RUNNING job reached a terminal state — release its slot."""
+        """A popped job's thread is done with it — release its slot."""
         with self._lock:
             count = self._running.get(job.client, 0)
             self._running[job.client] = max(0, count - 1)
-
-    # -- cancellation and shutdown -------------------------------------------
+            self._forget_if_idle(job.client)
 
     def cancel_queued(self, job):
         """Remove a still-queued job. Returns True if it was dequeued."""
@@ -251,17 +271,22 @@ class CentralQueue:
             backlog = self._backlogs.get(job.client)
             if backlog and job in backlog:
                 backlog.remove(job)
+                self._forget_if_idle(job.client)
                 return True
             return False
 
-    def drain_queued(self):
-        """Remove and return every queued job (daemon shutdown)."""
-        with self._lock:
-            drained = []
-            for backlog in self._backlogs.values():
-                drained.extend(backlog)
-                backlog.clear()
-            return drained
+    def _forget_if_idle(self, client):
+        """Drop a client with nothing queued and nothing running: every
+        ``repro submit`` process is a client of its own, and each pass
+        of :meth:`next_runnable` walks them all. The round robin goes on
+        from the client's predecessor, so its successor is next."""
+        if self._backlogs.get(client) or self._running.get(client):
+            return
+        if client == self._last_client and client in self._backlogs:
+            clients = list(self._backlogs)
+            self._last_client = clients[clients.index(client) - 1]
+        self._backlogs.pop(client, None)
+        self._running.pop(client, None)
 
     # -- introspection -------------------------------------------------------
 

@@ -46,7 +46,6 @@ write-through disabled — instead of crashing when resources run out.
 import threading
 import time
 
-from repro.errors import ReproError
 from repro.runtime import resources
 
 #: Escalation stages, in order.
@@ -57,12 +56,6 @@ STAGE_ABANDONED = "abandoned"
 
 #: Bounded incident history kept for ``stats``/``status``.
 _INCIDENT_HISTORY = 64
-
-
-class WatchdogTimeout(ReproError):
-    """Raised inside a job's engine at a boundary after the watchdog
-    flagged it (deadline or no-progress) — distinct from a client
-    cancel so the job lands FAILED with the incident attached."""
 
 
 class JobWatch:
@@ -129,8 +122,8 @@ class Watchdog:
 
     def timeout_reason(self, job_id):
         """Why the watchdog condemned this job (``None`` if it didn't).
-        The boundary hook checks this to raise :class:`WatchdogTimeout`
-        instead of a plain cancel."""
+        The daemon reads this when a job stops at its cancel event: a
+        condemned job ends FAILED, not cancelled."""
         with self._lock:
             watch = self._watches.get(job_id)
             return watch.reason if watch is not None else None

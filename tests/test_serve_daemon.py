@@ -450,6 +450,37 @@ class TestLifecycle:
         assert not os.path.exists(config.socket_path)
 
 
+class TestJobTable:
+    def test_tokens_leave_history_with_their_jobs(self, tmp_path, collatz):
+        """Every ``ServeClient.submit`` sends a token, so a token table
+        that only grows grows with every job ever submitted."""
+        daemon = SpeculationDaemon(ServeConfig(
+            socket_path=str(tmp_path / "t.sock")))  # never started
+        program = collatz.program.to_dict()
+        try:
+            for index in range(daemon_module._JOB_HISTORY + 200):
+                token = "tok-%d" % index
+                response = daemon._handle_submit({
+                    "client": "c%d" % index, "program": program,
+                    "token": token})
+                assert response["ok"], response
+                assert daemon._handle_cancel({"token": token})["cancelled"]
+            assert len(daemon._jobs) == daemon_module._JOB_HISTORY
+            assert len(daemon._tokens) <= daemon_module._JOB_HISTORY
+            for token, job_id in daemon._tokens.items():
+                assert daemon._jobs[job_id].token == token
+            # Idle clients left the queue; their totals stay.
+            assert daemon.queue.stats_dict()["per_client"] == {}
+            assert len(daemon.stats_dict()["clients"]) \
+                == daemon_module._JOB_HISTORY + 200
+            # History keeps the newest jobs, oldest first.
+            rows = daemon._handle({"verb": "jobs"})["jobs"]
+            assert [row["job_id"] for row in rows] == [
+                "j%d" % number for number in range(201, 457)]
+        finally:
+            daemon.close()
+
+
 class TestResourceManager:
     def test_idle_pool_retired_lru_for_new_image(self, tmp_path, collatz,
                                                  ising):

@@ -28,10 +28,10 @@ class TestImageRelease:
         job = make_job("1", "a")
         with pytest.raises(QueueError):
             job.release_image()  # queued: it has yet to run
-        job.mark_running()
+        job.move(JOB_RUNNING)
         with pytest.raises(QueueError):
             job.release_image()
-        job.finish(JOB_DONE)
+        job.move(JOB_DONE)
         job.release_image()
         assert job.program is None
         assert job.summary()["program"] == "prog"
@@ -68,7 +68,8 @@ class TestAdmission:
         second = queue.next_runnable()
         assert second.job_id == "b0"
         assert queue.next_runnable() is None
-        first.finish(JOB_DONE)
+        first.move(JOB_RUNNING)
+        first.move(JOB_DONE)
         queue.note_finished(first)
         assert queue.next_runnable().job_id == "a1"
 
@@ -85,20 +86,20 @@ class TestLifecycle:
     def test_job_transitions(self):
         job = make_job("1", "a")
         assert job.state == JOB_QUEUED
-        job.mark_running()
+        job.move(JOB_RUNNING)
         assert job.state == JOB_RUNNING
-        job.finish(JOB_DONE, result={"halted": True})
+        job.move(JOB_DONE, result={"halted": True})
         assert job.terminal
         assert job.wall_seconds is not None
         with pytest.raises(QueueError):
-            job.finish(JOB_CANCELLED)
+            job.move(JOB_CANCELLED)
         with pytest.raises(QueueError):
-            job.mark_running()
+            job.move(JOB_RUNNING)
 
     def test_summary_includes_result_fields(self):
         job = make_job("1", "a")
-        job.mark_running()
-        job.finish(JOB_DONE, result={"halted": True, "hits": 3,
+        job.move(JOB_RUNNING)
+        job.move(JOB_DONE, result={"halted": True, "hits": 3,
                                      "total_instructions": 99,
                                      "first_splice_seconds": 0.5,
                                      "warm_entries": 2, "merged_entries": 1})
@@ -122,14 +123,6 @@ class TestLifecycle:
         assert not queue.cancel_queued(job)  # second cancel is a no-op
         assert queue.queued_count() == 0
 
-    def test_drain_queued_empties_everything(self):
-        queue = CentralQueue()
-        for i in range(3):
-            queue.submit(make_job(str(i), "c%d" % i))
-        drained = queue.drain_queued()
-        assert len(drained) == 3
-        assert queue.queued_count() == 0
-
     def test_stats_dict(self):
         queue = CentralQueue()
         queue.submit(make_job("1", "a"))
@@ -140,3 +133,46 @@ class TestLifecycle:
         assert stats["running"] == 1
         assert stats["jobs_submitted"] == 2
         assert set(stats["per_client"]) == {"a", "b"}
+
+
+class TestIdleClients:
+    def test_finished_clients_are_forgotten(self):
+        """Every ``repro submit`` process is a client of its own: once
+        its one job is done, nothing of it stays in the scheduling
+        state ``next_runnable`` walks."""
+        queue = CentralQueue()
+        for i in range(1000):
+            queue.submit(make_job(str(i), "c%d" % i))
+        while True:
+            job = queue.next_runnable()
+            if job is None:
+                break
+            queue.note_finished(job)
+        assert queue.stats_dict()["per_client"] == {}
+        assert queue.jobs_submitted == 1000
+
+    def test_cancel_and_refusal_forget_the_client(self):
+        queue = CentralQueue(max_queued_per_client=1)
+        job = make_job("1", "a")
+        queue.submit(job)
+        assert queue.cancel_queued(job)
+        assert queue.stats_dict()["per_client"] == {}
+        refusing = CentralQueue(max_queued_per_client=0)
+        with pytest.raises(BacklogFull):
+            refusing.submit(make_job("2", "b"))
+        assert refusing.stats_dict()["per_client"] == {}
+
+    def test_round_robin_resumes_after_a_forgotten_client(self):
+        queue = CentralQueue(max_running_per_client=8)
+        for client in "abc":
+            queue.submit(make_job(client + "0", client))
+        queue.submit(make_job("a1", "a"))
+        queue.submit(make_job("c1", "c"))
+        assert queue.next_runnable().job_id == "a0"
+        picked = queue.next_runnable()
+        assert picked.job_id == "b0"
+        queue.note_finished(picked)  # b is idle now, and forgotten
+        assert "b" not in queue.stats_dict()["per_client"]
+        # The turn after b's is c's, not a's again.
+        assert [queue.next_runnable().job_id for __ in range(3)] \
+            == ["c0", "a1", "c1"]

@@ -9,8 +9,10 @@ shard tainted on disk between runs is quarantined, never loaded.
 import base64
 import os
 import signal
+import queue
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -315,6 +317,8 @@ class TestCrashOnly:
 
         with SpeculationDaemon(config) as replayed:
             assert replayed.jobs_requeued == 0
+            assert replayed.jobs_failed \
+                == replayed._clients["A"]["jobs_failed"] == 1
             replayed.start()
             with ServeClient(config.socket_path, client="B") as client:
                 job = client.wait(token="bad", timeout=10)
@@ -327,6 +331,11 @@ class TestCrashOnly:
         assert fresh["halted"]
         assert base64.b64decode(fresh["final_state"]) \
             == sequential_state(collatz.program)
+        # The refusal was journaled: the next start restores it as
+        # history instead of refusing it again.
+        with SpeculationDaemon(config) as again:
+            assert again._jobs["j1"].state == "failed"
+            assert again.jobs_failed == 0
 
     def test_result_survives_restart_via_result_store(self, tmp_path,
                                                       collatz):
@@ -378,6 +387,128 @@ class TestCrashOnly:
                                       **submit_options(collatz))
                 assert again["deduped"] is True
                 assert again["job_id"] == first["job_id"]
+
+
+def hold_at_first_boundary(daemon, clients):
+    """Park each job of ``clients`` at its first superstep boundary
+    until something sets its cancel event — a client's cancel or the
+    drain's interrupt. Returns the queue the parked job ids land on."""
+    parked = queue.Queue()
+    heartbeat = daemon.watchdog.heartbeat
+
+    def held(job_id, superstep):
+        job = daemon._jobs[job_id]
+        if job.client in clients and not job.cancel_event.is_set():
+            parked.put(job_id)
+            job.cancel_event.wait(60)
+        return heartbeat(job_id, superstep)
+
+    daemon.watchdog.heartbeat = held
+    return parked
+
+
+class TestJobLifecycle:
+    """Only a client's cancel ends a job ``cancelled``, and what a
+    client was told is what replay restores: a drain, like a SIGKILL,
+    leaves unfinished jobs to the next start."""
+
+    def test_cancel_while_queued_survives_a_crash(self, tmp_path, collatz):
+        config = ServeConfig(socket_path=str(tmp_path / "g.sock"),
+                             cache_dir=str(tmp_path / "cache"))
+        crashed = SpeculationDaemon(config)  # never started: nothing runs
+        assert crashed._handle_submit({
+            "client": "A", "program": collatz.program.to_dict(),
+            "token": "tok"})["ok"]
+        response = crashed._handle_cancel({"token": "tok"})
+        assert (response["cancelled"], response["state"]) \
+            == (True, "cancelled")
+        crashed.journal.close()  # all a SIGKILL leaves behind
+
+        with SpeculationDaemon(config) as replayed:
+            job = replayed._find_job({"token": "tok"})
+            assert job.state == "cancelled"
+            assert replayed.jobs_requeued == 0
+            assert replayed.queue.queued_count() == 0
+
+    def test_drain_deadline_leaves_the_running_job_to_the_next_start(
+            self, tmp_path, collatz):
+        config = ServeConfig(socket_path=str(tmp_path / "g.sock"),
+                             cache_dir=str(tmp_path / "cache"),
+                             drain_seconds=0.2)
+        daemon = SpeculationDaemon(config).start()
+        try:
+            parked = hold_at_first_boundary(daemon, ("A",))
+            with ServeClient(config.socket_path, client="A") as client:
+                job_id = client.submit(collatz.program, token="tok",
+                                       **submit_options(collatz))["job_id"]
+            assert parked.get(timeout=60) == job_id
+        finally:
+            daemon.close()  # the deadline passes with the job parked
+        assert daemon._jobs[job_id].state == "queued"
+        assert daemon.jobs_cancelled == 0
+
+        with SpeculationDaemon(config) as restarted:
+            assert restarted.jobs_requeued == 1
+            assert restarted._jobs[job_id].state == "queued"
+            restarted.start()
+            with ServeClient(config.socket_path, client="A") as client:
+                assert client.wait(token="tok")["state"] == "done"
+                final = client.final_state(token="tok")
+        assert final == sequential_state(collatz.program)
+
+    def test_client_totals_sum_to_lifetime_counters(self, tmp_path, collatz,
+                                                    monkeypatch):
+        config = ServeConfig(socket_path=str(tmp_path / "g.sock"),
+                             cache_dir=str(tmp_path / "cache"),
+                             max_concurrent_jobs=1, drain_seconds=0.2)
+        configs = SpeculationDaemon._job_configs
+
+        def fail_b(self, job, lease, degraded):
+            if job.client == "B":
+                raise RuntimeError("synthetic failure")
+            return configs(self, job, lease, degraded)
+
+        monkeypatch.setattr(SpeculationDaemon, "_job_configs", fail_b)
+        options = submit_options(collatz)
+        daemon = SpeculationDaemon(config).start()
+        try:
+            parked = hold_at_first_boundary(daemon, ("C", "D"))
+            socket_path = config.socket_path
+            with ServeClient(socket_path, client="A") as client:
+                assert client.run(collatz.program, **options)["halted"]
+            with ServeClient(socket_path, client="B") as client:
+                job_id = client.submit(collatz.program, **options)["job_id"]
+                assert client.wait(job_id)["state"] == "failed"
+            with ServeClient(socket_path, client="C") as client:
+                running = client.submit(collatz.program, **options)["job_id"]
+                assert parked.get(timeout=60) == running
+                queued = client.submit(collatz.program, **options)["job_id"]
+                assert client.cancel(queued)["state"] == "cancelled"
+                assert client.cancel(running)["cancelled"]
+                assert client.wait(running)["state"] == "cancelled"
+            with ServeClient(socket_path, client="D") as client:
+                drained = [client.submit(collatz.program, **options)[
+                    "job_id"] for __ in range(2)]
+                assert parked.get(timeout=60) == drained[0]
+        finally:
+            daemon.close()  # D's first job interrupted, its second queued
+        stats = daemon.stats_dict()
+        assert (stats["jobs"]["done"], stats["jobs"]["failed"],
+                stats["jobs"]["cancelled"]) == (1, 1, 2)
+        for counter in ("jobs_done", "jobs_failed", "jobs_cancelled"):
+            assert getattr(daemon, counter) == sum(
+                totals[counter] for totals in stats["clients"].values())
+        assert stats["clients"]["D"]["jobs_submitted"] == 2
+        assert [daemon._jobs[job_id].state for job_id in drained] \
+            == ["queued", "queued"]
+
+        with SpeculationDaemon(config) as replayed:
+            states = {job.client + str(index): job.state
+                      for index, job in enumerate(replayed._jobs.values())}
+            assert states == {"A0": "done", "B1": "failed",
+                              "C2": "cancelled", "C3": "cancelled",
+                              "D4": "queued", "D5": "queued"}
+            assert replayed.jobs_requeued == 2
 
 
 class TestStartLock:
