@@ -14,8 +14,8 @@ Layers:
   versioned binary frames for tasks and results (numpy-backed, no
   pickling of live objects) whose blobs sit in a ring or inline, plus
   the delta codec;
-* :mod:`repro.runtime.shm` — SPSC shared-memory ring buffers: the
-  transport's bulk lane (states and entries move through rings; pipes
+* :mod:`repro.runtime.shm` — SPSC ring buffers in anonymous shared
+  memory, inherited by workers at fork: the transport's bulk lane (states and entries move through rings; pipes
   carry only blob references, or the blob itself as an inline blob
   when a ring cannot take it);
 * :mod:`repro.runtime.worker` — the worker process main loop (loads the

@@ -17,8 +17,8 @@ def default_start_method():
 
 
 def default_transport():
-    """Where a worker's blobs travel on this platform: ``shm`` (rings)
-    wherever ``multiprocessing.shared_memory`` exists, else ``pipe``
+    """Where a worker's blobs travel on this platform: ``shm`` (rings,
+    inherited at fork) wherever fork is the start method, else ``pipe``
     (every worker ringless, every blob inline). An observation for
     records and reports; nothing selects a transport."""
     from repro.runtime.shm import shm_available

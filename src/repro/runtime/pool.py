@@ -32,23 +32,24 @@ the budget is spent. The engine decides whether to re-speculate; the
 pool only guarantees that every submitted task eventually produces
 exactly one outcome.
 
-Transport — the pool opens two :class:`~repro.runtime.shm.ShmRing`
-segments per worker (task ring: engine produces, worker consumes;
-result ring: the reverse) and the pipes carry only small control
-frames naming ring blobs by ``(seq, length, CRC32)``. A blob its ring
-cannot take travels inline in the same frame; a worker whose rings
-could not be allocated at all (no ``multiprocessing.shared_memory``,
-tmpfs full) is *ringless* — all of its blobs inline, everything else
-identical — and a respawn tries for rings again. Start states ship
-delta-compressed against the worker's last reconstructed state: the
-pool tracks, per worker, the *base state* it last successfully sent
-and a monotonically increasing *epoch* naming it, commits both only
-after a successful send, and clears them whenever the worker is
-respawned or answers :data:`TASK_STALE` (epoch mismatch) — so the next
-task automatically carries a full snapshot. The pool owns both
-segments' lifecycles: rings are unlinked on crash/respawn, quarantine,
-retirement, and shutdown, and an atexit sweep in
-:mod:`repro.runtime.shm` reaps whatever an unclean exit leaves.
+Transport — the pool maps two :class:`~repro.runtime.shm.ShmRing`
+rings per worker (task ring: engine produces, worker consumes; result
+ring: the reverse) and the pipes carry only small control frames
+naming ring blobs by ``(seq, length, CRC32)``. A blob its ring cannot
+take travels inline in the same frame; a worker that got no rings (no
+fork to hand them over, no memory to map them) is *ringless* — all of
+its blobs inline, everything else identical — and a respawn tries for
+rings again. Start states ship delta-compressed against the worker's
+last reconstructed state: the pool tracks, per worker, the *base
+state* it last successfully sent and a monotonically increasing
+*epoch* naming it, commits both only after a successful send, and
+clears them whenever the worker is respawned or answers
+:data:`TASK_STALE` (epoch mismatch) — so the next task automatically
+carries a full snapshot. The pool creates both rings right before it
+forks their worker, which inherits them, and closes its side on
+crash/respawn, quarantine, retirement, and shutdown. The rings are
+anonymous mappings, so the kernel frees them when the last process
+mapping them is gone — an unclean exit leaves nothing to reap.
 
 A seeded :class:`~repro.runtime.faults.FaultPlan` (via
 ``RuntimeConfig.fault_plan`` or ``REPRO_FAULT_PLAN``) injects failures
@@ -66,7 +67,7 @@ from multiprocessing.connection import wait as _conn_wait
 
 from repro.core.cache_io import decode_entry
 from repro.errors import EngineError, ReproError
-from repro.runtime import shm, wire
+from repro.runtime import resources, shm, wire
 from repro.runtime.config import RuntimeConfig, default_start_method
 from repro.runtime.stats import RuntimeStats
 from repro.runtime.supervisor import RESPAWN, Supervisor
@@ -158,10 +159,11 @@ class _Worker:
         self.epoch = 0
 
     def close_rings(self):
-        """Unlink both rings (pool-owned; idempotent)."""
+        """Unmap the pool's side of both rings (idempotent); the kernel
+        frees them once the worker's side is gone too."""
         for ring in (self.task_ring, self.result_ring):
             if ring is not None:
-                ring.unlink()
+                ring.close()
 
 
 class WorkerPool:
@@ -191,30 +193,29 @@ class WorkerPool:
     # -- lifecycle -----------------------------------------------------------
 
     def _spawn(self, index):
-        task_ring = result_ring = shm_names = None
-        # Ring allocation failing (no shared_memory, tmpfs exhausted,
-        # segment quota) must not fail the spawn: this worker runs
-        # ringless — same frames, every blob inline — and the pressure
-        # is reported. A respawn retries rings, so the degradation
-        # heals itself once /dev/shm space returns.
+        task_ring = result_ring = None
+        # No rings (no fork to hand them over, no memory to map them)
+        # must not fail the spawn: this worker runs ringless — same
+        # frames, every blob inline — and the pressure is reported. A
+        # respawn retries rings, so the degradation heals itself.
         try:
             task_ring = shm.create_ring(self.config.shm_ring_bytes)
             result_ring = shm.create_ring(self.config.shm_ring_bytes)
-            shm_names = (task_ring.name, result_ring.name)
         except (shm.ShmError, OSError):
-            for ring in (task_ring, result_ring):
-                if ring is not None:
-                    ring.unlink()
-            task_ring = result_ring = shm_names = None
+            if task_ring is not None:
+                task_ring.close()
+            task_ring = result_ring = None
             self.stats.shm_alloc_failures += 1
+        rings = None if task_ring is None else (task_ring, result_ring)
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=worker_main,
             args=(child_conn, self._program_payload,
-                  self.config.max_frame_bytes, shm_names, os.getpid(),
-                  self.config.worker_rlimit_as_bytes),
+                  self.config.max_frame_bytes, rings, os.getpid(),
+                  self.config.worker_rlimit_as_bytes,
+                  resources.current_rlimit_as()),
             name="repro-spec-%d" % index, daemon=True)
-        proc.start()
+        proc.start()  # fork hands the rings over, unpickled
         child_conn.close()
         return _Worker(index, proc, parent_conn, task_ring=task_ring,
                        result_ring=result_ring)
@@ -257,9 +258,8 @@ class WorkerPool:
         """Release one worker's process and transport — the shared tail
         of every removal path (failure, quarantine, retirement, park).
         The rings die with the worker: its cursors and delta base are
-        untrustworthy now, and a replacement starts from fresh segments
-        and a full-snapshot first task; unlinking here is what keeps a
-        removed worker from leaking a /dev/shm segment."""
+        untrustworthy now, and a replacement starts from fresh rings
+        and a full-snapshot first task."""
         try:
             worker.conn.close()
         except OSError:
@@ -331,7 +331,7 @@ class WorkerPool:
         Victims are the idlest first (fewest in-flight tasks, highest
         index breaking ties), so a shrink usually costs nothing. A
         parked worker goes through the same teardown as a retirement —
-        process killed, pipe closed, rings unlinked, slot emptied — but
+        process killed, pipe closed, rings closed, slot emptied — but
         carries no supervision penalty, and its in-flight tasks are
         absorbed as :data:`TASK_STALE` outcomes (never executed as far
         as the engine is concerned: the targets stay uncovered and are

@@ -11,9 +11,10 @@ for the four things this system can run out of:
   task, or at worst a worker crash) instead of taking the host;
 * **/dev/shm** — the tmpfs backing ``multiprocessing.shared_memory``
   (:func:`shm_backing_dir` probes which one that actually is; it is
-  *not* always ``/dev/shm``) holds the transport rings; exhaustion
-  leaves a worker ringless (every blob inline) rather than failing
-  the spawn;
+  *not* always ``/dev/shm``). The transport rings no longer live
+  there: they are anonymous shared mappings, counted as memory, and a
+  ring that cannot be mapped leaves its worker ringless (every blob
+  inline) rather than failing the spawn;
 * **disk** — cache shards and the job journal treat ``ENOSPC`` as a
   pressure event (:class:`repro.durable.DiskPressure`): prune oldest,
   retry, and suspend write-through if still starved (results stay

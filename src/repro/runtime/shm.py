@@ -3,10 +3,10 @@
 An inline blob moves a start state or a result write set through the
 kernel twice (sender copy-in, receiver copy-out). This module provides
 the transport's bulk lane instead: one single-producer/single-consumer
-ring per worker per direction, backed by
-:class:`multiprocessing.shared_memory.SharedMemory`. Payload blobs
-are written once into the ring; the pipes carry only small control
-frames naming each blob by ``(seq, length, CRC32)``
+ring per worker per direction, backed by an anonymous shared mapping
+(``mmap.mmap(-1, size)``, which is ``MAP_SHARED``). Payload blobs are
+written once into the ring; the pipes carry only small control frames
+naming each blob by ``(seq, length, CRC32)``
 (:mod:`repro.runtime.wire`).
 
 Ring discipline — exactly one producer and one consumer per ring, the
@@ -31,30 +31,27 @@ ring and consumes its result ring; the worker does the opposite):
   on read means the ring desynchronized or was corrupted, and the
   reader treats the peer exactly like a crashed worker.
 
-Hygiene — segments are kernel-persistent objects (``/dev/shm/psm_*``)
-that outlive a SIGKILLed process, so ownership is strict: the *pool*
-creates every ring, unlinks it on worker crash/respawn, quarantine,
-retirement, and pool shutdown, and an ``atexit`` sweep unlinks
-anything still registered if the pool never got to clean up. Workers
-attach with ``resource_tracker`` registration suppressed so nothing
-unlinks a ring behind the engine's back (Python < 3.13 tracks mere
-attachments too) — but on *exit* a worker force-unlinks its own rings:
-once its pipe is dead the pool never touches them again, and if the
-engine was SIGKILLed (no atexit sweep ran) the worker is the last
-process able to reap the segments.
+Ownership — a ring has no name, so nothing outside the processes that
+map it can hold it. The pool creates a worker's two rings just before
+it forks the worker, which inherits them as its ``Process`` arguments;
+the kernel frees a ring when the last process mapping it unmaps it or
+exits. A SIGKILL at any moment — of the engine, the worker, or both —
+therefore leaves nothing to reap. A fork copies *every* mapping, so a
+worker's first act is to close each ring it inherited except its own
+two (:func:`close_rings`); otherwise a worker forked later would keep
+a sibling's or a retired pool's rings alive. Rings reach workers only
+through fork: where the start method is ``spawn``, every worker is
+ringless.
 """
 
-import atexit
+import itertools
+import mmap
+import os
 import struct
 import threading
 
 from repro.errors import ReproError
-
-try:  # without it every worker is ringless (all blobs inline)
-    from multiprocessing import resource_tracker, shared_memory
-except ImportError:  # pragma: no cover - all supported platforms have it
-    resource_tracker = None
-    shared_memory = None
+from repro.runtime.config import default_start_method
 
 RING_MAGIC = b"ASCR"
 RING_VERSION = 1
@@ -75,100 +72,75 @@ class ShmError(ReproError):
 
 
 def shm_available():
-    """Whether this interpreter can host rings at all."""
-    return shared_memory is not None
+    """Whether workers here can have rings: they are inherited at
+    fork, so wherever fork is the start method."""
+    return default_start_method() == "fork"
 
 
-# -- hygiene registry --------------------------------------------------------
+# -- registry ----------------------------------------------------------------
 
-#: Segments created (not attached) by this process and not yet
-#: unlinked; the atexit sweep reaps whatever an unclean exit leaves.
-_created_segments = {}
-_registry_lock = threading.Lock()
-_atexit_installed = False
+#: Rings this process holds (created, or inherited at fork) and has not
+#: closed, by label. Reads and removals are one dict operation each,
+#: which the GIL makes atomic, so a forked worker walks the copy it
+#: inherited without taking a lock.
+_live = {}
+_labels = itertools.count(1)
 
-
-def _register_created(segment):
-    global _atexit_installed
-    with _registry_lock:
-        _created_segments[segment.name] = segment
-        if not _atexit_installed:
-            atexit.register(_cleanup_created_segments)
-            _atexit_installed = True
-
-
-def _unregister_created(name):
-    with _registry_lock:
-        _created_segments.pop(name, None)
-
-
-def _cleanup_created_segments():
-    """atexit sweep: unlink every segment the pool never released."""
-    sweep_created_segments()
-
-
-def sweep_created_segments():
-    """Unlink every segment this process created and never released.
-
-    Explicitly **idempotent and reentrant-safe**: the registry is
-    emptied under the lock before any unlink happens, so a daemon's
-    SIGTERM handler, its ``close()`` path, and the atexit hook can all
-    fire (even twice, under double-SIGTERM) without raising or racing —
-    later calls see an empty registry and do nothing. Returns how many
-    segments this call actually reaped.
-    """
-    with _registry_lock:
-        leftovers = list(_created_segments.values())
-        _created_segments.clear()
-    for segment in leftovers:
-        for action in (segment.close, segment.unlink):
-            try:
-                action()
-            except (OSError, FileNotFoundError, BufferError):
-                pass
-    return len(leftovers)
+#: Held across every fork, so a ring is either mapped and in the
+#: registry a child copies, or not mapped yet: a worker forked while
+#: another thread creates a ring can still close every ring but its own.
+_forking = threading.Lock()
+if hasattr(os, "register_at_fork"):  # absent where fork is too
+    os.register_at_fork(before=_forking.acquire,
+                        after_in_parent=_forking.release,
+                        after_in_child=_forking.release)
 
 
 def live_segment_names():
-    """Names of segments this process created and has not unlinked
-    (the hygiene test asserts this is empty after shutdown)."""
-    with _registry_lock:
-        return sorted(_created_segments)
+    """Labels of the rings this process created and has not closed
+    (the hygiene tests assert this is empty after shutdown)."""
+    return sorted(_live.copy())
+
+
+def close_rings(keep=()):
+    """Close every ring this process holds except those in ``keep``.
+
+    A worker calls it first thing after the fork with its own two
+    rings, so the rest of what the fork copied is unmapped at once."""
+    for ring in _live.copy().values():
+        if ring not in keep:
+            ring.close()
 
 
 # -- the ring ----------------------------------------------------------------
 
 class ShmRing:
-    """One SPSC byte ring inside a shared-memory segment.
+    """One SPSC byte ring inside an anonymous shared mapping.
 
-    Use :func:`create_ring` (owner/producer-or-consumer side) or
-    :func:`attach_ring` (worker side); both ends then call the
-    producer half (:meth:`try_push`, :meth:`free_bytes`) or the
-    consumer half (:meth:`read`, :meth:`release`) as their role
-    dictates.
+    :func:`create_ring` makes one; the pool's forked worker inherits
+    it. Both ends then call the producer half (:meth:`try_push`,
+    :meth:`free_bytes`) or the consumer half (:meth:`read`,
+    :meth:`release`) as their role dictates. Every access goes through
+    the ``mmap`` itself — no long-lived ``memoryview`` — so
+    :meth:`close` never meets an exported buffer.
     """
 
-    __slots__ = ("shm", "capacity", "created", "_head", "_tail", "_closed")
+    __slots__ = ("name", "map", "capacity", "_head", "_tail")
 
-    def __init__(self, segment, capacity, created):
-        self.shm = segment
+    def __init__(self, name, mapping, capacity):
+        self.name = name
+        self.map = mapping
         self.capacity = capacity
-        self.created = created
         self._head = self._load(_HEAD_OFFSET)
         self._tail = self._load(_TAIL_OFFSET)
-        self._closed = False
-
-    @property
-    def name(self):
-        return self.shm.name
 
     # -- cursors -------------------------------------------------------------
 
     def _load(self, offset):
-        return _CURSOR.unpack_from(self.shm.buf, offset)[0]
+        return _CURSOR.unpack_from(self.map, offset)[0]
 
     def _store(self, offset, value):
-        _CURSOR.pack_into(self.shm.buf, offset, value)
+        _CURSOR.pack_into(self.map, offset, value)
 
     def used_bytes(self):
         return self._load(_HEAD_OFFSET) - self._load(_TAIL_OFFSET)
@@ -183,7 +155,7 @@ class ShmRing:
         """Write ``blob`` into the ring; returns its ``seq`` or ``None``
         when the ring lacks space (backpressure) or the blob can never
         fit at all."""
-        if self._closed:
+        if self.map.closed:
             raise ShmError("push on a closed ring")
         length = len(blob)
         if length == 0 or length > self.capacity:
@@ -193,10 +165,10 @@ class ShmRing:
         seq = self._head
         pos = seq % self.capacity
         first = min(length, self.capacity - pos)
-        buf = self.shm.buf
-        buf[DATA_OFFSET + pos:DATA_OFFSET + pos + first] = blob[:first]
+        ring = self.map
+        ring[DATA_OFFSET + pos:DATA_OFFSET + pos + first] = blob[:first]
         if first < length:  # wrap through the end of the data region
-            buf[DATA_OFFSET:DATA_OFFSET + length - first] = blob[first:]
+            ring[DATA_OFFSET:DATA_OFFSET + length - first] = blob[first:]
         self._head = seq + length
         self._store(_HEAD_OFFSET, self._head)
         return seq
@@ -206,7 +178,7 @@ class ShmRing:
     def read(self, seq, length):
         """Copy one blob out of the ring. The caller then validates the
         CRC from the control frame and calls :meth:`release`."""
-        if self._closed:
+        if self.map.closed:
             raise ShmError("read on a closed ring")
         if length <= 0 or length > self.capacity:
             raise ShmError("blob length %d outside ring capacity %d"
@@ -219,10 +191,10 @@ class ShmRing:
                            "desync" % (seq, seq + length))
         pos = seq % self.capacity
         first = min(length, self.capacity - pos)
-        buf = self.shm.buf
-        out = bytes(buf[DATA_OFFSET + pos:DATA_OFFSET + pos + first])
+        ring = self.map
+        out = ring[DATA_OFFSET + pos:DATA_OFFSET + pos + first]
         if first < length:
-            out += bytes(buf[DATA_OFFSET:DATA_OFFSET + length - first])
+            out += ring[DATA_OFFSET:DATA_OFFSET + length - first]
         return out
 
     def release(self, upto_seq):
@@ -234,105 +206,38 @@ class ShmRing:
 
     # -- lifecycle -----------------------------------------------------------
 
+    def check(self):
+        """The worker's check on a ring it inherited: the header must
+        name a runtime ring of this version whose capacity fits the
+        mapping."""
+        magic, version, __, capacity = _RING_HEADER.unpack_from(self.map, 0)
+        if magic != RING_MAGIC:
+            raise ShmError("%s is not a runtime ring" % self.name)
+        if version != RING_VERSION:
+            raise ShmError("ring version %d, this endpoint speaks %d"
+                           % (version, RING_VERSION))
+        if capacity != self.capacity or DATA_OFFSET + capacity > len(self.map):
+            raise ShmError("ring header claims %d bytes but the mapping "
+                           "holds %d" % (capacity, len(self.map)))
+
     def close(self):
-        """Detach the mapping (both ends). Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self.shm.close()
-        except (OSError, BufferError):
-            pass
-
-    def unlink(self, force=False):
-        """Destroy the segment (creator side only, unless ``force``).
-        Idempotent; safe while the peer is still attached (POSIX keeps
-        the mapping alive until every attachment closes).
-
-        ``force`` lets an *attached* end unlink as a last resort: a
-        worker that outlives a SIGKILLed engine is the only process
-        left that can reap the segment (the engine's atexit sweep died
-        with it). Unlinking a name the pool already removed is a no-op,
-        and the pool never re-attaches a ring once its worker's pipe
-        has closed, so a forced unlink can only ever remove garbage."""
-        self.close()
-        if not (self.created or force):
-            return
-        _unregister_created(self.shm.name)
-        original_unregister = None
-        if not self.created and resource_tracker is not None:
-            # Forced reap from the *attached* side: this process never
-            # registered the segment, so it must not unregister either —
-            # under fork it shares the creator's tracker, and yanking
-            # the creator's registration (or dying between the file
-            # unlink and the tracker write) is what desyncs the tracker.
-            original_unregister = resource_tracker.unregister
-            resource_tracker.unregister = lambda *args, **kwargs: None
-        try:
-            self.shm.unlink()
-        except (OSError, FileNotFoundError):
-            # The peer reaped the file first. CPython's SharedMemory
-            # raises *before* dropping its tracker registration, which
-            # would warn about a "leaked" segment at interpreter exit —
-            # drop ours explicitly.
-            if self.created and resource_tracker is not None:
-                try:
-                    resource_tracker.unregister(
-                        "/" + self.shm.name, "shared_memory")
-                except Exception:
-                    pass
-        finally:
-            if original_unregister is not None:
-                resource_tracker.unregister = original_unregister
+        """Unmap this process's view (either end). The kernel frees the
+        ring once no process maps it. Idempotent."""
+        _live.pop(self.name, None)
+        self.map.close()
 
 
 def create_ring(capacity):
-    """Create a new ring segment (engine side owns the lifecycle)."""
-    if shared_memory is None:
-        raise ShmError("multiprocessing.shared_memory is unavailable")
+    """Create a new ring (the pool's side; its worker inherits it at
+    fork)."""
+    if not shm_available():
+        raise ShmError("rings reach workers only through fork, and the "
+                       "start method here is %s" % default_start_method())
     if capacity < 1:
         raise ShmError("ring capacity must be >= 1 byte")
-    segment = shared_memory.SharedMemory(create=True,
-                                         size=DATA_OFFSET + capacity)
-    _RING_HEADER.pack_into(segment.buf, 0, RING_MAGIC, RING_VERSION, 0,
-                           capacity)
-    _CURSOR.pack_into(segment.buf, _HEAD_OFFSET, 0)
-    _CURSOR.pack_into(segment.buf, _TAIL_OFFSET, 0)
-    _register_created(segment)
-    return ShmRing(segment, capacity, created=True)
-
-
-def attach_ring(name):
-    """Attach to an existing ring by segment name (worker side)."""
-    if shared_memory is None:
-        raise ShmError("multiprocessing.shared_memory is unavailable")
-    # Python < 3.13 registers mere attachments with the resource
-    # tracker, which would unlink the ring when this process exits —
-    # destroying the engine's segment. Suppressing the registration is
-    # cleaner than registering-then-unregistering: under fork the
-    # worker shares the engine's tracker process, where an unregister
-    # would delete the *engine's* registration out from under it.
-    original_register = None
-    if resource_tracker is not None:
-        original_register = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        segment = shared_memory.SharedMemory(name=name)
-    except (OSError, FileNotFoundError) as exc:
-        raise ShmError("cannot attach ring %r: %s" % (name, exc))
-    finally:
-        if original_register is not None:
-            resource_tracker.register = original_register
-    magic, version, __, capacity = _RING_HEADER.unpack_from(segment.buf, 0)
-    if magic != RING_MAGIC:
-        segment.close()
-        raise ShmError("segment %r is not a runtime ring" % name)
-    if version != RING_VERSION:
-        segment.close()
-        raise ShmError("ring version %d, this endpoint speaks %d"
-                       % (version, RING_VERSION))
-    if DATA_OFFSET + capacity > segment.size:
-        segment.close()
-        raise ShmError("ring header claims %d bytes but segment holds %d"
-                       % (capacity, segment.size))
-    return ShmRing(segment, capacity, created=False)
+    with _forking:
+        mapping = mmap.mmap(-1, DATA_OFFSET + capacity)
+        ring = ShmRing("ring-%d" % next(_labels), mapping, capacity)
+        _live[ring.name] = ring
+    _RING_HEADER.pack_into(mapping, 0, RING_MAGIC, RING_VERSION, 0, capacity)
+    return ring

@@ -47,9 +47,9 @@ namespace, or the queue. Lifecycle: a job changes state only in
 ends it ``cancelled``. SIGTERM requests a drain (running jobs finish,
 or are interrupted at their next boundary after ``drain_seconds`` and,
 like queued jobs, left to the next start), shards flush, pools shut
-down, shm segments are swept, and the socket is unlinked; every step
-is idempotent under a second SIGTERM racing the first (the second
-escalates the drain to an immediate interrupt).
+down (their rings go with their workers), and the socket is unlinked;
+every step is idempotent under a second SIGTERM racing the first (the
+second escalates the drain to an immediate interrupt).
 
 Crash-only operation (PR 8): when ``journal_dir`` is configured every
 accepted submission is WAL'd (:mod:`repro.serve.journal`) before the
@@ -85,7 +85,6 @@ from repro.core.config import EngineConfig
 from repro.errors import ReproError
 from repro.loader.image import Program
 from repro.runtime import RealParallelEngine, RuntimeConfig, WorkerPool
-from repro.runtime import shm
 from repro.runtime.resources import ResourceGovernor
 from repro.serve import protocol
 from repro.serve.config import ServeConfig, SubmitOptions
@@ -510,7 +509,7 @@ class SpeculationDaemon:
 
     def close(self):
         """Full teardown: drain, flush, shut pools down, unlink the
-        socket, sweep shm. Idempotent — the SIGTERM path, the shutdown
+        socket. Idempotent — the SIGTERM path, the shutdown
         verb, atexit, and an explicit call may all land here."""
         with self._close_lock:
             if self._closed:
@@ -556,10 +555,6 @@ class SpeculationDaemon:
             self.store.flush(force=True)
         except Exception:
             pass  # a dying disk must not block the rest of teardown
-        # Belt and braces: the pools' shutdowns unlink their rings; the
-        # sweep reaps anything an interrupted path left registered.
-        # Idempotent, like everything else on this path.
-        shm.sweep_created_segments()
         if self._listener is not None:
             try:
                 self._listener.close()

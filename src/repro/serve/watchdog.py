@@ -37,8 +37,8 @@ explicit ``now`` so tests drive the whole state machine without
 sleeping.
 
 This module also hosts the **self-check** probes behind degraded mode:
-/dev/shm headroom (a full tmpfs makes every ring allocation fail at
-spawn) and cache-store flush health. The daemon polls them and flips
+/dev/shm headroom (rings are anonymous mappings and no longer use that
+tmpfs) and cache-store flush health. The daemon polls them and flips
 into journaled degraded mode — sequential execution, cache
 write-through disabled — instead of crashing when resources run out.
 """

@@ -1,5 +1,5 @@
 """Shared fixtures: small compiled programs used across test modules,
-plus per-test isolation (REPRO_* env, /dev/shm hygiene), a session-wide
+plus per-test isolation (REPRO_* env, ring hygiene), a session-wide
 shm leak gate and a seeded test-order shuffle for the CI isolation
 leg."""
 
@@ -52,10 +52,10 @@ def pytest_sessionstart(session):
 
 
 def pytest_sessionfinish(session):
-    """Fail the session over any segment it left behind. The per-test
-    gate below only knows segments this process created; a SIGKILLed
-    subprocess daemon's ring is visible only here. Orphaned workers
-    unlink their own rings once they notice, so allow them a moment."""
+    """Fail the session over any named segment it left behind. Rings
+    are anonymous mappings and never appear here; a SIGKILLed
+    subprocess's leftover would be visible only here, so allow its
+    stragglers a moment to exit."""
     baseline = session.config.stash.get(_PSM_BASELINE, None)
     if baseline is None:
         return
@@ -76,12 +76,13 @@ def pytest_sessionfinish(session):
 @pytest.fixture(autouse=True)
 def _repro_isolation():
     """Per-test isolation: restore the REPRO_* env to the session
-    baseline and fail any test that leaks a /dev/shm segment.
+    baseline and fail any test that leaves a ring open.
 
     Env restoration is silent (it *is* the isolation — a polluting test
     still fails its own assertions if it relied on the leak); segment
     leaks fail loudly because they are resource bugs, not state bugs,
-    and the sweep here keeps one bad test from failing every later one.
+    and closing them here keeps one bad test from failing every later
+    one.
     """
     yield
     for key in [k for k in os.environ if k.startswith("REPRO_")]:
@@ -90,8 +91,8 @@ def _repro_isolation():
     os.environ.update(REPRO_ENV_BASELINE)
     leaked = shm.live_segment_names()
     if leaked:
-        shm.sweep_created_segments()
-        pytest.fail("test leaked /dev/shm segments: %s" % ", ".join(leaked))
+        shm.close_rings()
+        pytest.fail("test left rings open: %s" % ", ".join(leaked))
 
 
 class _Ringless:
@@ -107,11 +108,11 @@ def ringless(monkeypatch):
     """Pools this test builds in-process get no rings.
 
     ``repro.runtime.shm.create_ring`` raises :class:`ShmError` — what a
-    full tmpfs or a platform without ``shared_memory`` does — so the
-    pool observes the failure and runs those workers ringless; nothing
-    is *told* to. Set ``ringless.slots`` to a collection of slot
-    indices to refuse only those (an empty one refuses none). Fails a
-    test that asked for ringless workers and never spawned one.
+    platform without fork does — so the pool observes the failure and
+    runs those workers ringless; nothing is *told* to. Set
+    ``ringless.slots`` to a collection of slot indices to refuse only
+    those (an empty one refuses none). Fails a test that asked for
+    ringless workers and never spawned one.
     """
     control = _Ringless()
     spawning = []  # slot index of the _spawn in progress

@@ -287,7 +287,7 @@ class TestWorkerOomContainment:
             assert after[0].task.meta == "after"
             assert after[0].ok
 
-    @pytest.mark.skipif(not shm_available(), reason="no shared_memory")
+    @pytest.mark.skipif(not shm_available(), reason="no rings without fork")
     def test_shm_full_fault_degrades_to_inline(self, loop_program):
         rip, start = _boundary_state(loop_program)
         plan = FaultPlan(seed=5, shm_full=1, start=0, spacing=1)
@@ -331,7 +331,7 @@ except ImportError:  # pragma: no cover - bare environments
 
 
 @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis unavailable")
-@pytest.mark.skipif(not shm_available(), reason="no shared_memory")
+@pytest.mark.skipif(not shm_available(), reason="no rings without fork")
 class TestShmLedgerProperty:
     """Satellite audit: physical vs shipped transport ledgers.
 
@@ -380,7 +380,6 @@ class TestShmLedgerProperty:
         finally:
             if ring is not None:
                 ring.close()
-                ring.unlink(force=True)
 
     def test_forced_inline_never_touches_the_ring(self):
         pool = _ledger_pool()
@@ -396,7 +395,6 @@ class TestShmLedgerProperty:
             assert _ledger_reconciles(pool.stats)
         finally:
             ring.close()
-            ring.unlink(force=True)
 
 
 #: The resource-tier acceptance schedule: ring pressure plus contained
@@ -408,7 +406,7 @@ class TestResourceChaosDifferential:
     @pytest.mark.parametrize("seed", [7, 23])
     def test_byte_identical_under_resource_faults(self, seed):
         if not shm_available():
-            pytest.skip("no shared_memory")
+            pytest.skip("no rings without fork")
         workload = build_collatz(count=250)
         machine = workload.program.make_machine()
         machine.run(max_instructions=50_000_000)

@@ -8,21 +8,23 @@ Three layers of guarantees:
   results identical with rings and ringless, delta accounting for
   both, stale (epoch-mismatch) recovery, oversized-blob crash
   semantics;
-* hygiene — no ``/dev/shm`` segment survives pool shutdown, worker
-  SIGKILL + respawn, or (via the registry the atexit sweep walks) an
-  unclean engine exit.
+* hygiene — no ring stays open past pool shutdown or worker SIGKILL +
+  respawn, no named segment appears even when the engine dies before
+  its worker starts, and a worker maps only its own two rings.
 """
 
 import os
 import signal
 import subprocess
 import sys
+import textwrap
+import threading
 import time
 
 import pytest
 
 from repro.asm import assemble
-from repro.runtime import shm, wire
+from repro.runtime import resources, shm, wire
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.pool import (
     TASK_CRASHED,
@@ -32,7 +34,7 @@ from repro.runtime.pool import (
 )
 
 pytestmark = pytest.mark.skipif(not shm.shm_available(),
-                                reason="no multiprocessing.shared_memory")
+                                reason="no fork to hand rings to workers")
 
 
 @pytest.fixture(scope="module")
@@ -88,15 +90,19 @@ class TestShmRing:
         try:
             seq = ring.try_push(b"hello")
             assert seq == 0
-            peer = shm.attach_ring(ring.name)
-            try:
-                assert peer.read(seq, 5) == b"hello"
-                peer.release(seq + 5)
-                assert peer.used_bytes() == 0
-            finally:
-                peer.close()
+            pid = os.fork()
+            if pid == 0:  # the peer: a forked process mapping the ring
+                status = 1
+                try:
+                    if ring.read(seq, 5) == b"hello":
+                        ring.release(seq + 5)
+                        status = 0
+                finally:
+                    os._exit(status)
+            assert os.waitpid(pid, 0)[1] == 0
+            assert ring.used_bytes() == 0
         finally:
-            ring.unlink()
+            ring.close()
 
     def test_wrap_around(self):
         ring = shm.create_ring(64)
@@ -108,7 +114,7 @@ class TestShmRing:
                 assert ring.read(seq, 24) == blob
                 ring.release(seq + 24)
         finally:
-            ring.unlink()
+            ring.close()
 
     def test_full_ring_backpressure_then_recovers(self):
         ring = shm.create_ring(64)
@@ -119,7 +125,7 @@ class TestShmRing:
             ring.release(seq + 40)
             assert ring.try_push(b"\xbb" * 40) is not None
         finally:
-            ring.unlink()
+            ring.close()
 
     def test_blob_larger_than_ring_never_fits(self):
         ring = shm.create_ring(64)
@@ -127,7 +133,7 @@ class TestShmRing:
             assert ring.try_push(b"\x00" * 65) is None
             assert ring.try_push(b"") is None
         finally:
-            ring.unlink()
+            ring.close()
 
     def test_cumulative_release_reclaims_skipped_blob(self):
         """A dropped control frame strands its blob; releasing through a
@@ -141,7 +147,7 @@ class TestShmRing:
             ring.release(seq_b + 30)
             assert ring.free_bytes() == 64
         finally:
-            ring.unlink()
+            ring.close()
 
     def test_read_beyond_head_is_desync(self):
         ring = shm.create_ring(64)
@@ -154,29 +160,27 @@ class TestShmRing:
             with pytest.raises(shm.ShmError, match="capacity"):
                 ring.read(0, 65)
         finally:
-            ring.unlink()
+            ring.close()
 
     def test_attach_validates_header(self):
+        """The worker's check on an inherited ring."""
         ring = shm.create_ring(64)
         try:
-            ring.shm.buf[:4] = b"JUNK"
+            ring.check()
+            ring.map[:4] = b"JUNK"
             with pytest.raises(shm.ShmError, match="not a runtime ring"):
-                shm.attach_ring(ring.name)
+                ring.check()
         finally:
-            ring.shm.buf[:4] = shm.RING_MAGIC
-            ring.unlink()
-
-    def test_attach_missing_segment(self):
-        with pytest.raises(shm.ShmError, match="cannot attach"):
-            shm.attach_ring("psm_repro_definitely_missing")
+            ring.close()
 
     def test_registry_tracks_created_segments(self):
-        """The atexit sweep walks exactly the segments created and not
-        yet unlinked — create/unlink must keep it balanced."""
+        """The registry a worker closes its inherited rings from holds
+        exactly the rings created and not yet closed."""
         before = set(shm.live_segment_names())
         ring = shm.create_ring(64)
         assert ring.name in set(shm.live_segment_names()) - before
-        ring.unlink()
+        ring.close()
+        ring.close()  # idempotent
         assert ring.name not in shm.live_segment_names()
 
 
@@ -327,17 +331,55 @@ class TestShmTransport:
 # -- hygiene -----------------------------------------------------------------
 
 def _psm_segments():
+    """Every named ``psm_*`` segment where shared memory lives here."""
     try:
-        return {name for name in os.listdir("/dev/shm")
+        return {name for name in os.listdir(resources.shm_backing_dir())
                 if name.startswith("psm_")}
-    except FileNotFoundError:  # non-Linux: fall back to the registry
-        return set(shm.live_segment_names())
+    except OSError:
+        return set()
+
+
+def _ring_mappings(pid, capacity):
+    """Inodes of the ring-sized shared mappings in ``pid``'s address
+    space — the rings it maps, for rings of ``capacity`` bytes."""
+    page = os.sysconf("SC_PAGE_SIZE")
+    size = -(-(shm.DATA_OFFSET + capacity) // page) * page
+    inodes = []
+    with open("/proc/%d/maps" % pid) as fh:
+        for line in fh:
+            fields = line.split()
+            start, end = (int(x, 16) for x in fields[0].split("-"))
+            if fields[1].endswith("s") and end - start == size:
+                inodes.append(int(fields[4]))
+    return inodes
+
+
+def _alive(pid):
+    """Whether ``pid`` is a running process (a zombie is not)."""
+    try:
+        with open("/proc/%d/stat" % pid) as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def _repro_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), os.pardir, "src")]
+        + env.get("PYTHONPATH", "").split(os.pathsep))
+    return env
+
+
+requires_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                   reason="needs Linux /proc")
 
 
 class TestShmHygiene:
     def test_no_leaked_segments_after_sigkilled_run(self, loop_program):
-        """SIGKILL a worker mid-task (its rings are unlinked on respawn)
-        and then shut the pool down: no psm_* segment may survive."""
+        """SIGKILL a worker mid-task (its rings are closed on respawn)
+        and then shut the pool down: no ring may stay open and no
+        psm_* segment may appear."""
         before = _psm_segments()
         rip, start = boundary_state(loop_program)
         config = RuntimeConfig(n_workers=2, task_timeout_seconds=None)
@@ -349,14 +391,14 @@ class TestShmHygiene:
                     and time.monotonic() < deadline:
                 pool.poll(timeout=0.05)
             assert pool.stats.workers_respawned == 1
-            # Live pool: exactly the current workers' rings exist.
+            # Live pool: exactly the current workers' rings are open.
+            assert len(shm.live_segment_names()) == 4
             assert pool.submit(rip, 1, 10_000, start) is not None
             poll_until(pool, 1)
         assert _psm_segments() - before == set()
         assert shm.live_segment_names() == []
 
     def test_quarantined_slot_releases_its_rings(self, loop_program):
-        before = _psm_segments()
         config = RuntimeConfig(n_workers=1, respawn_limit=0)
         with WorkerPool(loop_program, config) as pool:
             os.kill(pool.worker_pids()[0], signal.SIGKILL)
@@ -364,14 +406,112 @@ class TestShmHygiene:
             while pool.active_workers and time.monotonic() < deadline:
                 pool.poll(timeout=0.05)
             assert pool.active_workers == 0
-            # The dead slot's rings are gone even before shutdown.
-            assert len(_psm_segments() - before) == 0
+            # The dead slot's rings are closed even before shutdown.
+            assert shm.live_segment_names() == []
+
+    @requires_proc
+    def test_worker_maps_only_its_own_rings(self, loop_program):
+        """One process, two pools: every worker of the second maps
+        exactly its own two rings — none of the first pool's, and none
+        of its sibling's, although the fork copied them all."""
+        first = RuntimeConfig(n_workers=1, shm_ring_bytes=1 << 16)
+        second = RuntimeConfig(n_workers=2, shm_ring_bytes=1 << 17)
+        with WorkerPool(loop_program, first) as old, \
+                WorkerPool(loop_program, second) as new:
+            # The engine maps all six rings.
+            assert len(_ring_mappings(os.getpid(), 1 << 16)) == 2
+            assert len(_ring_mappings(os.getpid(), 1 << 17)) == 4
+            # One finished task per worker: each is past its startup.
+            rip, start = boundary_state(loop_program)
+            for __ in range(2):
+                assert new.submit(rip, 1, 10_000, start) is not None
+            assert len(poll_until(new, 2)) == 2
+            own = []
+            for pid in new.worker_pids():
+                assert _ring_mappings(pid, 1 << 16) == []
+                mapped = _ring_mappings(pid, 1 << 17)
+                assert len(mapped) == 2
+                own.extend(mapped)
+            assert sorted(own) == sorted(_ring_mappings(os.getpid(),
+                                                        1 << 17))
+            assert len(_ring_mappings(old.worker_pids()[0], 1 << 16)) == 2
+
+    @requires_proc
+    def test_pools_built_concurrently_keep_rings_apart(self, loop_program):
+        """Four threads build pools at once, as a daemon's job threads
+        do, so rings are created while other threads fork: each worker
+        still maps its own two rings and no other pool's."""
+        sizes = [(1 << 16) + k * 4096 for k in range(4)]
+        pools = [None] * len(sizes)
+
+        def build(k):
+            pools[k] = WorkerPool(loop_program, RuntimeConfig(
+                n_workers=2, shm_ring_bytes=sizes[k]))
+
+        threads = [threading.Thread(target=build, args=(k,))
+                   for k in range(len(sizes))]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert all(pool is not None for pool in pools)
+            deadline = time.monotonic() + 20.0
+            while True:
+                mapped = {(k, pid): [len(_ring_mappings(pid, size))
+                                     for size in sizes]
+                          for k, pool in enumerate(pools)
+                          for pid in pool.worker_pids()}
+                settled = all(counts == [2 if j == k else 0
+                                         for j in range(len(sizes))]
+                              for (k, __), counts in mapped.items())
+                if settled or time.monotonic() > deadline:
+                    break
+                time.sleep(0.1)
+            assert settled, mapped
+        finally:
+            for pool in pools:
+                if pool is not None:
+                    pool.shutdown()
+
+    def test_kill_before_worker_start_leaves_nothing(self, tmp_path):
+        """The engine dies after creating a worker's rings and before
+        forking it — the window no named segment can survive unless
+        something outside the dead process reaps it. Its whole process
+        group goes at once, as a container stop or a cancelled CI job
+        does it, so no helper outlives it: the kernel alone must free
+        the rings."""
+        script = tmp_path / "window.py"
+        script.write_text(textwrap.dedent("""
+            import multiprocessing.process, os, signal
+            from repro.asm import assemble
+            from repro.runtime.config import RuntimeConfig
+            from repro.runtime.pool import WorkerPool
+
+            def start(process):  # rings exist, no worker forked yet
+                os.killpg(0, signal.SIGKILL)
+
+            multiprocessing.process.BaseProcess.start = start
+            WorkerPool(assemble(".entry s\\ns: hlt\\n", name="window"),
+                       RuntimeConfig(n_workers=1))
+        """))
+        before = _psm_segments()
+        proc = subprocess.Popen([sys.executable, str(script)],
+                                env=_repro_env(), start_new_session=True,
+                                stderr=subprocess.PIPE)
+        try:
+            __, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == -signal.SIGKILL, err.decode()
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)  # no process of the group is left
         assert _psm_segments() - before == set()
 
+    @requires_proc
     def test_sigkilled_engine_rings_reaped_by_workers(self, tmp_path):
-        """SIGKILL the *engine* process mid-run: its atexit sweep never
-        fires, so the orphaned workers must notice the re-parenting,
-        force-unlink their own rings, and exit — no psm_* leak."""
+        """SIGKILL the *engine* process mid-run: the orphaned workers
+        notice the re-parenting and exit, and nothing named is left."""
         source = tmp_path / "spin.c"
         source.write_text(
             "int total;\n"
@@ -381,52 +521,42 @@ class TestShmHygiene:
             "    return total;\n"
             "}\n")
         before = _psm_segments()
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.join(os.path.dirname(__file__), os.pardir, "src")]
-            + env.get("PYTHONPATH", "").split(os.pathsep))
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "run", str(source),
              "--backend", "real", "--workers", "2"],
-            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        def children():
+            env=_repro_env(), stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL)
+
+        def workers():
             try:
                 path = "/proc/%d/task/%d/children" % (proc.pid, proc.pid)
                 with open(path) as fh:
-                    return fh.read().split()
+                    pids = [int(pid) for pid in fh.read().split()]
+            except OSError:
+                return []
+            ring = RuntimeConfig().shm_ring_bytes
+            try:
+                return [pid for pid in pids
+                        if len(_ring_mappings(pid, ring)) == 2]
             except OSError:
                 return []
 
         try:
-            # Wait for the rings AND for both worker processes to be
-            # alive (children: resource tracker + 2 workers) — killing
-            # in the window between create_ring and Process.start
-            # would strand segments no process can ever reap.
+            # Wait for both workers to be up with their rings mapped.
             deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline and (
-                    len(_psm_segments() - before) < 4 or len(children()) < 3):
+            while time.monotonic() < deadline and len(workers()) < 2:
                 time.sleep(0.05)
-            assert len(_psm_segments() - before) == 4  # 2 workers x 2 rings
-            assert len(children()) >= 3
+            pids = workers()
+            assert len(pids) == 2
             proc.kill()
             proc.wait(timeout=10)
             # Workers poll for re-parenting every second; give them a
-            # generous window to reap on a loaded box.
+            # generous window on a loaded box.
             deadline = time.monotonic() + 20.0
-            while time.monotonic() < deadline and _psm_segments() - before:
+            while time.monotonic() < deadline and any(map(_alive, pids)):
                 time.sleep(0.1)
+            assert not any(map(_alive, pids))
             assert _psm_segments() - before == set()
         finally:
             proc.kill()
             proc.wait(timeout=10)
-
-    def test_atexit_sweep_reaps_unclosed_segments(self):
-        """Simulate an unclean exit: segments never unlinked by a pool
-        are reaped by the registered atexit sweep."""
-        ring = shm.create_ring(64)
-        name = ring.name
-        assert name in shm.live_segment_names()
-        shm._cleanup_created_segments()
-        assert shm.live_segment_names() == []
-        with pytest.raises(shm.ShmError):
-            shm.attach_ring(name)  # really gone from the kernel
