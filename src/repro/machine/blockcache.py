@@ -35,6 +35,13 @@ per-block work done once:
   header still equals the fixed point the variant last produced. That
   update includes the block-entry EIP read, so :meth:`Block.recover`
   applies the EIP read itself on the fault path.
+* Blocks a break set keeps running are promoted by measured heat
+  (:data:`HOT_RUNS`) into that break set's :class:`Region`: one
+  function per variant that dispatches on EIP among its member blocks
+  (hottest first) with the registers and EFLAGS in locals across
+  blocks, and folds the members' header updates into one write at
+  exit. The block-at-a-time loop stays as the cold tier for everything
+  else.
 
 Soundness invariants (see DESIGN.md "Two-tier interpreter"):
 
@@ -70,6 +77,7 @@ instead, in the main thread and in pool workers alike; per context,
 
 import struct
 import threading
+from collections import Counter
 
 from repro.errors import (
     CodeWriteError,
@@ -95,10 +103,25 @@ _M = 0xFFFFFFFF
 _U32 = struct.Struct("<I")
 _u32 = _U32.unpack_from
 _p32 = _U32.pack_into
+#: The register file, ``r0`` .. ``r7``, as one unpack / pack.
+_REGS = struct.Struct("<8I")
+_REG_NAMES = ", ".join("r%d" % r for r in range(8))
 
 #: Upper bound on instructions per translated block (straight-line runs
 #: are usually ended far earlier by a control-flow op).
 MAX_BLOCK_INSTRUCTIONS = 128
+
+#: Block heat that earns region membership: a block the cold loop has
+#: run this many times under one break set (and variant) joins that
+#: break set's region at the next scan, and the cold loop scans after
+#: this many block runs per region member (at least one), so a rebuild
+#: that recompiles m members waits for m times as much cold work.
+HOT_RUNS = 256
+
+#: The budget a region is handed when the run has none: one CPython
+#: digit, so its arithmetic stays on small ints. A region that spends it
+#: simply returns and is called again.
+_NO_LIMIT = (1 << 30) - 1
 
 # -- static access metadata ----------------------------------------------------
 # Per-instruction ordered register access lists ('r'/'w', reg index), in
@@ -277,10 +300,10 @@ class Block:
 
     __slots__ = ("entry", "n", "end", "addrs", "ends_halt", "cut_by",
                  "instrs", "base", "dep", "dep_code",
-                 "reg_marks", "prefault_marks", "_reg_offsets",
+                 "reg_marks", "prefault_marks", "header", "_reg_offsets",
                  "_uses_flags")
 
-    def __init__(self, instrs, cut_by, reg_marks, prefault_marks,
+    def __init__(self, instrs, cut_by, reg_marks, prefault_marks, header,
                  reg_offsets, uses_flags):
         self.instrs = instrs
         self.addrs = tuple(instr[0] for instr in instrs)
@@ -296,6 +319,10 @@ class Block:
         self.reg_marks = reg_marks
         #: Register marks performed before each instruction's fault point.
         self.prefault_marks = prefault_marks
+        #: ``(rd, wr)``: every register and EIP mark of a full run of the
+        #: block as one update of the header ``g[0:36]`` read as a
+        #: little-endian int, ``old | rd & ~(old >> 1) | wr``.
+        self.header = header
         self._reg_offsets = reg_offsets
         self._uses_flags = uses_flags
 
@@ -817,14 +844,44 @@ class BlockTranslator:
             accesses.append(tuple(acc))
             cuts.append(cut)
         used_regs = sorted({r for acc in accesses for __, r in acc})
+        # The FSM net effect of the block on a register is its first
+        # access kind and whether it is ever written; EIP is read first
+        # and written. Per byte, ``old | RD & ~(old >> 1) | WR`` applies
+        # ON_READ where RD has bit 0 (a set bit 1 blocks NULL -> READ),
+        # then ON_WRITE (OR 2) where WR has bit 1.
+        first_kind = {}
+        for acc in accesses:
+            for kind, reg in acc:
+                first_kind.setdefault(reg, kind)
+        eip = [EIP_OFF // 4]
+        rd = sum(0x01010101 << 32 * reg for reg in eip + [
+            reg for reg in used_regs if first_kind[reg] == "r"])
+        wr = sum(0x02020202 << 32 * reg for reg in eip + sorted(
+            {reg for acc in accesses for kind, reg in acc if kind == "w"}))
         return Block(
             instrs, cut_by,
             reg_marks=tuple(accesses),
             prefault_marks=tuple(acc[:cut]
                                  for acc, cut in zip(accesses, cuts)),
+            header=(rd, wr),
             reg_offsets=tuple(r * 4 for r in used_regs),
             uses_flags=any(instr[1] in _TOUCHES_FLAGS for instr in instrs),
         )
+
+    def _emit_body(self, block, variant, pc_base):
+        """The straight-line body of one variant of ``block``: lines
+        indented for a ``try`` inside a function, ending with the next
+        EIP in ``_nx``. A faultable instruction first sets ``_pc`` to
+        ``pc_base`` plus its index in the block."""
+        body = _Emitter(variant != "base", code_reads=variant == "dep_code")
+        plan = _redundant_marks(block.instrs)
+        for i, instr in enumerate(block.instrs):
+            body.dropped = plan[i]
+            self._emit_instr(body, pc_base + i, instr,
+                             instr[1] in _FAULTABLE)
+        if block.instrs[-1][1] not in _TERMINATORS:
+            body.emit("        _nx = %d" % block.end)
+        return body.lines
 
     def emit(self, block, variant):
         """Generate, compile and return one variant of ``block``."""
@@ -835,7 +892,6 @@ class BlockTranslator:
         used_regs = [off // 4 for off in block._reg_offsets]
         written_regs = sorted({r for acc in accesses
                                for kind, r in acc if kind == "w"})
-        faultable = [instr[1] in _FAULTABLE for instr in instrs]
 
         w = _Emitter(dep)
         w.emit("def _block(%s):" % ("buf, g" if dep else "buf"))
@@ -843,17 +899,11 @@ class BlockTranslator:
             w.emit("    r%d, = u32(buf, %d)" % (r, r * 4))
         if flags_used:
             w.emit("    fl = buf[%d]" % EFLAGS_OFF)
-        body = _Emitter(dep, code_reads=variant == "dep_code")
-        plan = _redundant_marks(instrs)
-        for i, instr in enumerate(instrs):
-            body.dropped = plan[i]
-            self._emit_instr(body, i, instr, faultable[i])
-        if instrs[-1][1] not in _TERMINATORS:
-            body.emit("        _nx = %d" % block.end)
-        if any(faultable):
+        body = self._emit_body(block, variant, 0)
+        if any(instr[1] in _FAULTABLE for instr in instrs):
             w.emit("    _pc = 0")
             w.emit("    try:")
-            w.lines.extend(body.lines)
+            w.lines.extend(body)
             w.emit("    except MachineError as _e:")
             regs_tuple = "(%s)" % "".join("r%d, " % r for r in used_regs)
             w.emit("        _rec(_e, buf, %s, _pc, %s, %s)"
@@ -862,30 +912,18 @@ class BlockTranslator:
             w.emit("        raise")
         else:
             # No fault sites: inline the body without the try frame.
-            w.lines.extend(line[4:] for line in body.lines)
+            w.lines.extend(line[4:] for line in body)
         for r in written_regs:
             w.emit("    p32(buf, %d, r%d)" % (r * 4, r))
         if flags_used:
             w.emit("    buf[%d] = fl" % EFLAGS_OFF)
         w.emit("    p32(buf, %d, _nx)" % EIP_OFF)
         if dep:
-            # One update of the register/EIP header. The FSM net effect
-            # of the block on a register is its first access kind and
-            # whether it is ever written; EIP is read first and written.
-            # Per byte, ``old | RD & ~(old >> 1) | WR`` applies ON_READ
-            # where RD has bit 0 (a set bit 1 blocks NULL -> READ), then
-            # ON_WRITE (OR 2) where WR has bit 1. The update is
-            # idempotent, so a header equal to the last one it produced
-            # (``_fp[0]``, whichever thread produced it) is already its
-            # fixed point.
-            first_kind = {}
-            for acc in accesses:
-                for kind, reg in acc:
-                    first_kind.setdefault(reg, kind)
-            eip = [EIP_OFF // 4]
-            rd = sum(0x01010101 << 32 * reg for reg in eip + [
-                reg for reg in used_regs if first_kind[reg] == "r"])
-            wr = sum(0x02020202 << 32 * reg for reg in eip + written_regs)
+            # One update of the register/EIP header (``Block.header``).
+            # The update is idempotent, so a header equal to the last one
+            # it produced (``_fp[0]``, whichever thread produced it) is
+            # already its fixed point.
+            rd, wr = block.header
             end = EIP_OFF + 4
             w.emit("    _h = g[:%d]" % end)
             w.emit("    if _h != _fp[0]:")
@@ -901,6 +939,155 @@ class BlockTranslator:
                      "<block 0x%x+%d/%s>" % (block.entry, block.n, variant),
                      "exec"), namespace)
         return namespace["_block"]
+
+    def emit_region(self, order, variant, break_set):
+        """Generate and compile one variant of a :class:`Region` whose
+        members are the blocks ``order`` (dispatch order, hottest first;
+        none ends in ``HLT``), all valid under ``break_set``.
+
+        The function ``_region(buf, g, _nx, _rem)`` holds the registers
+        and EFLAGS in locals and loops: dispatch on ``_nx``; leave when
+        it is no member or the member is longer than ``_rem``; else run
+        the member's body (the same :meth:`_emit_instr` code as its
+        block variant), fold its header marks on its first visit (see
+        :class:`Region`), and leave if the machine has arrived at a
+        break IP or a static successor outside the region. On the way
+        out it flushes the locals, EIP and the folded header and
+        returns ``(eip, instructions run)``.
+        """
+        dep = variant != "base"
+        region = Region(order)
+        w = _Emitter(dep)
+        w.emit("def _region(buf, g, _nx, _rem):")
+        w.emit("    _in = _rem")
+        w.emit("    %s = u8(buf, 0)" % _REG_NAMES)
+        w.emit("    fl = buf[%d]" % EFLAGS_OFF)
+        w.emit("    _pc = 0")
+        if dep:
+            w.emit("    _rd = _wr = %s = 0" % " = ".join(
+                "_v%d" % k for k in range(len(order))))
+        w.emit("    try:")
+        w.emit("        while True:")
+        sites = region.sites
+        for k, block in enumerate(order):
+            w.emit("            %s _nx == %d:" % ("elif" if k else "if",
+                                                 block.entry))
+            w.emit("                if _rem < %d: break" % block.n)
+            w.lines.extend("        " + line for line in
+                           self._emit_body(block, variant, len(sites)))
+            sites.extend((block, i) for i in range(block.n))
+            w.emit("                _rem -= %d" % block.n)
+            if dep:
+                rd, wr = block.header
+                w.emit("                if not _v%d:" % k)
+                w.emit("                    _v%d = 1" % k)
+                w.emit("                    _rd |= 0x%x & ~(_wr >> 1)" % rd)
+                w.emit("                    _wr |= 0x%x" % wr)
+            targets = _static_successors(block)
+            if targets is None:
+                if break_set:
+                    w.emit("                if _nx in _brk: break")
+            else:
+                leave = [t for t in targets
+                         if t in break_set or t not in region.members]
+                if len(leave) == len(targets):
+                    w.emit("                break")
+                elif leave:
+                    w.emit("                if _nx == %d: break" % leave[0])
+        w.emit("            else:")
+        w.emit("                break")
+        w.emit("    except MachineError as _e:")
+        w.emit("        _rec(_e, buf, g, _pc, (%s), fl, %s, _in - _rem)"
+               % (_REG_NAMES, "_rd, _wr" if dep else "0, 0"))
+        w.emit("        raise")
+        w.emit("    p8(buf, 0, %s)" % _REG_NAMES)
+        w.emit("    buf[%d] = fl" % EFLAGS_OFF)
+        w.emit("    p32(buf, %d, _nx)" % EIP_OFF)
+        if dep:
+            w.emit("    if _wr: _ah(g, _rd, _wr)")
+        w.emit("    return _nx, _in - _rem")
+
+        namespace = dict(self.namespace)
+        namespace.update(u8=_REGS.unpack_from, p8=_REGS.pack_into,
+                         _ah=apply_header, _rec=region.recover,
+                         _brk=break_set)
+        exec(compile("\n".join(w.lines) + "\n",
+                     "<region %s+%d/%s>" % (
+                         ",".join("%x" % ip for ip in sorted(break_set)),
+                         len(order), variant),
+                     "exec"), namespace)
+        region.run = namespace["_region"]
+        return region
+
+
+def apply_header(g, rd, wr):
+    """Apply one header update ``(rd, wr)`` (see :attr:`Block.header`)
+    to the register/EIP bytes ``g[0:36]``."""
+    end = EIP_OFF + 4
+    v = int.from_bytes(g[:end], "little")
+    g[:end] = (v | rd & ~(v >> 1) | wr).to_bytes(end, "little")
+
+
+def _static_successors(block):
+    """The EIPs ``block`` can end at, or ``None`` when its last
+    instruction jumps to a register or a return address."""
+    addr, op, __, __, __, imm = block.instrs[-1]
+    if op not in _TERMINATORS:
+        return (block.end,)
+    if op in (Op.JMP, Op.CALL):
+        return (imm & _M,)
+    if op in _JCC:
+        return tuple({imm & _M, addr + INSTRUCTION_SIZE})
+    return None
+
+
+class Region:
+    """The blocks a break set keeps running, compiled into one function
+    per variant (:meth:`BlockTranslator.emit_region`).
+
+    Its members are pooled blocks valid under the break set, none ending
+    in ``HLT``; entering at a member, ``run(buf, g, eip, budget)`` runs
+    members back to back with the registers and EFLAGS in locals and
+    returns ``(eip, instructions)`` when the next EIP is a break IP, no
+    member, or a member longer than the budget left. Stop reasons stay
+    the caller's.
+
+    **Header fold.** Every member run applies ``old | rd & ~(old >> 1) |
+    wr`` to the header (its :attr:`Block.header`). Two runs, ``a`` then
+    ``b``, compose to one update with ``rd = rd_a | rd_b & ~(wr_a >>
+    1)``, ``wr = wr_a | wr_b`` (per byte: bit 1 after ``a`` is ``old``'s
+    or ``wr_a``'s, so ``b``'s read lands only where neither is set), and
+    an update already folded in adds nothing when folded again. So the
+    region folds each member once, on its first completed run, and
+    writes the header once, at exit — byte-equal to the cold loop's
+    update per block.
+
+    A fault flushes the locals and the folded header, then hands the
+    faulting block's own :meth:`Block.recover` its register values and
+    index; ``_fp_block_index`` counts the members run before it too.
+    """
+
+    __slots__ = ("order", "members", "sites", "run")
+
+    def __init__(self, order):
+        self.order = order
+        self.members = frozenset(block.entry for block in order)
+        #: Instruction index in the region -> ``(block, index in block)``
+        #: (filled by :meth:`BlockTranslator.emit_region`).
+        self.sites = []
+        self.run = None
+
+    def recover(self, exc, buf, g, pc, regs, fl, rd, wr, done):
+        _REGS.pack_into(buf, 0, *regs)
+        buf[EFLAGS_OFF] = fl
+        if wr:
+            apply_header(g, rd, wr)
+        block, index = self.sites[pc]
+        block.recover(exc, buf, g, index,
+                      tuple(regs[off // 4] for off in block._reg_offsets),
+                      fl)
+        exc._fp_block_index = done + index
+        return exc
 
 
 # -- the program-wide store ----------------------------------------------------
@@ -926,6 +1113,7 @@ class TranslationStore:
         self.code = code
         self.translator = BlockTranslator(mem_size, code_lo, code_hi)
         self._pool = {}  # entry EIP -> [Block, ...] | False (refused)
+        self._regions = {}  # (break set, variant) -> Region
         self._lock = threading.Lock()
 
     def lookup(self, buf, entry, break_set):
@@ -962,6 +1150,23 @@ class TranslationStore:
         self._pool.setdefault(entry, []).append(block)
         return block
 
+    def region(self, break_set, variant, hot):
+        """The region of ``break_set`` / ``variant`` with every block of
+        ``hot`` (hottest first) a member: the pooled one if it has them
+        all, else one compiled now with the pooled region's members
+        first, then the missing ones."""
+        key = (break_set, variant)
+        with self._lock:
+            region = self._regions.get(key)
+            order = region.order if region is not None else ()
+            members = region.members if region is not None else ()
+            missing = tuple(block for block in hot
+                            if block.entry not in members)
+            if missing:
+                region = self._regions[key] = self.translator.emit_region(
+                    order + missing, variant, break_set)
+            return region
+
     def _stub(self, block, variant):
         """What a variant attribute holds until its first execution."""
         def first_call(*args):
@@ -975,6 +1180,22 @@ class TranslationStore:
 
 # -- the cache and its run loops -----------------------------------------------
 
+class _Heat:
+    """What one context's cold loop has seen under one break set and
+    variant: the blocks it ran since its last scan (``trail``), their
+    running totals, and the region it promoted them into. A block
+    ending in ``HLT`` ends the run before it is recorded, so no region
+    ever has one."""
+
+    __slots__ = ("trail", "counts", "due", "region")
+
+    def __init__(self):
+        self.trail = []
+        self.counts = Counter()
+        self.due = HOT_RUNS  # trail length that triggers the next scan
+        self.region = None
+
+
 class BlockCache:
     """One context's view of a :class:`TranslationStore`, plus the block
     run loops.
@@ -985,6 +1206,14 @@ class BlockCache:
     there asks the store, which translates only what no context of the
     image has translated before. ``False`` entries memoize in-code EIPs
     the translator refused.
+
+    :meth:`run` has two tiers. The cold tier runs one block at a time
+    and records each block it runs in a :class:`_Heat`; blocks that
+    reach :data:`HOT_RUNS` runs are promoted into the break set's
+    :class:`Region` (the store compiles it once per break set and
+    variant, whichever context asks first), which runs whenever the
+    machine stands on one of its members. Heat alone decides: a loop
+    that runs is compiled, straight-line code run a few times never is.
     """
 
     def __init__(self, context, store=None):
@@ -999,6 +1228,7 @@ class BlockCache:
         self.context = context
         self.store = store
         self._by_break = {}
+        self._heat = {}  # (break set, variant) -> _Heat
 
     # -- statistics ----------------------------------------------------------
 
@@ -1014,6 +1244,22 @@ class BlockCache:
             blocks = self._by_break[key] = {}
         return key, blocks
 
+    def _promote(self, heat, break_set, variant):
+        """Scan the trail: blocks that have grown hot join the region.
+        Returns the (possibly new) region, or ``None``."""
+        counts = heat.counts
+        counts.update(heat.trail)
+        heat.trail.clear()
+        region = heat.region
+        members = region.members if region is not None else ()
+        hot = [block for block, runs in counts.most_common()
+               if runs >= HOT_RUNS and block.entry not in members]
+        if hot:
+            region = heat.region = self.store.region(break_set, variant,
+                                                     hot)
+        heat.due = HOT_RUNS * max(1, len(region.order) if region else 0)
+        return region
+
     # -- run loops -----------------------------------------------------------
 
     def run(self, buf, g, max_instructions, break_ips):
@@ -1028,15 +1274,40 @@ class BlockCache:
         """
         context = self.context
         break_set, blocks = self.blocks_for(break_ips)
+        code_reads = context.track_code_reads
+        variant = ("base" if g is None else "dep_code" if code_reads
+                   else "dep")
+        heat = self._heat.get((break_set, variant))
+        if heat is None:
+            heat = self._heat[break_set, variant] = _Heat()
+        trail = heat.trail
+        region = heat.region
+        members = region.members if region is not None else ()
         lookup = self.store.lookup
         code_lo, code_hi = context.code_lo, context.code_hi
-        code_reads = context.track_code_reads
         step = context.step
         remaining = max_instructions
         executed = 0
         eip, = _u32(buf, EIP_OFF)
 
         while True:
+            if eip in members:
+                try:
+                    eip, done = region.run(
+                        buf, g, eip,
+                        _NO_LIMIT if remaining is None else remaining)
+                except MachineError as exc:
+                    exc._fp_executed = executed + exc._fp_block_index
+                    raise
+                if done:
+                    executed += done
+                    if break_set and eip in break_set:
+                        return executed, STOP_BREAKPOINT
+                    if remaining is not None:
+                        remaining -= done
+                        if remaining <= 0:
+                            return executed, STOP_LIMIT
+                # Not a member, or the member is longer than the budget.
             block = blocks.get(eip)
             if block is None and code_lo <= eip < code_hi:
                 block = blocks[eip] = lookup(buf, eip, break_set)
@@ -1054,6 +1325,11 @@ class BlockCache:
                     executed += n
                     if block.ends_halt:
                         return executed, STOP_HALTED
+                    trail.append(block)
+                    if len(trail) >= heat.due:
+                        region = self._promote(heat, break_set, variant)
+                        members = (region.members if region is not None
+                                   else ())
                     if break_set and eip in break_set:
                         return executed, STOP_BREAKPOINT
                     if remaining is not None:

@@ -66,29 +66,30 @@ def shm_backing_dir(refresh=False):
 
     The old watchdog probe hardcoded ``/dev/shm``, which silently
     measured the wrong filesystem on hosts where glibc's ``shm_open``
-    maps elsewhere. Here we create a throwaway segment and look for its
+    maps elsewhere. Here we open a throwaway segment and look for its
     backing file among the candidate mounts; the answer is cached for
-    the life of the process. Falls back to ``/dev/shm`` when nothing
-    can be probed (the segment machinery itself unavailable).
+    the life of the process. The probe calls ``shm_open`` /
+    ``shm_unlink`` directly: ``SharedMemory`` would also start a
+    ``multiprocessing`` resource tracker process to watch a segment
+    that lives for a few microseconds. Falls back to ``/dev/shm`` when
+    nothing can be probed (the segment machinery itself unavailable).
     """
     global _shm_backing_dir_cache
     if _shm_backing_dir_cache is not None and not refresh:
         return _shm_backing_dir_cache
     found = None
     try:
-        from multiprocessing import shared_memory
-        probe = shared_memory.SharedMemory(create=True, size=1)
+        import _posixshmem
+        name = "/psm_probe_%d_%s" % (os.getpid(), os.urandom(4).hex())
+        os.close(_posixshmem.shm_open(name, os.O_CREAT | os.O_EXCL
+                                      | os.O_RDWR, mode=0o600))
         try:
             for candidate in _SHM_DIR_CANDIDATES:
-                if os.path.exists(os.path.join(candidate, probe.name)):
+                if os.path.exists(os.path.join(candidate, name[1:])):
                     found = candidate
                     break
         finally:
-            probe.close()
-            try:
-                probe.unlink()
-            except (OSError, FileNotFoundError):
-                pass
+            _posixshmem.shm_unlink(name)
     except Exception:
         found = None
     if found is None:

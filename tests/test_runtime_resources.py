@@ -48,6 +48,26 @@ class TestProbes:
     def test_shm_backing_dir_is_cached(self):
         assert resources.shm_backing_dir() is resources.shm_backing_dir()
 
+    def test_probe_starts_no_resource_tracker(self):
+        # A fresh interpreter, so no earlier test has started a tracker:
+        # the probe alone must leave none behind it (a daemon would
+        # otherwise carry one extra process for its whole life).
+        import subprocess
+        import sys
+        script = (
+            "import os\n"
+            "from multiprocessing import resource_tracker\n"
+            "from repro.runtime import resources\n"
+            "assert os.path.isdir(resources.shm_backing_dir(refresh=True))\n"
+            "print(resource_tracker._resource_tracker._pid)\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "None"
+
     @pytest.mark.skipif(not shm_available(), reason="no shared_memory")
     def test_backing_dir_really_backs_segments(self):
         # The probe's whole point: a fresh segment's file appears there.

@@ -659,7 +659,15 @@ class TestImageTable:
             for program in held
             for shapes in program.translations._pool.values() if shapes
             for block in shapes for variant in blockcache.VARIANTS)
-        assert len(compiled) == in_stores > 0
+        blocks = [name for name in compiled if name.startswith("<block")]
+        assert len(blocks) == in_stores > 0
+        # The rest are regions (hot blocks compiled as one function),
+        # which the same stores hold, each version compiled once.
+        regions = [name for name in compiled if name.startswith("<region")]
+        assert len(blocks) + len(regions) == len(compiled)
+        assert len(set(regions)) == len(regions)
+        assert 0 < sum(len(program.translations._regions)
+                       for program in held) <= len(regions)
         images = stats["images"]
         assert images["held"] == images["interned"] == 2
         assert images["evicted"] == 0
