@@ -177,19 +177,6 @@ def _supervision_line(runtime):
                runtime.faults_injected))
 
 
-def _autoscale_line(policy, runtime):
-    last = runtime.autoscale_decisions[-1] if runtime.autoscale_decisions \
-        else None
-    line = ("autoscale %s: %d resizes (%d grown, %d parked, "
-            "%d tasks parked)"
-            % (policy, runtime.autoscale_resizes, runtime.workers_grown,
-               runtime.workers_parked, runtime.tasks_parked))
-    if last is not None:
-        line += "; last target %d @ superstep %d" % (last["target"],
-                                                     last["superstep"])
-    return line
-
-
 def _wire_line(runtime):
     """Raw vs shipped state bytes and physical pipe/shm bytes, one
     human-readable line."""
@@ -245,8 +232,6 @@ def _run_real_backend(program, args, checkpointer, resume_from):
                  runtime.tasks_crashed, runtime.tasks_timed_out))
         print(_wire_line(runtime))
         print(_supervision_line(runtime))
-        if runtime_config.autoscale != "off":
-            print(_autoscale_line(runtime_config.autoscale, runtime))
         if result.audit is not None:
             print(_verify_line(result.audit))
     return engine.machine, payload
@@ -907,8 +892,7 @@ def build_parser():
                    help="emit a JSON report (stats + runtime counters)")
     RuntimeConfig.add_flags(
         p, "n_workers", "superstep_scale", "fault_plan",
-        "worker_rlimit_as_bytes", "autoscale",
-        max_instructions=_MAX_INSTRUCTIONS)
+        "worker_rlimit_as_bytes", max_instructions=_MAX_INSTRUCTIONS)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("scale", help="ASC scaling sweep",
@@ -926,7 +910,7 @@ def build_parser():
     p.add_argument("--json", action="store_true",
                    help="emit a JSON report (per-point stats, cache, "
                         "and audit sections)")
-    RuntimeConfig.add_flags(p, "superstep_scale", "autoscale")
+    RuntimeConfig.add_flags(p, "superstep_scale")
     p.set_defaults(func=cmd_scale)
 
     p = sub.add_parser("memoize", parents=[recognize],

@@ -3,7 +3,7 @@
 :class:`SuperstepLoop` runs the main thread to the next superstep
 boundary (every ``stride``-th crossing of the recognized IP) and there
 walks one fixed sequence — *hook → poll backend → apply a pending audit
-rollback → resize → snapshot → checkpoint → observe / learn / advance →
+rollback → snapshot → checkpoint → observe / learn / advance →
 dispatch → lookup (→ maybe wait) → splice → audit → budget* —
 re-entering it after every fast-forward. A drought (no crossing within
 the phase's limit) moves to the next recognized phase or, when none is
@@ -104,9 +104,6 @@ class SpeculationBackend:
 
     def poll(self, timeout=0.0):
         """Make finished speculations visible in ``loop.cache``."""
-
-    def resize(self):
-        """Adjust how wide speculation runs."""
 
     def speculating(self):
         """May the loop dispatch (and wait) at this boundary?"""
@@ -360,7 +357,6 @@ class SuperstepLoop:
                     # its pre-splice snapshot and re-enter the boundary.
                     auditor.apply_rollback(rollback, main, stats)
                     continue
-            backend.resize()
             speculating = backend.speculating()
             # One snapshot per boundary, shared by checkpoint, learners,
             # dispatch and the auditor; none when nobody needs it.

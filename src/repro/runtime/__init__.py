@@ -29,17 +29,9 @@ Layers:
   deterministic fault injection at the pool's failure seams;
 * :mod:`repro.runtime.engine` — :class:`RealParallelEngine`: the
   Figure 1 loop against real workers and real wall-clock time, with
-  checkpoint/restore via :mod:`repro.core.checkpoint`;
-* :mod:`repro.runtime.autoscaler` — :class:`Autoscaler`: the elastic
-  worker-count policy sampled at superstep boundaries, steering the
-  pool's live width by the paper's expected-utility economics.
+  checkpoint/restore via :mod:`repro.core.checkpoint`.
 """
 
-from repro.runtime.autoscaler import (
-    AutoscaleSignals,
-    Autoscaler,
-    resolve_autoscaler,
-)
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.engine import RealParallelEngine, RealParallelResult
 from repro.runtime.faults import FaultPlan, FaultPlanError
@@ -59,8 +51,6 @@ from repro.runtime.supervisor import Supervisor, WorkerHealth
 from repro.runtime.wire import WireError
 
 __all__ = [
-    "AutoscaleSignals",
-    "Autoscaler",
     "FaultPlan",
     "FaultPlanError",
     "PoolError",
@@ -80,5 +70,4 @@ __all__ = [
     "WireError",
     "WorkerHealth",
     "WorkerPool",
-    "resolve_autoscaler",
 ]

@@ -2,7 +2,6 @@
 
 import multiprocessing
 
-from repro.runtime.autoscaler import AUTOSCALE_CHOICES
 from repro.runtime.resources import ENV_WORKER_RLIMIT_AS
 from repro.settings import Setting, Settings, table
 
@@ -111,24 +110,6 @@ class RuntimeConfig(Settings):
                      "bytes); a runaway speculation fails as a "
                      "contained task fault instead of taking the host "
                      "(default REPRO_WORKER_RLIMIT_AS; 0 = uncapped)"),
-        # Elastic autoscaling (runtime/autoscaler.py): "off" keeps the
-        # fixed-width pool; "react" samples the policy at every
-        # superstep boundary and resizes the pool toward its target.
-        # ``n_workers`` stays the starting width; the policy moves
-        # within [autoscale_min_workers, autoscale_max_workers] (None:
-        # n_workers), deciding at most once per ``autoscale_cooldown``
-        # boundaries over a payoff window of ``autoscale_window``
-        # samples.
-        Setting("autoscale", "off", None, flag="--autoscale",
-                choices=AUTOSCALE_CHOICES,
-                help="elastic worker autoscaling sampled at superstep "
-                     "boundaries: 'react' shrinks the pool while "
-                     "speculation does not pay and regrows it when it "
-                     "does; 'off' keeps the static pool"),
-        Setting("autoscale_min_workers", 0, int),
-        Setting("autoscale_max_workers", None, int),
-        Setting("autoscale_cooldown", 8, int),
-        Setting("autoscale_window", 16, int),
     )
 
     def _finish(self):

@@ -12,9 +12,8 @@ entry a worker ships is an exact fact about the deterministic
 transition function, so applying a matching one is identical to
 executing the instructions, and crashed, timed-out or mispredicted
 speculations simply produce nothing. When the pool's supervisor
-degrades it (or autoscale parks every worker) the loop stops
-dispatching and waiting — it *is* the sequential fallback, and its
-cache keeps serving hits. With no workers at all (``n_workers=0``, or
+degrades it, the loop stops dispatching and waiting — it *is* the
+sequential fallback, and its cache keeps serving hits. With no workers at all (``n_workers=0``, or
 a program the recognizer rejects) the run uses the null backend and
 spawns nothing.
 """
@@ -29,7 +28,6 @@ from repro.core.superstep import (
     SuperstepLoop,
 )
 from repro.errors import EngineError
-from repro.runtime.autoscaler import AutoscaleSignals, resolve_autoscaler
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.pool import TASK_FAILED, TASK_OK, WorkerPool
 from repro.runtime import resources
@@ -85,15 +83,8 @@ class _PoolBackend(SpeculationBackend):
         self.pool = pool
         self.rtc = rtc
         self.runtime = pool.stats
-        self.autoscaler = resolve_autoscaler(rtc)
-        width = pool.n_workers
-        if self.autoscaler is not None:
-            # The chain must be able to feed the pool at its *ceiling*,
-            # not just its starting width, or grown workers would have
-            # nothing to speculate.
-            width = max(width, self.autoscaler.max_workers)
         self.max_rollout = config.max_rollout or max(
-            1, width * rtc.queue_depth)
+            1, pool.n_workers * rtc.queue_depth)
         self.inflight = {}  # relevance key -> SpeculationTask
         self.entry_ids = set()  # id() of every shipped entry
         self.used_entries = set()  # ... of those that fast-forwarded main
@@ -132,20 +123,6 @@ class _PoolBackend(SpeculationBackend):
             # worker never executed the task): leave uncovered so the
             # target is re-dispatched against a fresh full snapshot if
             # still predicted.
-
-    def resize(self):
-        if self.autoscaler is None:
-            return
-        loop, pool, runtime = self.loop, self.pool, self.runtime
-        stats = loop.stats
-        target = self.autoscaler.observe(AutoscaleSignals(
-            stats.supersteps, pool.active_workers,
-            sum(loop.allocator.probabilities()) * loop.mean_jump,
-            loop.stride, stats.instructions_executed,
-            stats.instructions_fast_forwarded,
-            runtime.dispatch_backpressure))
-        if target is not None and any(pool.resize(target)):
-            runtime.autoscale_resizes += 1
 
     def speculating(self):
         # The supervisor's verdict: a pool that fell below its worker
@@ -235,9 +212,6 @@ class _PoolBackend(SpeculationBackend):
         super().finish()  # the wall clock stops before the sweep
         runtime = self.runtime
         self.poll()
-        if self.autoscaler is not None:
-            runtime.autoscale_decisions.extend(self.autoscaler.decisions)
-            del runtime.autoscale_decisions[:-512]
         runtime.entries_used = len(self.used_entries)
         runtime.tasks_wasted = runtime.entries_shipped - runtime.entries_used
 

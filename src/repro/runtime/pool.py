@@ -169,9 +169,10 @@ class _Worker:
 class WorkerPool:
     """Persistent multiprocess speculation workers for one program.
 
-    ``self._workers`` is a fixed list of *slots*; a slot holds a live
-    :class:`_Worker` or ``None`` while quarantined/retired, so the pool
-    can shrink and re-grow without renumbering anything.
+    ``self._workers`` is a fixed list of ``config.n_workers`` *slots*;
+    a slot holds a live :class:`_Worker` or ``None`` while
+    quarantined/retired. Only the supervisor empties a slot or refills
+    it, so the width never changes and nothing is renumbered.
     """
 
     def __init__(self, program, config=None, stats=None):
@@ -186,8 +187,6 @@ class WorkerPool:
         self._task_ids = itertools.count(1)
         self._deferred = []  # outcomes produced outside poll (submit-time)
         self._closed = False
-        self._parked = set()  # slots shrunk away by the autoscaler
-        self.autoscale_target = None  # live-worker target, None = static
         self._workers = [self._spawn(i) for i in range(self.config.n_workers)]
 
     # -- lifecycle -----------------------------------------------------------
@@ -256,7 +255,7 @@ class WorkerPool:
 
     def _teardown_worker(self, worker):
         """Release one worker's process and transport — the shared tail
-        of every removal path (failure, quarantine, retirement, park).
+        of every removal path (failure, quarantine, retirement).
         The rings die with the worker: its cursors and delta base are
         untrustworthy now, and a replacement starts from fresh rings
         and a full-snapshot first task."""
@@ -270,20 +269,11 @@ class WorkerPool:
         worker.close_rings()
 
     def _admit_due(self):
-        """Respawn quarantined slots whose backoff has expired.
-
-        A slot the autoscaler shrank past stays out: readmitting a
-        quarantined worker over ``autoscale_target`` would have the
-        supervisor fighting the scaling policy (its backoff keeps
-        ticking, so the slot remains due once the target rises).
-        """
+        """Respawn quarantined slots whose backoff has expired."""
         if self._closed:
             return
         for slot in self.supervisor.due_readmissions():
             if self._workers[slot] is not None:
-                continue
-            if self.autoscale_target is not None \
-                    and self.active_workers >= self.autoscale_target:
                 continue
             if self.supervisor.authorize_readmission(slot):
                 self.stats.workers_respawned += 1
@@ -298,87 +288,7 @@ class WorkerPool:
         if self._closed:
             return False
         self._admit_due()
-        return self.supervisor.speculation_allowed(
-            self.active_workers, parked=len(self._parked))
-
-    # -- elastic membership --------------------------------------------------
-
-    def grow(self, n=1):
-        """Bring up to ``n`` more live workers online; returns how many
-        actually started. Parked slots are refilled first (lowest index
-        — slot numbering stays dense), then fresh slots are appended.
-        A grown worker needs no special bootstrap: its delta base is
-        empty, so its first task ships a full state snapshot — the
-        delta protocol's standing fallback."""
-        added = 0
-        for __ in range(max(0, n)):
-            if self._closed:
-                break
-            if self._parked:
-                index = min(self._parked)
-                self._parked.discard(index)
-                self._workers[index] = self._spawn(index)
-            else:
-                index = len(self._workers)
-                self._workers.append(self._spawn(index))
-            self.stats.workers_grown += 1
-            added += 1
-        return added
-
-    def retire(self, n=1):
-        """Park up to ``n`` live workers; returns how many were parked.
-
-        Victims are the idlest first (fewest in-flight tasks, highest
-        index breaking ties), so a shrink usually costs nothing. A
-        parked worker goes through the same teardown as a retirement —
-        process killed, pipe closed, rings closed, slot emptied — but
-        carries no supervision penalty, and its in-flight tasks are
-        absorbed as :data:`TASK_STALE` outcomes (never executed as far
-        as the engine is concerned: the targets stay uncovered and are
-        re-dispatched if still predicted).
-        """
-        parked = 0
-        for __ in range(max(0, n)):
-            live = self._live()
-            if not live:
-                break
-            worker = min(live, key=lambda w: (len(w.inflight), -w.index))
-            self._deferred.extend(self._park_worker(worker))
-            parked += 1
-        return parked
-
-    def _park_worker(self, worker):
-        outcomes = []
-        now = time.monotonic()
-        for task in worker.inflight:
-            self.stats.tasks_parked += 1
-            outcomes.append(TaskOutcome(task, TASK_STALE,
-                                        duration=now - task.dispatch_time))
-        worker.inflight.clear()
-        # Politeness first: an idle worker blocked on its pipe exits on
-        # the shutdown frame before the teardown kill lands.
-        try:
-            worker.conn.send_bytes(wire.encode_shutdown())
-        except (OSError, ValueError, BrokenPipeError):
-            pass
-        self._teardown_worker(worker)
-        self._workers[worker.index] = None
-        self._parked.add(worker.index)
-        self.stats.workers_parked += 1
-        return outcomes
-
-    def resize(self, target):
-        """Steer the live worker count toward ``target``; returns
-        ``(grown, parked)``. Records the target so quarantine
-        readmissions do not refill slots the policy shrank away."""
-        target = max(0, int(target))
-        self.autoscale_target = target
-        active = self.active_workers
-        if target > active:
-            return self.grow(target - active), 0
-        if target < active:
-            return 0, self.retire(active - target)
-        return 0, 0
+        return self.supervisor.speculation_allowed(self.active_workers)
 
     def quiesce(self, timeout=5.0):
         """Absorb every in-flight task so the pool can be reused.
@@ -444,11 +354,6 @@ class WorkerPool:
         """Slots currently holding a live worker."""
         return len(self._live())
 
-    @property
-    def parked_workers(self):
-        """Slots the autoscaler has deliberately shrunk away."""
-        return len(self._parked)
-
     def idle_slots(self):
         """How many more tasks :meth:`submit` would accept right now."""
         depth = self.config.queue_depth
@@ -458,7 +363,7 @@ class WorkerPool:
         """Dispatched tasks whose outcome the caller has not seen yet.
 
         Counts deferred outcomes (produced outside :meth:`poll` — a
-        park absorbing in-flight tasks, a send failure at submit time)
+        send failure at submit time)
         as still in flight: a drain loop keyed on this must not stop
         while undelivered outcomes sit in the queue, and ``quiesce``
         must not let them leak into the next job's poll."""

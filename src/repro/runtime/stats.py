@@ -26,12 +26,6 @@ class RuntimeStats:
         self.tasks_timed_out = 0
         self.tasks_crashed = 0
         self.workers_respawned = 0
-        # -- elastic autoscaling (runtime/autoscaler.py) ---------------
-        self.autoscale_resizes = 0  # boundary decisions actually applied
-        self.workers_grown = 0  # slots added/refilled by the autoscaler
-        self.workers_parked = 0  # live slots deliberately shrunk away
-        self.tasks_parked = 0  # in-flight tasks absorbed by a park
-        self.autoscale_decisions = []  # per-policy decision dicts
         # -- transport accounting --------------------------------------
         # bytes_sent/bytes_received are *physical pipe bytes*: every
         # frame actually written to / read from a pipe, in both
@@ -91,8 +85,6 @@ class RuntimeStats:
     def as_dict(self):
         out = dict(self.__dict__)
         out["incidents"] = [dict(i) for i in self.incidents]
-        out["autoscale_decisions"] = [dict(d)
-                                      for d in self.autoscale_decisions]
         return out
 
     # -- per-job accounting on a shared pool ---------------------------------
@@ -107,7 +99,6 @@ class RuntimeStats:
         out = {key: value for key, value in self.__dict__.items()
                if isinstance(value, (int, float))}
         out["n_incidents"] = len(self.incidents)
-        out["n_autoscale_decisions"] = len(self.autoscale_decisions)
         return out
 
     def delta_since(self, snapshot):
@@ -118,9 +109,6 @@ class RuntimeStats:
                  for key, value in current.items()}
         delta["incidents"] = [dict(i) for i in
                               self.incidents[snapshot.get("n_incidents", 0):]]
-        delta["autoscale_decisions"] = [
-            dict(d) for d in self.autoscale_decisions[
-                snapshot.get("n_autoscale_decisions", 0):]]
         return delta
 
     def __repr__(self):

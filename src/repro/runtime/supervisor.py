@@ -187,7 +187,7 @@ class Supervisor:
 
     # -- degradation ladder --------------------------------------------------
 
-    def speculation_allowed(self, active_count, parked=0):
+    def speculation_allowed(self, active_count):
         """May the engine dispatch speculations right now?
 
         Full pool → shrunken pool → sequential → re-enable: below the
@@ -195,18 +195,10 @@ class Supervisor:
         sequential execution; once capacity returns, speculation stays
         off for ``degrade_cooldown_seconds`` more (so a flapping pool
         cannot thrash the scheduler), then re-enables.
-
-        ``parked`` counts slots the autoscaler shrank *on purpose*.
-        Capacity that was chosen away is not a failure: dispatch still
-        stops below the floor, but without degradation accounting or
-        cooldown debt — the moment the policy regrows the pool,
-        speculation resumes at the very next boundary.
         """
         floor = max(1, self.config.min_active_workers)
         now = self._clock()
         if active_count < floor:
-            if active_count + parked >= floor:
-                return False
             if not self._degraded:
                 self._degraded = True
                 self.stats.pool_degradations += 1

@@ -124,13 +124,9 @@ class ServeConfig(Settings):
                 help="shutdown grace for running jobs before interrupt"),
         # What every job's RuntimeConfig takes from the service: the
         # instruction limit is a per-job default (the submit option
-        # overrides). Autoscaling, when on, lets each job's engine
-        # shrink its pool below the lease width — the freed workers
-        # return to the shared budget, so other warm namespaces can
-        # admit jobs sooner. The lease width stays the per-pool ceiling.
+        # overrides).
         RuntimeConfig.FIELDS["max_instructions"],
         RuntimeConfig.FIELDS["task_timeout_seconds"],
-        RuntimeConfig.FIELDS["autoscale"],
     )
 
     def _finish(self):

@@ -892,26 +892,16 @@ class SpeculationDaemon:
                     self._job_threads[job.job_id] = thread
                 thread.start()
 
-    @staticmethod
-    def _lease_workers(lease):
-        """Live worker count charged against the budget. An autoscaled
-        pool that shrank below its lease width only occupies the slots
-        it actually kept — the difference is free budget other
-        namespaces can admit against. Reading ``active_workers`` from
-        the daemon thread races a job-thread resize benignly: it is an
-        admission heuristic, and the lease width stays the ceiling."""
-        if lease.pool is not None:
-            return lease.pool.active_workers
-        return lease.n_workers
-
     def _runnable(self, job):
-        """Resource-manager veto, called under the daemon lock."""
+        """Resource-manager veto, called under the daemon lock. Every
+        lease is charged the width it was admitted at, not its live
+        count: a quarantined slot comes back when its backoff expires,
+        so the budget it was admitted under stays spent."""
         lease = self._pools.get(job.namespace)
         if lease is not None:
             return not lease.busy  # same image serializes on its pool
         needed = self._job_workers(job)
-        committed = sum(self._lease_workers(l)
-                        for l in self._pools.values() if l.busy)
+        committed = sum(l.n_workers for l in self._pools.values() if l.busy)
         return committed + needed <= self.config.worker_budget
 
     @staticmethod
@@ -933,13 +923,13 @@ class SpeculationDaemon:
             return lease
         needed = self._job_workers(job)
         # Retire idle pools LRU until the new one fits the budget.
-        total = sum(self._lease_workers(l) for l in self._pools.values())
+        total = sum(l.n_workers for l in self._pools.values())
         idle = sorted((l for l in self._pools.values() if not l.busy),
                       key=lambda l: l.last_used)
         while total + needed > self.config.worker_budget and idle:
             victim = idle.pop(0)
             del self._pools[victim.namespace]
-            total -= self._lease_workers(victim)
+            total -= victim.n_workers
             if victim.pool is not None:
                 victim.pool.shutdown()
             self.pools_retired += 1
@@ -962,15 +952,9 @@ class SpeculationDaemon:
             max_instructions=(options.max_instructions
                               or self.config.max_instructions))
         if not degraded:
-            # The lease width is the autoscaler's ceiling: a job may
-            # shrink its pool (returning budget to other namespaces)
-            # but never grow past what the resource manager admitted
-            # it at.
             runtime = runtime.replace(
                 superstep_scale=options.superstep_scale,
-                inflight_wait_bias=options.inflight_wait_bias,
-                autoscale=self.config.autoscale,
-                autoscale_max_workers=lease.n_workers)
+                inflight_wait_bias=options.inflight_wait_bias)
         return (options, EngineConfig.from_options(options.engine or {}),
                 runtime, VerifyConfig.from_options(options.verify_rate,
                                                    options.strict_verify))
@@ -1211,7 +1195,7 @@ class SpeculationDaemon:
                 degraded=self.jobs_degraded)
             report.update(
                 worker_budget=self.config.worker_budget,
-                workers_committed=sum(self._lease_workers(l)
+                workers_committed=sum(l.n_workers
                                       for l in self._pools.values()),
                 connections_accepted=self.connections_accepted,
                 requests_served=self.requests_served,
@@ -1223,7 +1207,8 @@ class SpeculationDaemon:
                     "namespace": lease.namespace,
                     "program": lease.program_name,
                     "workers": lease.n_workers,
-                    "live_workers": self._lease_workers(lease),
+                    "live_workers": (0 if lease.pool is None
+                                     else lease.pool.active_workers),
                     "busy": lease.busy,
                     "jobs_served": lease.jobs_served,
                     "idle_seconds": (0.0 if lease.busy

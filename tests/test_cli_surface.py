@@ -116,7 +116,6 @@ _SERVE_LINE = {
     "--fd-headroom": ("min_fd_headroom", 3),
     "--max-queued-jobs": ("max_queued_jobs", 6),
     "--fault-plan": ("fault_plan", "seed=7,disk_full=2"),
-    "--autoscale": ("autoscale", "react"),
 }
 
 _RUN_LINE = {
@@ -125,7 +124,6 @@ _RUN_LINE = {
     "--max-instructions": ("max_instructions", 777),
     "--fault-plan": ("fault_plan", "seed=3,kill=1"),
     "--worker-rlimit-as": ("worker_rlimit_as_bytes", 1 << 30),
-    "--autoscale": ("autoscale", "react"),
 }
 
 _SUBMIT_LINE = {

@@ -514,6 +514,45 @@ class TestResourceManager:
         finally:
             daemon.close()
 
+    def test_budget_charges_admitted_width_not_live_workers(self, tmp_path,
+                                                            collatz):
+        """A quarantined slot comes back when its backoff expires, so a
+        pool that has lost one stays charged its whole lease: admitting
+        against the freed slot would overcommit the budget."""
+        class OneSlotQuarantined:
+            active_workers = 1  # of a 2-wide lease
+            closed = False
+
+            def shutdown(self):
+                self.closed = True
+
+        config = ServeConfig(socket_path=str(tmp_path / "r.sock"),
+                             worker_budget=3, workers_per_job=2)
+        daemon = SpeculationDaemon(config)
+        try:
+            busy = _PoolLease("f" * 16, "other", 2)
+            busy.pool = OneSlotQuarantined()
+            daemon._pools[busy.namespace] = busy
+            job = type("J", (), {"namespace": "e" * 16,
+                                 "options": {},
+                                 "program": collatz.program,
+                                 "program_name": "collatz"})()
+            assert not daemon._runnable(job)  # 2 + 2 > 3
+            stats = daemon.stats_dict()
+            assert stats["workers_committed"] == 2
+            assert [(row["workers"], row["live_workers"])
+                    for row in stats["pools"]] == [(2, 1)]
+            # Once idle, the lease is charged 2 when the new pool is
+            # fitted, so it is retired to make room.
+            busy.busy = False
+            assert daemon._runnable(job)
+            lease = daemon._acquire_lease(job)
+            assert busy.pool.closed
+            assert list(daemon._pools) == [lease.namespace]
+            assert daemon.pools_retired == 1
+        finally:
+            daemon.close()
+
 
 class TestDegradedMode:
     def test_selfcheck_flips_to_degraded_and_jobs_still_run(self, tmp_path,
