@@ -35,6 +35,13 @@ per-block work done once:
   header still equals the fixed point the variant last produced. That
   update includes the block-entry EIP read, so :meth:`Block.recover`
   applies the EIP read itself on the fault path.
+* Every variant reuses what the block has already proved
+  (:func:`_plan_block`): a load of an ``(address, width)`` the block
+  stored or loaded, with no store between that may alias it, takes the
+  value from a local; a bounds or code-write check the same name
+  already passed is dropped; and a flag write computes only the ``fl``
+  bits read before the next one (all of them when a fault site or the
+  block exit comes first).
 * Blocks a break set keeps running are promoted by measured heat
   (:data:`HOT_RUNS`) into that break set's :class:`Region`: one
   function per variant that dispatches on EIP among its member blocks
@@ -192,6 +199,25 @@ _COND_SRC = {
     Op.SETB: "fl & 1",
     Op.SETA: "not fl & 3",
 }
+
+
+#: The ``fl`` bits: CF, and all four (CF=1, ZF=2, SF=4, OF=8).
+_CF = 1
+_ALL_FLAGS = 15
+
+#: The ``fl`` bits each condition of :data:`_COND_SRC` reads.
+_COND_READS = {op: bits for ops, bits in (
+    ((Op.JZ, Op.JNZ, Op.SETZ, Op.SETNZ), 2),
+    ((Op.JL, Op.JGE, Op.SETL, Op.SETGE), 12),
+    ((Op.JLE, Op.JG, Op.SETLE, Op.SETG), 14),
+    ((Op.JB, Op.JAE, Op.SETB), 1),
+    ((Op.JBE, Op.JA, Op.SETA), 3),
+    ((Op.JS, Op.JNS), 4),
+    ((Op.JO, Op.JNO), 8)) for op in ops}
+
+
+#: The ZF and SF terms of a flag write whose result is ``_r``.
+_ZF_SF = [(2, "(2 if _r == 0 else 0)"), (4, "((_r >> 29) & 4)")]
 
 
 def _ea_regs(mode, rb):
@@ -369,16 +395,24 @@ class _Emitter:
         self.dep = dep
         self.code_reads = code_reads
         self.lines = []
-        #: Marks of the current instruction that :func:`_redundant_marks`
-        #: proved no-ops ("mem", "flags_read", "flags_write").
-        self.dropped = ()
+        #: The plan of the current instruction (:func:`_plan_block`).
+        self.step = _Step()
 
     def emit(self, line):
         self.lines.append(line)
 
     def mark(self, line, kind=None):
-        if self.dep and kind not in self.dropped:
+        if self.dep and kind not in self.step.dropped:
             self.lines.append(line)
+
+    def flags(self, terms, pad="        "):
+        """Emit ``fl = ...`` for a flag write from its ``(bits,
+        expression)`` terms, keeping those with a live bit; a bit no term
+        covers is 0. Nothing when no bit is live."""
+        live = self.step.live
+        if live:
+            kept = [expr for bits, expr in terms if bits & live]
+            self.lines.append(pad + "fl = " + (" | ".join(kept) or "0"))
 
     def mem_mark(self, width, write):
         """Mark the access of ``width`` (1 or 4) bytes at ``g[_o]``."""
@@ -406,47 +440,123 @@ def _ea_value(values, mode, rb, imm):
     return root, (off + imm) & _M
 
 
-def _redundant_marks(instrs):
-    """Per instruction, the dependency marks a tracking variant may drop.
+def _may_alias(key, other):
+    """Whether a store at ``key`` may change bytes of ``other`` (both
+    ``((root, offset), width)``): a different root may name any
+    address; the same root names addresses exactly the offsets apart
+    (mod 2**32), so those bytes overlap only if the offsets do."""
+    (root, off), width = key
+    (other_root, other_off), other_width = other
+    return (root != other_root or (other_off - off) & _M < width
+            or (off - other_off) & _M < other_width)
+
+
+class _Step:
+    """The plan of one instruction of a block (see :func:`_plan_block`).
+
+    ``dropped``: marks a tracking variant may omit ("mem",
+    "flags_read", "flags_write"); ``elided``: bounds ("segv") and
+    code-write ("code") checks an earlier check of the block already
+    passed; ``faults``: whether the instruction keeps a fault site;
+    ``source``: for a forwarded load, the value read — an int, or the
+    local that holds it; ``save``: the local this access must copy its
+    value to for a later forwarded load; ``live``: for an unconditional
+    flag write, the ``fl`` bits something can observe before the next.
+    """
+
+    __slots__ = ("dropped", "elided", "faults", "source", "save", "live")
+
+    def __init__(self):
+        self.dropped = set()
+        self.elided = set()
+        self.faults = False
+        self.source = None
+        self.save = None
+        self.live = _ALL_FLAGS
+
+
+def _plan_block(instrs):
+    """What every variant of a block may leave out: one symbolic walk.
 
     Each register's value is named ``(root, offset mod 2**32)``: the
-    entry value of register k is root ``k``; ``ADD_RI`` / ``SUB_RI``,
-    ``MOV_RR``, ``LEA`` and the stack-pointer moves of push / pop / call
-    / ret keep a root; any other write makes a fresh one. Equal names are
-    equal values, so two accesses with the same ``(address, width)`` name
-    touch the same bytes. A memory read is dropped when an earlier mark
-    of the block hit its ``(address, width)``, a write when an earlier
-    write did; an EFLAGS read after any flag mark, a write after an
-    unconditional one (shifts by a register count write conditionally
-    and license nothing). Sound for any ``g`` at block entry: the FSM
-    never returns a byte to NULL nor a written byte below WRITTEN, and
-    the mark that makes a dropped one a no-op ran earlier in the same
-    straight-line execution — if a fault came first, nothing after it
-    runs.
+    entry value of register k is root ``k``, a constant is root
+    ``None``; ``ADD_RI`` / ``SUB_RI``, ``MOV_RR``, ``LEA`` and the
+    stack-pointer moves of push / pop / call / ret keep a root; any
+    other write makes a fresh one. Equal names are equal values, so two
+    accesses with the same ``(address, width)`` name touch the same
+    bytes. The walk decides, per instruction (a :class:`_Step`):
+
+    * **Marks.** A memory read mark is dropped when an earlier mark of
+      the block hit its ``(address, width)``, a write when an earlier
+      write did; an EFLAGS read after any flag mark, a write after an
+      unconditional one (shifts by a register count write conditionally
+      and license nothing). Sound for any ``g`` at block entry: the FSM
+      never returns a byte to NULL nor a written byte below WRITTEN, and
+      the mark that makes a dropped one a no-op ran earlier in the same
+      straight-line execution — if a fault came first, nothing after it
+      runs.
+    * **Checks.** A bounds or code-write check of an ``(address,
+      width)`` name that an earlier access of the block passed is
+      elided: same value, same verdict.
+    * **Forwarding.** The block's memory contents are known where it
+      stored or loaded them: ``(address, width) -> value name`` (a byte
+      is the name's value mod 256). A store forgets every entry it may
+      alias (:func:`_may_alias`); a load of a known entry takes its value
+      from a constant, a register holding that name, or a local the
+      earlier access saved it to.
+    * **Flag liveness** (a backward pass): the ``fl`` bits an
+      unconditional flag write must compute are those read before the
+      next unconditional write; a fault site or the block exit reads
+      them all (:meth:`Block.recover` and every block exit flush ``fl``).
+
+    DESIGN.md §7 carries the soundness argument.
     """
     values = {r: (r, 0) for r in range(8)}
     marked, written = set(), set()
     flags_marked = flags_written = False
+    passed = set()     # (check kind, address name, width)
+    contents = {}      # (address name, width) -> (value name, origin step)
     plan = []
     for __, op, mode, ra, rb, imm in instrs:
-        dropped = set()
-        access = None
+        step = _Step()
+        dropped = step.dropped
+        key = None
         move = _STACK_MOVES.get(op)
         if op in _LOADS or op in _STORES:
             width = 4 if op in (Op.LOAD, Op.STORE) else 1
-            access = (_ea_value(values, mode, rb, imm), width), op in _STORES
+            key, write = (_ea_value(values, mode, rb, imm), width), \
+                op in _STORES
+            stored = values[ra] if write else None
         elif move:
             root, off = values[_ESP]
-            values[_ESP] = (root, (off + move) & _M)
+            top = (root, (off + move) & _M)
             # push / call store at the new top, pop / ret load the old.
-            access = (values[_ESP] if move < 0 else (root, off), 4), move < 0
-        if access:
-            key, write = access
+            key, write = (top if move < 0 else (root, off), 4), move < 0
+            stored = (values[ra] if op is Op.PUSH_R
+                      else (None, imm & _M) if op is Op.PUSH_I else None)
+        if key:
             if key in (written if write else marked):
                 dropped.add("mem")
             marked.add(key)
             if write:
                 written.add(key)
+            checks = ("segv", "code") if write else ("segv",)
+            step.elided = {kind for kind in checks
+                           if (kind,) + key in passed}
+            passed.update((kind,) + key for kind in checks)
+            step.faults = len(step.elided) < len(checks)
+            if write:
+                for other in [k for k in contents if _may_alias(key, k)]:
+                    del contents[other]
+                if stored is not None:
+                    contents[key] = (stored, step)
+            elif key in contents:
+                name, origin = contents[key]
+                step.source = _locate(values, name, origin, len(plan))
+        elif op in (Op.IDIV_R, Op.UDIV_R):
+            step.faults = True
+        if move:
+            values[_ESP] = top
         if op in _READS_FLAGS:
             if flags_marked:
                 dropped.add("flags_read")
@@ -473,8 +583,44 @@ def _redundant_marks(instrs):
                     values[reg] = (object(), 0)
             if op is Op.POP_R:
                 values[ra] = (object(), 0)
-        plan.append(dropped)
+        if key and not write and op is not Op.RET and key not in contents:
+            contents[key] = (values[ra], step)
+        plan.append(step)
+    live = _ALL_FLAGS
+    for step, instr in zip(reversed(plan), reversed(instrs)):
+        op, imm = instr[1], instr[5]
+        if step.faults:
+            live = _ALL_FLAGS
+        elif op in _WRITES_FLAGS or (op in _RI_SHIFTS and imm & 31):
+            step.live = live
+            live = (_CF if op in (Op.ADC_RR, Op.SBB_RR)
+                    else live & _CF if op in (Op.INC_R, Op.DEC_R) else 0)
+        elif op in _MAYBE_WRITES_FLAGS and op not in _RI_SHIFTS:
+            live = _ALL_FLAGS  # a zero count leaves every bit as it was
+        elif op in _READS_FLAGS:
+            live |= _COND_READS[op]
     return plan
+
+
+def _locate(values, name, origin, index):
+    """Where a forwarded load finds the value named ``name``: the
+    constant, a register that holds it now, or the local ``origin``
+    saves it to."""
+    root, off = name
+    if root is None:
+        return off
+    for reg in range(8):
+        if values[reg] == name:
+            return "r%d" % reg
+    if origin.save is None:
+        origin.save = "_s%d" % index
+    return origin.save
+
+
+def _redundant_marks(instrs):
+    """Per instruction, the dependency marks a tracking variant may drop
+    (the ``dropped`` sets of :func:`_plan_block`)."""
+    return [step.dropped for step in _plan_block(instrs)]
 
 
 class BlockTranslator:
@@ -576,40 +722,39 @@ class BlockTranslator:
     def _emit_flags_write(self, w):
         w.mark("        g[%d] |= 2" % EFLAGS_OFF, "flags_write")
 
-    def _emit_mem_check(self, w, ea, width, store):
-        w.emit("        if %s < %d or %s > %d: _sv(%s, %d)"
-               % (ea, RESERVED_LOW, ea, self.mem_size - width, ea, width))
-        if store:
+    def _emit_access(self, w, ea, width, store):
+        """Emit the checks the plan keeps for an access of ``width``
+        bytes at the address expression ``ea``, then ``_o``, its offset
+        in ``buf``."""
+        elided = w.step.elided
+        segv = "segv" not in elided
+        code = store and "code" not in elided
+        if not ea.isidentifier():
+            if segv or code:
+                w.emit("        _ea = %s" % ea)
+                ea = "_ea"
+            else:
+                ea = "(%s)" % ea
+        if segv:
+            w.emit("        if %s < %d or %s > %d: _sv(%s, %d)"
+                   % (ea, RESERVED_LOW, ea, self.mem_size - width, ea,
+                      width))
+        if code:
             w.emit("        if %d <= %s < %d: _cw(%s, %d)"
                    % (self.code_lo, ea, self.code_hi, ea, width))
+        w.emit("        _o = %s + %d" % (ea, MEM_OFF))
 
-    def _emit_arith_flags(self, w, kind, a, b, res="_r", t="_t"):
-        """Emit ``fl = ...`` for an ALU result (CF=1 ZF=2 SF=4 OF=8)."""
-        zf_sf = "(2 if %s == 0 else 0) | ((%s >> 29) & 4)" % (res, res)
-        if kind == "add":
-            cf = "(1 if %s > %d else 0)" % (t, _M)
-            of = "(8 if ~(%s ^ %s) & (%s ^ %s) & %d else 0)" % (
-                a, b, a, res, 0x80000000)
-            w.emit("        fl = %s | %s | %s" % (cf, zf_sf, of))
-        elif kind == "sub":
-            cf = "(1 if %s > %s else 0)" % (b, a)
-            of = "(8 if (%s ^ %s) & (%s ^ %s) & %d else 0)" % (
-                a, b, a, res, 0x80000000)
-            w.emit("        fl = %s | %s | %s" % (cf, zf_sf, of))
-        elif kind == "logic":
-            w.emit("        fl = %s" % zf_sf)
-        else:
-            raise MachineError("unknown flag kind %r" % (kind,))
-
-    def _emit_instr(self, w, index, instr, faultable):
+    def _emit_instr(self, w, index, instr):
         addr, op, mode, ra, rb, imm = instr
         A = "r%d" % ra
         B = "r%d" % rb
+        step = w.step
+        live = step.live
         if w.code_reads:
             code = "g[%d:%d]" % (MEM_OFF + addr, MEM_OFF + addr + 8)
             w.mark("        if 0 in %s: %s = %s.translate(_RD)"
                    % (code, code, code))
-        if faultable:
+        if step.faults:
             w.emit("        _pc = %d" % index)
 
         if op is Op.NOP:
@@ -619,28 +764,48 @@ class BlockTranslator:
         elif op is Op.MOV_RI:
             w.emit("        %s = %d" % (A, imm & _M))
         elif op in _LOADS:
-            width = 4 if op is Op.LOAD else 1
-            w.emit("        _ea = %s" % self._ea_src(mode, rb, imm))
-            self._emit_mem_check(w, "_ea", width, store=False)
-            w.emit("        _o = _ea + %d" % MEM_OFF)
-            w.mem_mark(width, write=False)
+            # A forwarded load's mark is always dropped: its address was
+            # marked by the access that left the value it reads.
+            source = step.source
             if op is Op.LOAD:
-                w.emit("        %s, = u32(buf, _o)" % A)
-            elif op is Op.LOAD8U:
-                w.emit("        %s = buf[_o]" % A)
-            else:  # LOAD8S
-                w.emit("        _v = buf[_o]")
-                w.emit("        %s = _v | 4294967040 if _v & 128 else _v" % A)
+                if source is None:
+                    self._emit_access(w, self._ea_src(mode, rb, imm), 4,
+                                      store=False)
+                    w.mem_mark(4, write=False)
+                    w.emit("        %s, = u32(buf, _o)" % A)
+                elif source != A:
+                    w.emit("        %s = %s" % (A, source))
+            else:
+                if source is None:
+                    self._emit_access(w, self._ea_src(mode, rb, imm), 1,
+                                      store=False)
+                    w.mem_mark(1, write=False)
+                    byte = "buf[_o]"
+                elif isinstance(source, int):
+                    byte = source & 255
+                    if op is Op.LOAD8S and byte & 128:
+                        byte |= 4294967040
+                else:
+                    byte = "%s & 255" % source
+                if op is Op.LOAD8U or isinstance(byte, int):
+                    w.emit("        %s = %s" % (A, byte))
+                else:  # LOAD8S
+                    w.emit("        _v = %s" % byte)
+                    w.emit("        %s = _v | 4294967040 if _v & 128 else _v"
+                           % A)
+            if step.save:
+                w.emit("        %s = %s" % (step.save, A))
         elif op in _STORES:
             width = 4 if op is Op.STORE else 1
-            w.emit("        _ea = %s" % self._ea_src(mode, rb, imm))
-            self._emit_mem_check(w, "_ea", width, store=True)
-            w.emit("        _o = _ea + %d" % MEM_OFF)
+            self._emit_access(w, self._ea_src(mode, rb, imm), width,
+                              store=True)
             if op is Op.STORE:
                 w.emit("        p32(buf, _o, %s)" % A)
             else:
                 w.emit("        buf[_o] = %s & 255" % A)
             w.mem_mark(width, write=True)
+            if step.save:
+                w.emit("        %s = %s" % (step.save, A))
         elif op is Op.LEA:
             w.emit("        %s = %s" % (A, self._ea_src(mode, rb, imm)))
         elif op in (Op.PUSH_R, Op.PUSH_I):
@@ -649,31 +814,50 @@ class BlockTranslator:
                 w.emit("        _v = r4")
                 value = "_v"
             w.emit("        r4 = (r4 - 4) & %d" % _M)
-            self._emit_mem_check(w, "r4", 4, store=True)
-            w.emit("        _o = r4 + %d" % MEM_OFF)
+            self._emit_access(w, "r4", 4, store=True)
             w.emit("        p32(buf, _o, %s)" % value)
             w.mem_mark(4, write=True)
+            if step.save:
+                w.emit("        %s = %s" % (step.save, value))
         elif op is Op.POP_R:
-            self._emit_mem_check(w, "r4", 4, store=False)
-            w.emit("        _o = r4 + %d" % MEM_OFF)
-            w.mem_mark(4, write=False)
-            w.emit("        _v, = u32(buf, _o)")
-            w.emit("        r4 = (r4 + 4) & %d" % _M)
-            w.emit("        %s = _v" % A)
+            if step.source is not None:
+                if ra != _ESP and step.source != A:
+                    w.emit("        %s = %s" % (A, step.source))
+                w.emit("        r4 = %s" % (step.source if ra == _ESP else
+                                            "(r4 + 4) & %d" % _M))
+            else:
+                self._emit_access(w, "r4", 4, store=False)
+                w.mem_mark(4, write=False)
+                w.emit("        _v, = u32(buf, _o)")
+                w.emit("        r4 = (r4 + 4) & %d" % _M)
+                w.emit("        %s = _v" % A)
+            if step.save:
+                w.emit("        %s = %s" % (step.save, A))
         elif op is Op.XCHG:
             if ra != rb:
                 w.emit("        %s, %s = %s, %s" % (A, B, B, A))
         elif op in (Op.ADD_RR, Op.ADD_RI):
             b = B if op is Op.ADD_RR else repr(imm & _M)
-            w.emit("        _t = %s + %s" % (A, b))
-            w.emit("        _r = _t & %d" % _M)
-            self._emit_arith_flags(w, "add", A, b)
+            if live & _CF:
+                w.emit("        _t = %s + %s" % (A, b))
+                w.emit("        _r = _t & %d" % _M)
+            else:
+                w.emit("        _r = (%s + %s) & %d" % (A, b, _M))
+            w.flags([(1, "(1 if _t > %d else 0)" % _M)] + _ZF_SF + [
+                (8, "(8 if ~(%s ^ %s) & (%s ^ _r) & 2147483648 else 0)"
+                 % (A, b, A))])
             self._emit_flags_write(w)
             w.emit("        %s = _r" % A)
         elif op in (Op.SUB_RR, Op.SUB_RI, Op.CMP_RR, Op.CMP_RI):
             b = B if op in (Op.SUB_RR, Op.CMP_RR) else repr(imm & _M)
-            w.emit("        _r = (%s - %s) & %d" % (A, b, _M))
-            self._emit_arith_flags(w, "sub", A, b)
+            zf_sf = _ZF_SF
+            if op in (Op.SUB_RR, Op.SUB_RI) or live & 12:
+                w.emit("        _r = (%s - %s) & %d" % (A, b, _M))
+            else:  # a compare whose SF and OF nobody reads
+                zf_sf = [(2, "(2 if %s == %s else 0)" % (A, b))]
+            w.flags([(1, "(1 if %s > %s else 0)" % (b, A))] + zf_sf + [
+                (8, "(8 if (%s ^ %s) & (%s ^ _r) & 2147483648 else 0)"
+                 % (A, b, A))])
             self._emit_flags_write(w)
             if op in (Op.SUB_RR, Op.SUB_RI):
                 w.emit("        %s = _r" % A)
@@ -682,24 +866,24 @@ class BlockTranslator:
             w.emit("        _ci = fl & 1")
             w.emit("        _t = %s + %s + _ci" % (A, B))
             w.emit("        _r = _t & %d" % _M)
-            w.emit("        _ss = (%s - 4294967296 if %s & 2147483648 else %s)"
-                   " + (%s - 4294967296 if %s & 2147483648 else %s) + _ci"
-                   % (A, A, A, B, B, B))
-            w.emit("        fl = (1 if _t > %d else 0) | (2 if _r == 0 else 0)"
-                   " | ((_r >> 29) & 4)"
-                   " | (0 if -2147483648 <= _ss < 2147483648 else 8)" % _M)
+            if live & 8:
+                w.emit("        _ss = (%s - 4294967296 if %s & 2147483648"
+                       " else %s) + (%s - 4294967296 if %s & 2147483648"
+                       " else %s) + _ci" % (A, A, A, B, B, B))
+            w.flags([(1, "(1 if _t > %d else 0)" % _M)] + _ZF_SF + [
+                (8, "(0 if -2147483648 <= _ss < 2147483648 else 8)")])
             self._emit_flags_write(w)
             w.emit("        %s = _r" % A)
         elif op is Op.SBB_RR:
             self._emit_flags_read(w)
             w.emit("        _ci = fl & 1")
             w.emit("        _r = (%s - %s - _ci) & %d" % (A, B, _M))
-            w.emit("        _sd = (%s - 4294967296 if %s & 2147483648 else %s)"
-                   " - (%s - 4294967296 if %s & 2147483648 else %s) - _ci"
-                   % (A, A, A, B, B, B))
-            w.emit("        fl = (1 if %s < %s + _ci else 0)"
-                   " | (2 if _r == 0 else 0) | ((_r >> 29) & 4)"
-                   " | (0 if -2147483648 <= _sd < 2147483648 else 8)" % (A, B))
+            if live & 8:
+                w.emit("        _sd = (%s - 4294967296 if %s & 2147483648"
+                       " else %s) - (%s - 4294967296 if %s & 2147483648"
+                       " else %s) - _ci" % (A, A, A, B, B, B))
+            w.flags([(1, "(1 if %s < %s + _ci else 0)" % (A, B))] + _ZF_SF + [
+                (8, "(0 if -2147483648 <= _sd < 2147483648 else 8)")])
             self._emit_flags_write(w)
             w.emit("        %s = _r" % A)
         elif op in (Op.IMUL_RR, Op.IMUL_RI):
@@ -713,8 +897,8 @@ class BlockTranslator:
                    % (A, A, A))
             w.emit("        _f = _sa * %s" % sb)
             w.emit("        _r = _f & %d" % _M)
-            w.emit("        fl = (0 if -2147483648 <= _f < 2147483648 else 9)"
-                   " | (2 if _r == 0 else 0) | ((_r >> 29) & 4)")
+            w.flags([(9, "(0 if -2147483648 <= _f < 2147483648 else 9)")]
+                    + _ZF_SF)
             self._emit_flags_write(w)
             w.emit("        %s = _r" % A)
         elif op in (Op.IDIV_R, Op.UDIV_R):
@@ -741,15 +925,14 @@ class BlockTranslator:
             delta = "+ 1" if op is Op.INC_R else "- 1"
             edge = 0x7FFFFFFF if op is Op.INC_R else 0x80000000
             w.emit("        _r = (%s %s) & %d" % (A, delta, _M))
-            w.emit("        fl = (fl & 1) | (2 if _r == 0 else 0)"
-                   " | ((_r >> 29) & 4) | (8 if %s == %d else 0)" % (A, edge))
+            w.flags([(1, "(fl & 1)")] + _ZF_SF + [
+                (8, "(8 if %s == %d else 0)" % (A, edge))])
             self._emit_flags_write(w)
             w.emit("        %s = _r" % A)
         elif op is Op.NEG_R:
             w.emit("        _r = (-%s) & %d" % (A, _M))
-            w.emit("        fl = (1 if %s else 0) | (2 if _r == 0 else 0)"
-                   " | ((_r >> 29) & 4) | (8 if %s == 2147483648 else 0)"
-                   % (A, A))
+            w.flags([(1, "(1 if %s else 0)" % A)] + _ZF_SF + [
+                (8, "(8 if %s == 2147483648 else 0)" % A)])
             self._emit_flags_write(w)
             w.emit("        %s = _r" % A)
         elif op is Op.NOT_R:
@@ -759,8 +942,9 @@ class BlockTranslator:
             sym = {"AND": "&", "OR": "|", "XOR": "^", "TEST": "&"}[
                 op.name.split("_")[0]]
             b = B if op.name.endswith("RR") else repr(imm & _M)
-            w.emit("        _r = %s %s %s" % (A, sym, b))
-            self._emit_arith_flags(w, "logic", A, b)
+            if op not in (Op.TEST_RR, Op.TEST_RI) or live & 6:
+                w.emit("        _r = %s %s %s" % (A, sym, b))
+            w.flags(_ZF_SF)
             self._emit_flags_write(w)
             if op not in (Op.TEST_RR, Op.TEST_RI):
                 w.emit("        %s = _r" % A)
@@ -796,17 +980,18 @@ class BlockTranslator:
             if op is Op.CALL_R:
                 w.emit("        _tg = %s" % A)
             w.emit("        r4 = (r4 - 4) & %d" % _M)
-            self._emit_mem_check(w, "r4", 4, store=True)
-            w.emit("        _o = r4 + %d" % MEM_OFF)
+            self._emit_access(w, "r4", 4, store=True)
             w.emit("        p32(buf, _o, %d)" % ((addr + 8) & _M))
             w.mem_mark(4, write=True)
             w.emit("        _nx = %s"
                    % (repr(imm & _M) if op is Op.CALL else "_tg"))
         elif op is Op.RET:
-            self._emit_mem_check(w, "r4", 4, store=False)
-            w.emit("        _o = r4 + %d" % MEM_OFF)
-            w.mem_mark(4, write=False)
-            w.emit("        _nx, = u32(buf, _o)")
+            if step.source is not None:
+                w.emit("        _nx = %s" % step.source)
+            else:
+                self._emit_access(w, "r4", 4, store=False)
+                w.mem_mark(4, write=False)
+                w.emit("        _nx, = u32(buf, _o)")
             w.emit("        r4 = (r4 + 4) & %d" % _M)
         else:
             raise MachineError("translator cannot emit opcode %s" % (op,))
@@ -815,18 +1000,16 @@ class BlockTranslator:
         pad = " " * indent
         if kind == "SHL":
             w.emit(pad + "_r = (%s << %s) & %d" % (A, count, _M))
-            w.emit(pad + "fl = ((%s >> (32 - %s)) & 1)"
-                   " | (2 if _r == 0 else 0) | ((_r >> 29) & 4)" % (A, count))
+            cf = "((%s >> (32 - %s)) & 1)" % (A, count)
         elif kind == "SHR":
             w.emit(pad + "_r = %s >> %s" % (A, count))
-            w.emit(pad + "fl = ((%s >> (%s - 1)) & 1)"
-                   " | (2 if _r == 0 else 0) | ((_r >> 29) & 4)" % (A, count))
+            cf = "((%s >> (%s - 1)) & 1)" % (A, count)
         else:  # SAR
             w.emit(pad + "_s = %s - 4294967296 if %s & 2147483648 else %s"
                    % (A, A, A))
             w.emit(pad + "_r = (_s >> %s) & %d" % (count, _M))
-            w.emit(pad + "fl = ((_s >> (%s - 1)) & 1)"
-                   " | (2 if _r == 0 else 0) | ((_r >> 29) & 4)" % count)
+            cf = "((_s >> (%s - 1)) & 1)" % count
+        w.flags([(1, cf)] + _ZF_SF, pad)
 
     # -- whole-block assembly -------------------------------------------------
 
@@ -871,14 +1054,13 @@ class BlockTranslator:
     def _emit_body(self, block, variant, pc_base):
         """The straight-line body of one variant of ``block``: lines
         indented for a ``try`` inside a function, ending with the next
-        EIP in ``_nx``. A faultable instruction first sets ``_pc`` to
-        ``pc_base`` plus its index in the block."""
+        EIP in ``_nx``. An instruction with a fault site first sets
+        ``_pc`` to ``pc_base`` plus its index in the block."""
         body = _Emitter(variant != "base", code_reads=variant == "dep_code")
-        plan = _redundant_marks(block.instrs)
+        plan = _plan_block(block.instrs)
         for i, instr in enumerate(block.instrs):
-            body.dropped = plan[i]
-            self._emit_instr(body, pc_base + i, instr,
-                             instr[1] in _FAULTABLE)
+            body.step = plan[i]
+            self._emit_instr(body, pc_base + i, instr)
         if block.instrs[-1][1] not in _TERMINATORS:
             body.emit("        _nx = %d" % block.end)
         return body.lines
