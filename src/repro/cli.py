@@ -216,7 +216,6 @@ def _run_real_backend(program, args, checkpointer, resume_from):
         "runtime": runtime.as_dict(),
         "cache": result.cache.stats_dict(),
         "audit": result.audit,
-        "resources": result.resources,
     }
     if not args.json:
         print("%s after %d instructions in %.3fs wall "
@@ -270,8 +269,9 @@ def cmd_run(args):
             print("resumed from checkpoint at %d instructions"
                   % payload["resumed_instructions"])
         if checkpointer is not None:
-            print("checkpoints: %d written to %s"
-                  % (checkpointer.saves, checkpointer.directory))
+            print("checkpoints: %d written to %s, %d skipped (disk full)"
+                  % (checkpointer.saves, checkpointer.directory,
+                     checkpointer.skips))
     return _report(args, program, machine.state, payload)
 
 

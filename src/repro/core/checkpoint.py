@@ -25,7 +25,11 @@ Durability discipline: :func:`repro.durable.write_atomic` with
 the directory. A crash mid-write leaves only a ``.tmp`` file, which
 readers ignore; a write that *fails* (a full disk) removes it. Either
 way the previous checkpoint remains the latest valid one.
-:func:`load_latest` walks newest-to-oldest past corrupt files.
+:func:`load_latest` walks newest-to-oldest past corrupt files. A
+:class:`Checkpointer` that hits ``ENOSPC`` takes the
+:class:`repro.durable.DiskPressure` ladder: it prunes every checkpoint
+but the newest and retries once, and if the disk is still full it
+skips that checkpoint and the run goes on.
 """
 
 import json
@@ -209,7 +213,8 @@ class Checkpointer:
     ``every_instructions`` is the snapshot cadence measured in
     retired-or-fast-forwarded instructions; :meth:`maybe_save` is cheap
     to call at every superstep boundary. ``keep`` bounds disk usage by
-    pruning all but the newest N checkpoints.
+    pruning all but the newest N checkpoints. A save the disk has no
+    room for is counted in ``skips`` and costs the run nothing else.
     """
 
     def __init__(self, directory, every_instructions=1_000_000, keep=3,
@@ -228,7 +233,9 @@ class Checkpointer:
         else:
             self._sequence = 0
         self._last_saved_instructions = None
+        self.disk = durable.DiskPressure()
         self.saves = 0
+        self.skips = 0
 
     def note_resumed(self, instruction_count):
         """Anchor the cadence after a resume (don't re-save at once)."""
@@ -249,28 +256,41 @@ class Checkpointer:
         return self.save(instruction_count, state, cache=cache)
 
     def save(self, instruction_count, state, cache=None):
+        """Write the next checkpoint; returns its path, or ``None`` when
+        the disk had no room for it even after pruning (the cadence
+        still restarts here, so a full disk costs one try per period)."""
         self._sequence += 1
-        name = "%s%08d%s" % (_PREFIX, self._sequence, _SUFFIX)
-        path = write_checkpoint(
-            os.path.join(self.directory, name), state, instruction_count,
-            cache=cache, meta={"program": self.program,
-                               "sequence": self._sequence})
+        path = os.path.join(self.directory, "%s%08d%s"
+                            % (_PREFIX, self._sequence, _SUFFIX))
         self._last_saved_instructions = instruction_count
+        if not self.disk.write(
+                lambda: write_checkpoint(
+                    path, state, instruction_count, cache=cache,
+                    meta={"program": self.program,
+                          "sequence": self._sequence}),
+                lambda: self._prune(1)):
+            self.skips += 1
+            return None
         self.saves += 1
-        self._prune()
+        self._prune(self.keep)
         return path
 
-    def _prune(self):
-        if self.keep is None:
-            return
+    def _prune(self, keep):
+        """Remove all but the newest ``keep`` checkpoints (``None``:
+        none); returns how many went."""
+        if keep is None:
+            return 0
         paths = checkpoint_paths(self.directory)
-        for path in paths[:-self.keep] if self.keep else paths:
+        removed = 0
+        for path in paths[:-keep] if keep else paths:
             try:
                 os.unlink(path)
+                removed += 1
             except OSError:
                 pass
+        return removed
 
     def __repr__(self):
-        return ("Checkpointer(%r, every=%s, keep=%s, saves=%d)"
+        return ("Checkpointer(%r, every=%s, keep=%s, saves=%d, skips=%d)"
                 % (self.directory, self.every_instructions, self.keep,
-                   self.saves))
+                   self.saves, self.skips))

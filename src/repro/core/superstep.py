@@ -334,9 +334,9 @@ class SuperstepLoop:
             return
         count = self.base_instructions + self.progress()
         if checkpointer.due(count):
-            checkpointer.save(count, snapshot or bytes(self.main.state.buf),
-                              self.cache)
-            if self.stats_sink is not None:
+            saved = checkpointer.save(
+                count, snapshot or bytes(self.main.state.buf), self.cache)
+            if saved and self.stats_sink is not None:
                 self.stats_sink.checkpoints_written += 1
 
     # -- one boundary; fast-forwards chain inside ----------------------------

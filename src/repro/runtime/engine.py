@@ -30,7 +30,6 @@ from repro.core.superstep import (
 from repro.errors import EngineError
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.pool import TASK_FAILED, TASK_OK, WorkerPool
-from repro.runtime import resources
 from repro.runtime.stats import RuntimeStats
 from repro.verify.config import resolve_verify
 
@@ -283,21 +282,5 @@ class RealParallelEngine:
         self.machine = loop.main
         self.resumed_instructions = loop.base_instructions
         loop.run()
-        result = RealParallelResult(loop, self.recognized, workers,
-                                    backend.wall_seconds, runtime)
-        # End-of-run resource picture: where the transport's shm really
-        # lives, what headroom is left, and which degradation paths this
-        # run actually took (all zero on a healthy host).
-        result.resources = {
-            "shm_backing_dir": resources.shm_backing_dir(),
-            "shm_headroom_bytes": resources.shm_headroom_bytes(),
-            "worker_rlimit_as_bytes": rtc.worker_rlimit_as_bytes,
-            "pressure": {
-                "shm_fallbacks": runtime.shm_fallbacks,
-                "shm_fallback_bytes": runtime.shm_fallback_bytes,
-                "shm_alloc_failures": runtime.shm_alloc_failures,
-                "ring_full_events": runtime.ring_full_backpressure,
-                "tasks_oom": runtime.tasks_oom,
-            },
-        }
-        return result
+        return RealParallelResult(loop, self.recognized, workers,
+                                  backend.wall_seconds, runtime)

@@ -3,22 +3,20 @@
 The paper frames speculation as a resource-allocation problem: spend
 spare capacity to buy wall-clock. This module is the other half of that
 bargain — *bounding* what gets spent. It owns the probes and budgets
-for the four things this system can run out of:
+for the three things this system can run out of:
 
 * **worker memory** — each worker process runs under a configurable
   ``RLIMIT_AS`` (``RuntimeConfig.worker_rlimit_as_bytes``), so a runaway
   speculation hits a contained ``MemoryError`` (reported as a failed
-  task, or at worst a worker crash) instead of taking the host;
-* **/dev/shm** — the tmpfs backing ``multiprocessing.shared_memory``
-  (:func:`shm_backing_dir` probes which one that actually is; it is
-  *not* always ``/dev/shm``). The transport rings no longer live
-  there: they are anonymous shared mappings, counted as memory, and a
+  task, or at worst a worker crash) instead of taking the host. The
+  transport rings are anonymous shared mappings counted as memory; a
   ring that cannot be mapped leaves its worker ringless (every blob
   inline) rather than failing the spawn;
-* **disk** — cache shards and the job journal treat ``ENOSPC`` as a
-  pressure event (:class:`repro.durable.DiskPressure`): prune oldest,
-  retry, and suspend write-through if still starved (results stay
-  correct, durability recovers with the space);
+* **disk** — cache shards, checkpoints and the job journal treat
+  ``ENOSPC`` as a pressure event (:class:`repro.durable.DiskPressure`):
+  prune oldest, retry, and if still starved suspend write-through or
+  skip the checkpoint (results stay correct, durability recovers with
+  the space);
 * **file descriptors** — the daemon sheds load at admission when fd
   headroom runs out, instead of dying mid-``accept``.
 
@@ -27,8 +25,7 @@ one admission verdict the serve daemon consults before accepting a
 job; a verdict of "no" becomes the retryable ``overloaded`` protocol
 error. Each floor is a ``ServeConfig`` field and ``repro serve`` flag
 defaulting to the ``DEFAULT_*`` constants below; ``0`` disables a
-floor entirely. Shm headroom is deliberately not an admission floor:
-the daemon's self-check owns it (a gentler rung — degraded mode).
+floor entirely.
 
 The probes are injectable (and :meth:`ResourceGovernor.force_pressure`
 lets the chaos tier deterministically fake exhaustion), so every
@@ -46,74 +43,12 @@ except ImportError:  # pragma: no cover - non-POSIX
 #: pool's workers.
 ENV_WORKER_RLIMIT_AS = "REPRO_WORKER_RLIMIT_AS"
 
-DEFAULT_SHM_HEADROOM_BYTES = 64 * 1024 * 1024
 DEFAULT_DISK_FLOOR_BYTES = 32 * 1024 * 1024
 DEFAULT_FD_HEADROOM = 64
 DEFAULT_MAX_QUEUED_JOBS = 64
 
 
 # -- probes ------------------------------------------------------------------
-
-#: Candidate tmpfs mounts, in the order Linux distros actually use them.
-_SHM_DIR_CANDIDATES = ("/dev/shm", "/run/shm", "/var/run/shm", "/tmp")
-
-_shm_backing_dir_cache = None
-
-
-def shm_backing_dir(refresh=False):
-    """The directory where ``multiprocessing.shared_memory`` segments
-    actually live on this host.
-
-    The old watchdog probe hardcoded ``/dev/shm``, which silently
-    measured the wrong filesystem on hosts where glibc's ``shm_open``
-    maps elsewhere. Here we open a throwaway segment and look for its
-    backing file among the candidate mounts; the answer is cached for
-    the life of the process. The probe calls ``shm_open`` /
-    ``shm_unlink`` directly: ``SharedMemory`` would also start a
-    ``multiprocessing`` resource tracker process to watch a segment
-    that lives for a few microseconds. Falls back to ``/dev/shm`` when
-    nothing can be probed (the segment machinery itself unavailable).
-    """
-    global _shm_backing_dir_cache
-    if _shm_backing_dir_cache is not None and not refresh:
-        return _shm_backing_dir_cache
-    found = None
-    try:
-        import _posixshmem
-        name = "/psm_probe_%d_%s" % (os.getpid(), os.urandom(4).hex())
-        os.close(_posixshmem.shm_open(name, os.O_CREAT | os.O_EXCL
-                                      | os.O_RDWR, mode=0o600))
-        try:
-            for candidate in _SHM_DIR_CANDIDATES:
-                if os.path.exists(os.path.join(candidate, name[1:])):
-                    found = candidate
-                    break
-        finally:
-            _posixshmem.shm_unlink(name)
-    except Exception:
-        found = None
-    if found is None:
-        for candidate in _SHM_DIR_CANDIDATES:
-            if os.path.isdir(candidate):
-                found = candidate
-                break
-        else:
-            found = "/dev/shm"
-    _shm_backing_dir_cache = found
-    return found
-
-
-def shm_headroom_bytes(path=None):
-    """Free bytes on the tmpfs backing shared memory (or ``path``).
-    ``None`` when the filesystem cannot be probed — the caller must
-    treat that as "fine", not "empty" (a probe failure is not
-    pressure)."""
-    try:
-        stat = os.statvfs(path or shm_backing_dir())
-    except (OSError, AttributeError):
-        return None
-    return stat.f_bavail * stat.f_frsize
-
 
 def disk_free_bytes(path):
     """Free bytes on the filesystem holding ``path`` (``None`` when
@@ -290,8 +225,6 @@ class ResourceGovernor:
     def snapshot(self):
         """Current probe readings (for status endpoints; never raises)."""
         return {
-            "shm_backing_dir": shm_backing_dir(),
-            "shm_headroom_bytes": shm_headroom_bytes(),
             "disk_free_bytes": (self._disk_probe(self.disk_path)
                                 if self.disk_path else None),
             "fd_headroom": self._fd_probe(),

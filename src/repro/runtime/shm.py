@@ -19,10 +19,12 @@ ring and consumes its result ring; the worker does the opposite):
   end of the data region.
 * Only the producer writes ``head``; only the consumer writes
   ``tail``. Each side reads the other's cursor to compute free space,
-  so no lock is needed: an 8-byte aligned store is not torn on any
-  platform CPython runs on, and the control message that makes a blob
-  *visible* travels through a pipe (a syscall on both ends), which
-  orders the shared-memory writes before the consumer ever looks.
+  so no lock is needed: every cursor access is one aligned 8-byte load
+  or store (a ``"Q"`` memoryview item; ``struct`` zeroes and writes a
+  field byte by byte, so a peer could read it torn), and the control
+  message that makes a blob *visible* travels through a pipe (a
+  syscall on both ends), which orders the shared-memory writes before
+  the consumer ever looks.
 * The consumer copies a blob out and then releases through
   ``seq + length``. Skipping a blob (a dropped control frame) is safe:
   the next release is cumulative, so the skipped region is reclaimed
@@ -63,8 +65,6 @@ _RING_HEADER = struct.Struct("<4sHHQ")
 _HEAD_OFFSET = 16
 _TAIL_OFFSET = 32
 DATA_OFFSET = 64
-
-_CURSOR = struct.Struct("<Q")
 
 
 class ShmError(ReproError):
@@ -121,8 +121,9 @@ class ShmRing:
     it. Both ends then call the producer half (:meth:`try_push`,
     :meth:`free_bytes`) or the consumer half (:meth:`read`,
     :meth:`release`) as their role dictates. Every access goes through
-    the ``mmap`` itself — no long-lived ``memoryview`` — so
-    :meth:`close` never meets an exported buffer.
+    the ``mmap`` itself or a view made for that one access — no
+    long-lived ``memoryview`` — so :meth:`close` never meets an
+    exported buffer.
     """
 
     __slots__ = ("name", "map", "capacity", "_head", "_tail")
@@ -136,11 +137,18 @@ class ShmRing:
 
     # -- cursors -------------------------------------------------------------
 
+    def _cursor(self, offset):
+        """The cursor at ``offset`` as a one-item native ``"Q"`` view,
+        whose item is read and written as one aligned 8-byte access
+        (both ends share one machine, so native order is theirs). The
+        view dies with the statement that uses it."""
+        return memoryview(self.map)[offset:offset + 8].cast("Q")
+
     def _load(self, offset):
-        return _CURSOR.unpack_from(self.map, offset)[0]
+        return self._cursor(offset)[0]
 
     def _store(self, offset, value):
-        _CURSOR.pack_into(self.map, offset, value)
+        self._cursor(offset)[0] = value
 
     def used_bytes(self):
         return self._load(_HEAD_OFFSET) - self._load(_TAIL_OFFSET)

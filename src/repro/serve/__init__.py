@@ -21,7 +21,8 @@ next step. This package keeps all three warm in one long-lived daemon:
 * :mod:`repro.serve.journal` — :class:`JobJournal`, the crash-only
   write-ahead log + result store the daemon replays after a SIGKILL;
 * :mod:`repro.serve.watchdog` — :class:`Watchdog` deadline/progress
-  supervision and the :class:`SelfCheck` probes behind degraded mode.
+  supervision and the :class:`SelfCheck` durable-write verdict behind
+  degraded mode.
 """
 
 from repro.serve.client import ServeClient, ServeClientError

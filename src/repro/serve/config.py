@@ -78,15 +78,10 @@ class ServeConfig(Settings):
                 flag="--kill-grace-seconds",
                 help="grace between watchdog escalation stages"),
         Setting("watchdog_interval_seconds", 0.5, float),
-        # Self-check: probe cadence and the shm headroom below which
-        # the daemon flips into degraded mode (sequential execution,
-        # cache write-through off); 0 disables the check.
+        # Self-check cadence: how often a failing durable write flips
+        # the daemon into degraded mode (sequential execution, cache
+        # write-through off) and a suspended write-through retries.
         Setting("selfcheck_interval_seconds", 2.0, float),
-        Setting("min_shm_headroom_bytes",
-                resources.DEFAULT_SHM_HEADROOM_BYTES, int,
-                flag="--shm-headroom-bytes",
-                help="shm free-space floor below which the daemon runs "
-                     "degraded-sequential (default 64 MiB; 0 disables)"),
         # Resource governance (see runtime/resources.py): the
         # admission-time floors behind load shedding. A submit arriving
         # while free disk under the journal/cache directory is below

@@ -63,8 +63,8 @@ construction, safe to unlink once the lock is held. A watchdog thread
 (:mod:`repro.serve.watchdog`) reaps jobs that blow their deadline or
 stop heartbeating, and a periodic self-check flips the daemon into
 journaled **degraded mode** — sequential execution, cache
-write-through disabled — instead of crashing when /dev/shm or the
-cache store gives out.
+write-through disabled — instead of crashing when a cache flush or a
+journal append fails for a reason other than a full disk.
 """
 
 import base64
@@ -223,12 +223,9 @@ class SpeculationDaemon:
         # Admission-time load shedding: a submit arriving while a
         # queue/fd/disk budget is exhausted is refused with the
         # retryable "overloaded" code instead of being accepted and
-        # failed later. Shm pressure is deliberately NOT an admission
-        # floor — it has a gentler rung on the ladder (the self-check
-        # flips the daemon into sequential degraded mode, which still
-        # serves byte-identical results without rings). The disk probe
-        # watches the durability directory (journal beats cache:
-        # losing WAL appends is the worse failure).
+        # failed later. The disk probe watches the durability
+        # directory (journal beats cache: losing WAL appends is the
+        # worse failure).
         self.governor = ResourceGovernor(
             disk_floor_bytes=self.config.min_disk_free_bytes,
             fd_headroom_floor=self.config.min_fd_headroom,
@@ -243,8 +240,7 @@ class SpeculationDaemon:
             deadline_seconds=self.config.job_deadline_seconds,
             no_progress_seconds=self.config.no_progress_seconds,
             kill_grace_seconds=self.config.kill_grace_seconds)
-        self.selfcheck = SelfCheck(
-            min_shm_headroom_bytes=self.config.min_shm_headroom_bytes)
+        self.selfcheck = SelfCheck()
         self.degraded = False
         self.degraded_reason = None
         self.journal = None
@@ -298,8 +294,8 @@ class SpeculationDaemon:
                 self.jobs_requeued += 1
         if self.journal.mode == "degraded":
             # The previous incarnation died degraded; start optimistic
-            # and let the first self-check re-demote if resources are
-            # still exhausted. Journaled so the log stays consistent.
+            # and let the next failing write re-demote it. Journaled
+            # so the log stays consistent.
             self._journal("record_mode", "normal",
                           "restart: self-check re-evaluates")
 
@@ -457,9 +453,9 @@ class SpeculationDaemon:
 
     def _set_degraded(self, degraded, reason):
         """Flip the journaled degraded/normal mode. Degraded jobs run
-        sequentially (no pools, no shm) and the cache store stops
-        write-through flushing — the daemon sheds resource pressure
-        instead of crashing into it."""
+        sequentially (no pools, no rings) and the cache store stops
+        write-through flushing — the daemon stops leaning on a failing
+        disk instead of crashing into it."""
         with self._lock:
             if self.degraded == degraded:
                 return

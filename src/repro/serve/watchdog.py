@@ -36,17 +36,16 @@ one daemon thread ticking :meth:`Watchdog.step`; the method takes an
 explicit ``now`` so tests drive the whole state machine without
 sleeping.
 
-This module also hosts the **self-check** probes behind degraded mode:
-/dev/shm headroom (rings are anonymous mappings and no longer use that
-tmpfs) and cache-store flush health. The daemon polls them and flips
-into journaled degraded mode — sequential execution, cache
-write-through disabled — instead of crashing when resources run out.
+This module also hosts the **self-check** behind degraded mode: the
+health of the daemon's durable writes. A cache-store flush or journal
+append that fails with anything but ``ENOSPC`` (which
+:class:`repro.durable.DiskPressure` absorbs) flips the daemon into
+journaled degraded mode — sequential execution, cache write-through
+disabled — instead of crashing into a broken disk.
 """
 
 import threading
 import time
-
-from repro.runtime import resources
 
 #: Escalation stages, in order.
 STAGE_WATCHING = "watching"
@@ -231,18 +230,11 @@ class Watchdog:
 # -- resource self-checks (degraded-mode probes) ------------------------------
 
 class SelfCheck:
-    """Aggregates the daemon's health probes into one healthy/degraded
+    """The daemon's durable-write health as one healthy/degraded
     verdict, with a reason string for the journal. Deliberately free of
-    daemon state so tests can drive it with fake probes.
+    daemon state so tests can drive it directly."""
 
-    ``min_shm_headroom_bytes=0`` disables the headroom check, and a
-    probe that returns ``None`` (nothing to probe) reads as healthy."""
-
-    def __init__(self,
-                 min_shm_headroom_bytes=resources.DEFAULT_SHM_HEADROOM_BYTES,
-                 headroom_probe=resources.shm_headroom_bytes):
-        self.min_shm_headroom_bytes = min_shm_headroom_bytes
-        self.headroom_probe = headroom_probe
+    def __init__(self):
         self.flush_failures = 0
         self.last_flush_error = None
         self.checks_run = 0
@@ -258,21 +250,12 @@ class SelfCheck:
         """``(healthy, reason)`` — reason explains a degraded verdict."""
         self.checks_run += 1
         if self.last_flush_error is not None:
-            return False, "cache-store flush failing: %s" \
-                % self.last_flush_error
-        headroom = self.headroom_probe()
-        if headroom is not None and self.min_shm_headroom_bytes and \
-                headroom < self.min_shm_headroom_bytes:
-            return False, "shm headroom %d bytes below the %d floor" \
-                % (headroom, self.min_shm_headroom_bytes)
+            return False, "durable write failing: %s" % self.last_flush_error
         return True, None
 
     def stats_dict(self):
-        headroom = self.headroom_probe()
         return {
             "checks_run": self.checks_run,
             "flush_failures": self.flush_failures,
             "last_flush_error": self.last_flush_error,
-            "shm_headroom_bytes": headroom,
-            "min_shm_headroom_bytes": self.min_shm_headroom_bytes,
         }

@@ -11,7 +11,7 @@ import pytest
 
 from repro.asm import assemble
 from repro.minic import compile_source
-from repro.runtime import resources, shm
+from repro.runtime import shm
 from repro.runtime.pool import WorkerPool
 
 #: The REPRO_* environment as it stood when the suite started. CI legs
@@ -36,19 +36,23 @@ def pytest_collection_modifyitems(config, items):
 
 _PSM_BASELINE = pytest.StashKey()
 
+#: Where glibc's ``shm_open`` (so ``multiprocessing.shared_memory``)
+#: places named segments; CI's leak gates list the same directory.
+SHM_DIR = "/dev/shm"
 
-def _psm_names():
-    """Every ``psm_*`` segment in the directory backing shared memory,
-    whichever process created it."""
+
+def psm_names():
+    """Every named ``psm_*`` segment in :data:`SHM_DIR`, whichever
+    process created it."""
     try:
-        return {name for name in os.listdir(resources.shm_backing_dir())
+        return {name for name in os.listdir(SHM_DIR)
                 if name.startswith("psm_")}
     except OSError:
         return set()
 
 
 def pytest_sessionstart(session):
-    session.config.stash[_PSM_BASELINE] = _psm_names()
+    session.config.stash[_PSM_BASELINE] = psm_names()
 
 
 def pytest_sessionfinish(session):
@@ -60,16 +64,16 @@ def pytest_sessionfinish(session):
     if baseline is None:
         return
     deadline = time.monotonic() + 5.0
-    while _psm_names() - baseline and time.monotonic() < deadline:
+    while psm_names() - baseline and time.monotonic() < deadline:
         time.sleep(0.1)
-    leaked = sorted(_psm_names() - baseline)
+    leaked = sorted(psm_names() - baseline)
     if leaked:
         reporter = session.config.pluginmanager.get_plugin(
             "terminalreporter")
         reporter.ensure_newline()
         reporter.write_line(
             "session leaked shm segments in %s: %s"
-            % (resources.shm_backing_dir(), ", ".join(leaked)), red=True)
+            % (SHM_DIR, ", ".join(leaked)), red=True)
         session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 

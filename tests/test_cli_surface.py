@@ -111,7 +111,6 @@ _SERVE_LINE = {
     "--job-deadline": ("job_deadline_seconds", 33.0),
     "--no-progress-seconds": ("no_progress_seconds", 11.0),
     "--kill-grace-seconds": ("kill_grace_seconds", 1.5),
-    "--shm-headroom-bytes": ("min_shm_headroom_bytes", 1024),
     "--min-disk-free-bytes": ("min_disk_free_bytes", 2048),
     "--fd-headroom": ("min_fd_headroom", 3),
     "--max-queued-jobs": ("max_queued_jobs", 6),

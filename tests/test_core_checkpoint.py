@@ -173,6 +173,25 @@ class TestCheckpointer:
                  for p in ck.checkpoint_paths(tmp_path)]
         assert names == ["ckpt-00000001.ascp", "ckpt-00000002.ascp"]
 
+    def test_full_disk_prunes_older_then_skips(self, tmp_path):
+        """ENOSPC: prune all but the newest checkpoint and retry once;
+        still full, skip this one and keep the newest durable."""
+        cp = ck.Checkpointer(tmp_path, every_instructions=1, keep=None)
+        for i in range(1, 4):
+            cp.save(i, b"s%d" % i)
+        cp.disk.inject(1)  # the retry after pruning lands
+        assert cp.save(4, b"s4") is not None
+        assert [ck.read_checkpoint(p).instruction_count
+                for p in ck.checkpoint_paths(tmp_path)] == [3, 4]
+        cp.disk.inject(2)  # the retry fails too
+        assert cp.save(5, b"s5") is None
+        cp.disk.inject(1)  # nothing left to prune: no retry
+        assert cp.save(6, b"s6") is None
+        assert (cp.saves, cp.skips, cp.disk.enospc_events) == (4, 2, 4)
+        assert sorted(os.listdir(tmp_path)) == ["ckpt-00000004.ascp"]
+        assert ck.load_latest(tmp_path).state == b"s4"
+        assert not cp.due(6) and cp.due(7)  # a skip restarts the cadence
+
     def test_bad_cadence_rejected(self, tmp_path):
         with pytest.raises(EngineError):
             ck.Checkpointer(tmp_path, every_instructions=0)
@@ -216,6 +235,29 @@ class TestResumeDifferential:
         assert resumed.runtime.checkpoints_restored == 1
         # The resumed run only replayed the tail.
         assert resumed.total_instructions < first.total_instructions
+
+    def test_full_disk_skips_checkpoints_and_run_ends_identical(
+            self, tmp_path):
+        """A run whose first checkpoints meet a full disk skips them and
+        runs on; later ones land, and both the run and a resume from
+        its newest checkpoint end byte-identical to sequential."""
+        workload = build_collatz(count=300)
+        expected = sequential_state(workload.program)
+        cp = ck.Checkpointer(tmp_path, every_instructions=5_000,
+                             program=workload.program.name)
+        cp.disk.inject(2)
+        first = RealParallelEngine(
+            workload.program, config=workload.config,
+            runtime_config=DETERMINISTIC, checkpointer=cp).run()
+        assert first.final_state == expected
+        assert cp.skips == 2
+        assert first.runtime.checkpoints_written == cp.saves >= 1
+        snapshot = ck.load_latest(tmp_path)
+        assert snapshot.sequence > 2  # the skipped sequence numbers
+        resumed = RealParallelEngine(
+            workload.program, config=workload.config,
+            runtime_config=DETERMINISTIC, resume_from=snapshot).run()
+        assert resumed.final_state == expected
 
     def test_resume_restores_cache_entries(self, tmp_path):
         workload = build_collatz(count=300)

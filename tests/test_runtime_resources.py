@@ -2,7 +2,7 @@
 degradation ladder's runtime rungs.
 
 Three layers under test. The :mod:`repro.runtime.resources` unit layer
-(is_enospc, now :mod:`repro.durable`'s, the shm-backing-dir probe, the
+(is_enospc, now :mod:`repro.durable`'s, the disk and fd probes, the
 worker rlimit's environment default, rlimit plumbing, the
 :class:`ResourceGovernor` verdicts). The pool layer: a
 ``worker_oom`` chaos fault is *contained* — the worker survives, the
@@ -41,60 +41,6 @@ class TestEnospc:
 
 
 class TestProbes:
-    def test_shm_backing_dir_exists(self):
-        path = resources.shm_backing_dir()
-        assert os.path.isdir(path)
-
-    def test_shm_backing_dir_is_cached(self):
-        assert resources.shm_backing_dir() is resources.shm_backing_dir()
-
-    def test_probe_starts_no_resource_tracker(self):
-        # A fresh interpreter, so no earlier test has started a tracker:
-        # the probe alone must leave none behind it (a daemon would
-        # otherwise carry one extra process for its whole life).
-        import subprocess
-        import sys
-        script = (
-            "import os\n"
-            "from multiprocessing import resource_tracker\n"
-            "from repro.runtime import resources\n"
-            "assert os.path.isdir(resources.shm_backing_dir(refresh=True))\n"
-            "print(resource_tracker._resource_tracker._pid)\n")
-        src = os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", script], env=env,
-                             capture_output=True, text=True, timeout=60)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "None"
-
-    @pytest.mark.skipif(not shm_available(), reason="no shared_memory")
-    def test_backing_dir_really_backs_segments(self):
-        # The probe's whole point: a fresh segment's file appears there.
-        from multiprocessing import shared_memory
-        seg = shared_memory.SharedMemory(create=True, size=1)
-        try:
-            assert os.path.exists(
-                os.path.join(resources.shm_backing_dir(), seg.name))
-        finally:
-            seg.close()
-            seg.unlink()
-
-    def test_headroom_probe_returns_bytes_or_none(self):
-        headroom = resources.shm_headroom_bytes()
-        assert headroom is None or headroom >= 0
-        # The daemon's self-check reads this probe (wherever segments
-        # actually live, not a hardcoded /dev/shm) against this floor.
-        from repro.serve.watchdog import SelfCheck
-        check = SelfCheck()
-        assert check.headroom_probe is resources.shm_headroom_bytes
-        assert check.min_shm_headroom_bytes == \
-            resources.DEFAULT_SHM_HEADROOM_BYTES
-
-    def test_headroom_probe_failure_is_none_not_zero(self):
-        # "Cannot probe" must read as "fine", never as "empty".
-        assert resources.shm_headroom_bytes("/no/such/fs/anywhere") is None
-
     def test_disk_free_walks_up_to_existing_parent(self):
         free = resources.disk_free_bytes("/tmp/does/not/exist/yet")
         assert free is not None and free >= 0
@@ -240,7 +186,7 @@ class TestResourceGovernor:
         assert stats["admissions"] == 1
         assert set(stats["pressure_events"]) == set(
             resources.PRESSURE_KINDS)
-        assert "shm_headroom_bytes" in stats["probes"]
+        assert set(stats["probes"]) == {"disk_free_bytes", "fd_headroom"}
 
 
 @pytest.fixture(scope="module")

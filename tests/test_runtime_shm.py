@@ -3,7 +3,8 @@
 Three layers of guarantees:
 
 * :class:`~repro.runtime.shm.ShmRing` unit behavior — push/read/release
-  discipline, wrap-around, backpressure, desync detection;
+  discipline, wrap-around, backpressure, desync detection, cursors
+  that never read torn across processes;
 * the transport end to end through a real :class:`WorkerPool` —
   results identical with rings and ringless, delta accounting for
   both, stale (epoch-mismatch) recovery, oversized-blob crash
@@ -23,8 +24,9 @@ import time
 
 import pytest
 
+from conftest import psm_names
 from repro.asm import assemble
-from repro.runtime import resources, shm, wire
+from repro.runtime import shm, wire
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.pool import (
     TASK_CRASHED,
@@ -170,6 +172,45 @@ class TestShmRing:
             ring.map[:4] = b"JUNK"
             with pytest.raises(shm.ShmError, match="not a runtime ring"):
                 ring.check()
+        finally:
+            ring.close()
+
+    def test_cursors_only_move_forward_across_processes(self):
+        """A forked peer advances both cursors one byte at a time for a
+        second (push a byte, release it) while this process keeps
+        loading them. Each load must be one 8-byte access: a cursor
+        stored or loaded piecewise reads torn, lower than a value
+        already seen, which the consumer reports as a ring desync."""
+        ring = shm.create_ring(1 << 20)
+        try:
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    deadline = time.monotonic() + 1.0
+                    while time.monotonic() < deadline:
+                        for __ in range(256):
+                            seq = ring.try_push(b"x")
+                            ring.release(seq + 1)
+                    status = 0
+                finally:
+                    os._exit(status)
+            head = tail = reads = backwards = 0
+            while True:
+                done, status = os.waitpid(pid, os.WNOHANG)
+                if done:
+                    break
+                for __ in range(256):
+                    new_head = ring._load(shm._HEAD_OFFSET)
+                    new_tail = ring._load(shm._TAIL_OFFSET)
+                    backwards += (new_head < head) + (new_tail < tail)
+                    head, tail = new_head, new_tail
+                reads += 512
+            assert status == 0
+            assert ring._load(shm._HEAD_OFFSET) > 1000
+            assert reads > 10_000
+            assert backwards == 0, "%d of %d cursor loads went backwards" \
+                % (backwards, reads)
         finally:
             ring.close()
 
@@ -330,15 +371,6 @@ class TestShmTransport:
 
 # -- hygiene -----------------------------------------------------------------
 
-def _psm_segments():
-    """Every named ``psm_*`` segment where shared memory lives here."""
-    try:
-        return {name for name in os.listdir(resources.shm_backing_dir())
-                if name.startswith("psm_")}
-    except OSError:
-        return set()
-
-
 def _ring_mappings(pid, capacity):
     """Inodes of the ring-sized shared mappings in ``pid``'s address
     space — the rings it maps, for rings of ``capacity`` bytes."""
@@ -380,7 +412,7 @@ class TestShmHygiene:
         """SIGKILL a worker mid-task (its rings are closed on respawn)
         and then shut the pool down: no ring may stay open and no
         psm_* segment may appear."""
-        before = _psm_segments()
+        before = psm_names()
         rip, start = boundary_state(loop_program)
         config = RuntimeConfig(n_workers=2, task_timeout_seconds=None)
         with WorkerPool(loop_program, config) as pool:
@@ -395,7 +427,7 @@ class TestShmHygiene:
             assert len(shm.live_segment_names()) == 4
             assert pool.submit(rip, 1, 10_000, start) is not None
             poll_until(pool, 1)
-        assert _psm_segments() - before == set()
+        assert psm_names() - before == set()
         assert shm.live_segment_names() == []
 
     def test_quarantined_slot_releases_its_rings(self, loop_program):
@@ -495,7 +527,7 @@ class TestShmHygiene:
             WorkerPool(assemble(".entry s\\ns: hlt\\n", name="window"),
                        RuntimeConfig(n_workers=1))
         """))
-        before = _psm_segments()
+        before = psm_names()
         proc = subprocess.Popen([sys.executable, str(script)],
                                 env=_repro_env(), start_new_session=True,
                                 stderr=subprocess.PIPE)
@@ -506,7 +538,7 @@ class TestShmHygiene:
         assert proc.returncode == -signal.SIGKILL, err.decode()
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)  # no process of the group is left
-        assert _psm_segments() - before == set()
+        assert psm_names() - before == set()
 
     @requires_proc
     def test_sigkilled_engine_rings_reaped_by_workers(self, tmp_path):
@@ -520,7 +552,7 @@ class TestShmHygiene:
             "    for (i = 1; i <= 2000000000; i++) total += i;\n"
             "    return total;\n"
             "}\n")
-        before = _psm_segments()
+        before = psm_names()
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "run", str(source),
              "--backend", "real", "--workers", "2"],
@@ -556,7 +588,7 @@ class TestShmHygiene:
             while time.monotonic() < deadline and any(map(_alive, pids)):
                 time.sleep(0.1)
             assert not any(map(_alive, pids))
-            assert _psm_segments() - before == set()
+            assert psm_names() - before == set()
         finally:
             proc.kill()
             proc.wait(timeout=10)

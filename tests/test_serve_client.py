@@ -187,7 +187,7 @@ class TestStatusVerb:
         assert status["jobs"]["done"] == 1
         assert status["journal"]["records_appended"] >= 3
         assert status["watchdog"]["watching"] == 0
-        assert "shm_headroom_bytes" in status["selfcheck"]
+        assert status["selfcheck"]["flush_failures"] == 0
 
     def test_ping_reports_journaled_and_degraded(self, daemon):
         with ServeClient(daemon.config.socket_path, client="A") as client:

@@ -8,6 +8,7 @@ byte-identical to a plain sequential run of their own program.
 """
 
 import base64
+import errno
 import gc
 import os
 import threading
@@ -16,7 +17,9 @@ import weakref
 
 import pytest
 
+from repro import durable
 from repro.bench import build_collatz, build_ising
+from repro.core.cache_store import SHARD_SUFFIX
 from repro.core.config import EngineConfig
 from repro.core.recognizer import Recognizer
 from repro.loader.image import Program
@@ -555,24 +558,50 @@ class TestResourceManager:
 
 
 class TestDegradedMode:
-    def test_selfcheck_flips_to_degraded_and_jobs_still_run(self, tmp_path,
-                                                            collatz):
-        expected = sequential_state(collatz.program)
-        # An impossible headroom floor forces the self-check verdict to
-        # "degraded" on its first pass.
-        config = ServeConfig(socket_path=str(tmp_path / "serve.sock"),
-                             cache_dir=str(tmp_path / "cache"),
-                             watchdog_interval_seconds=0.05,
-                             selfcheck_interval_seconds=0.1,
-                             min_shm_headroom_bytes=2 ** 62)
-        with SpeculationDaemon(config).start() as daemon:
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline and not daemon.degraded:
-                time.sleep(0.02)
-            assert daemon.degraded
-            assert "headroom" in daemon.degraded_reason
+    """A durable write that fails for a reason other than a full disk
+    (which :class:`repro.durable.DiskPressure` absorbs) flips the daemon
+    into journaled degraded mode: jobs run sequentially, still
+    byte-identical, until a restart re-evaluates."""
 
+    @pytest.fixture
+    def broken_shard_disk(self, monkeypatch):
+        """Every cache-shard write fails with EIO."""
+        write_atomic = durable.write_atomic
+
+        def write(path, blob, fsync=False):
+            if path.endswith(SHARD_SUFFIX):
+                raise OSError(errno.EIO, "injected I/O error")
+            return write_atomic(path, blob, fsync=fsync)
+        monkeypatch.setattr(durable, "write_atomic", write)
+        return monkeypatch
+
+    @staticmethod
+    def degraded_config(tmp_path):
+        return ServeConfig(socket_path=str(tmp_path / "serve.sock"),
+                           cache_dir=str(tmp_path / "cache"),
+                           watchdog_interval_seconds=0.05,
+                           selfcheck_interval_seconds=0.1)
+
+    @staticmethod
+    def degrade(daemon, client, workload):
+        """Run one job; the cache flush after it fails, and the next
+        self-check flips the daemon into degraded mode."""
+        first = client.run(workload.program, **submit_options(workload))
+        assert first["backend"] == "serve"
+        assert first["merged_entries"] > 0  # so the flush writes a shard
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and not daemon.degraded:
+            time.sleep(0.02)
+        assert daemon.degraded
+        assert "injected I/O error" in daemon.degraded_reason
+
+    def test_selfcheck_flips_to_degraded_and_jobs_still_run(
+            self, tmp_path, collatz, broken_shard_disk):
+        expected = sequential_state(collatz.program)
+        config = self.degraded_config(tmp_path)
+        with SpeculationDaemon(config).start() as daemon:
             with ServeClient(config.socket_path, client="t") as client:
+                self.degrade(daemon, client, collatz)
                 pong = client.ping()
                 assert pong["degraded"] is True
                 # Degraded jobs run sequentially (no pool, no cache
@@ -588,26 +617,22 @@ class TestDegradedMode:
             assert status["journal"]["mode"] == "degraded"
             assert daemon.jobs_degraded == 1
 
-    def test_degraded_mode_is_journaled_across_restart(self, tmp_path):
-        socket_path = str(tmp_path / "serve.sock")
-        cache_dir = str(tmp_path / "cache")
-        config = ServeConfig(socket_path=socket_path, cache_dir=cache_dir,
-                             watchdog_interval_seconds=0.05,
-                             selfcheck_interval_seconds=0.1,
-                             min_shm_headroom_bytes=2 ** 62)
+    def test_degraded_mode_is_journaled_across_restart(
+            self, tmp_path, collatz, broken_shard_disk):
+        config = self.degraded_config(tmp_path)
         with SpeculationDaemon(config).start() as daemon:
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline and not daemon.degraded:
-                time.sleep(0.02)
-            assert daemon.degraded
+            with ServeClient(config.socket_path, client="t") as client:
+                self.degrade(daemon, client, collatz)
             daemon.close()
+        with JobJournal(config.journal_dir) as journal:
+            assert journal.mode == "degraded"
 
-        # The healthy restart re-evaluates instead of trusting the old
-        # verdict: with a sane floor the daemon comes back normal.
-        config2 = ServeConfig(socket_path=socket_path, cache_dir=cache_dir,
-                              min_shm_headroom_bytes=1)
-        with SpeculationDaemon(config2).start() as daemon2:
+        # The restart re-evaluates instead of trusting the old verdict:
+        # with the disk healthy again the daemon comes back normal.
+        broken_shard_disk.undo()
+        with SpeculationDaemon(config).start() as daemon2:
             assert not daemon2.degraded
+            assert daemon2.journal.mode == "normal"
 
 
 def resubmission(program, **changes):
